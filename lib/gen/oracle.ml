@@ -208,13 +208,90 @@ let compare_transports pipelined lockstep =
     in
     check pipelined
 
+(* The object a step acts on (its first event's target), probed with
+   [enabled] and [candidates] right after the step; [None] for a step
+   with no events. *)
+let step_target = function
+  | Step.Create { cls; key; _ } -> Some (Ident.make cls key)
+  | Step.Destroy { id; _ } -> Some id
+  | st -> (
+      match List.concat (Option.value ~default:[] (Step.micro_steps st)) with
+      | ev :: _ -> Some ev.Event.target
+      | [] -> None)
+
+let probe_request ~id op target =
+  match Protocol.ident_to_json target with
+  | Json.Obj fields ->
+      Json.Obj (("id", Json.Int id) :: ("op", Json.String op) :: fields)
+  | _ -> assert false
+
+(* The engine's own answers to [enabled] and [candidates] on [target],
+   by op, encoded as the server encodes its results; an error is its
+   code. *)
+let probe_answers c target =
+  match Community.find_template c target.Ident.cls with
+  | None ->
+      let code = Runtime_error.code (Runtime_error.Unknown_class target.Ident.cls) in
+      [ ("enabled", Error code); ("candidates", Error code) ]
+  | Some _ ->
+      let alive = Option.is_some (Community.living c target) in
+      let verdict (name, params) =
+        if alive && params = [] then Some (Engine.enabled c (Event.make target name []))
+        else None
+      in
+      [
+        ("enabled", Ok (Protocol.enabled_to_json (Engine.enabled_events c target)));
+        ( "candidates",
+          Ok
+            (Protocol.candidates_to_json
+               (List.map
+                  (fun ((name, params) as cand) -> (name, params, verdict cand))
+                  (Engine.candidate_events c target))) );
+      ]
+
 let server src trace =
   with_session "server" src @@ fun local ->
   with_session "server" src @@ fun remote ->
   with_session "server" src @@ fun remote_lockstep ->
+  (* every step is followed by an [enabled] and a [candidates] probe of
+     its target, so pipelined runs interleave step runs with probe runs;
+     each request is paired with the engine's answer at the same prefix
+     (Ok result document, or Error code) *)
+  let c = Troll.Session.community local in
+  let next_id = ref 0 in
+  let fresh () =
+    let id = !next_id in
+    incr next_id;
+    id
+  in
+  let exchanges =
+    List.concat
+      (List.mapi
+         (fun i st ->
+           let step_req = request_of_step ~id:(fresh ()) st in
+           let answer =
+             match Troll.Session.step local st with
+             | Ok outcome -> Ok (Protocol.outcome_to_json outcome)
+             | Error reason -> Error (Runtime_error.code reason)
+           in
+           let label = step_label i st in
+           (label, step_req, answer)
+           ::
+           (match step_target st with
+           | None -> []
+           | Some target ->
+               List.map
+                 (fun (op, answer) ->
+                   let what =
+                     Printf.sprintf "%s, then %s %s" label op (Ident.to_string target)
+                   in
+                   (what, probe_request ~id:(fresh ()) op target, answer))
+                 (probe_answers c target)))
+         trace)
+  in
   let requests =
-    List.mapi (fun i st -> request_of_step ~id:i st) trace
-    @ [ Json.Obj [ ("id", Json.Int (List.length trace)); ("op", Json.String "save") ] ]
+    List.map (fun (_, req, _) -> req) exchanges
+    @ [ Json.Obj [ ("id", Json.Int (fresh ())); ("op", Json.String "save") ] ]
   in
   let lines = run_server_lines remote requests in
   match
@@ -231,8 +308,8 @@ let server src trace =
       | Ok j -> Ok j
       | Error e -> failf "server" "response %d unparsable (%s): %s" i e line
     in
-    let rec loop i steps lines =
-      match (steps, lines) with
+    let rec loop i exchanges lines =
+      match (exchanges, lines) with
       | [], [ last ] -> (
           (* the trailing save frame: compare against the in-process image *)
           match parse i last with
@@ -242,7 +319,7 @@ let server src trace =
               | Json.Bool true -> (
                   match Json.member "state" (Json.member "result" j) with
                   | Json.String dump ->
-                      let img = Persist.save (Troll.Session.community local) in
+                      let img = Persist.save c in
                       if dump <> img then
                         failf "server"
                           "final state differs (server %d bytes, engine %d bytes)"
@@ -250,36 +327,30 @@ let server src trace =
                       else Ok ()
                   | _ -> failf "server" "save response carries no state")
               | _ -> failf "server" "save request failed: %s" last))
-      | st :: steps', line :: lines' -> (
-          let r = Troll.Session.step local st in
+      | (what, _, answer) :: exchanges', line :: lines' -> (
           match parse i line with
           | Error _ as e -> e
           | Ok j -> (
-              match (r, Json.member "ok" j) with
-              | Ok outcome, Json.Bool true ->
-                  let expected = Protocol.outcome_to_json outcome in
+              match (answer, Json.member "ok" j) with
+              | Ok expected, Json.Bool true ->
                   if not (Json.equal (Json.member "result" j) expected) then
-                    failf "server" "%s: outcome differs: engine %s, server %s"
-                      (step_label i st) (Json.to_string expected)
+                    failf "server" "%s: answer differs: engine %s, server %s"
+                      what (Json.to_string expected)
                       (Json.to_string (Json.member "result" j))
-                  else loop (i + 1) steps' lines'
-              | Error reason, Json.Bool false -> (
+                  else loop (i + 1) exchanges' lines'
+              | Error code, Json.Bool false -> (
                   match Json.member "code" (Json.member "error" j) with
-                  | Json.String c when c = Runtime_error.code reason ->
-                      loop (i + 1) steps' lines'
-                  | Json.String c ->
-                      failf "server" "%s: engine code %s, server code %s"
-                        (step_label i st) (Runtime_error.code reason) c
-                  | _ -> failf "server" "%s: error frame carries no code" (step_label i st))
+                  | Json.String got when got = code -> loop (i + 1) exchanges' lines'
+                  | Json.String got ->
+                      failf "server" "%s: engine code %s, server code %s" what code got
+                  | _ -> failf "server" "%s: error frame carries no code" what)
               | Ok _, _ ->
-                  failf "server" "%s: engine accepted, server rejected: %s"
-                    (step_label i st) line
-              | Error reason, _ ->
-                  failf "server" "%s: engine rejected (%s), server accepted"
-                    (step_label i st) (Runtime_error.code reason)))
+                  failf "server" "%s: engine accepted, server rejected: %s" what line
+              | Error code, _ ->
+                  failf "server" "%s: engine rejected (%s), server accepted" what code))
       | _ -> failf "server" "response frames out of step with the trace"
     in
-    loop 0 trace lines
+    loop 0 exchanges lines
 
 (* ---------------------------------------------------------------- *)
 (* Oracle 3: save → load → replay                                    *)

@@ -162,9 +162,11 @@ let shutdown t =
       List.iter Domain.join workers;
       t.workers <- []
 
+let fans_out t ~n = t.jobs > 1 && n >= small_batch_cutoff && t.workers <> []
+
 let run t ~n f =
   if n > 0 then
-    if t.jobs <= 1 || n < small_batch_cutoff || t.workers = [] then begin
+    if not (fans_out t ~n) then begin
       if t.jobs > 1 && t.workers <> [] && n > 1 then
         Atomic.incr n_cutoff_dispatches;
       Atomic.incr n_seq_dispatches;

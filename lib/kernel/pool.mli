@@ -27,10 +27,18 @@ val small_batch_cutoff : int
     condition-variable round trips) dominates real work on small
     batches (bench E15).  Reported in {!stats_rows}. *)
 
+val fans_out : t -> n:int -> bool
+(** Would {!run} over [n] items hand work to worker domains?  False at
+    [jobs = 1], below {!small_batch_cutoff}, or once the workers are
+    gone — exactly the cases {!run} executes sequentially on the
+    caller, because {!run} makes its choice with this predicate.
+    Callers use it to skip preparing shared data (a frozen {!View}) for
+    a dispatch that would never leave their own domain. *)
+
 val run : t -> n:int -> (int -> unit) -> unit
 (** [run t ~n f] calls [f i] once for every [0 <= i < n], in parallel
     across the pool's domains, and returns when all calls have
-    finished.  Batches below {!small_batch_cutoff} run sequentially on
+    finished.  Unless {!fans_out} holds, the batch runs sequentially on
     the caller (identical results, same evaluation order as jobs = 1).
     [f] must only touch domain-private or frozen data (see {!View}).
     The first exception raised by any participant is re-raised here

@@ -500,3 +500,29 @@ let outcome_to_json (o : Engine.outcome) : Json.t =
       ("created", Json.List (List.map ident_to_json o.Engine.created));
       ("destroyed", Json.List (List.map ident_to_json o.Engine.destroyed));
     ]
+
+let enabled_to_json names : Json.t =
+  Json.Obj [ ("events", Json.List (List.map (fun n -> Json.String n) names)) ]
+
+let candidates_to_json cands : Json.t =
+  Json.Obj
+    [
+      ( "candidates",
+        Json.List
+          (List.map
+             (fun (name, params, en) ->
+               Json.Obj
+                 ([
+                    ("event", Json.String name);
+                    ( "params",
+                      Json.List
+                        (List.map
+                           (fun ty -> Json.String (Vtype.to_string ty))
+                           params) );
+                  ]
+                 @
+                 match en with
+                 | None -> []
+                 | Some b -> [ ("enabled", Json.Bool b) ]))
+             cands) );
+    ]

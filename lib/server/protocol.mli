@@ -92,8 +92,8 @@ type request =
   | Extension of string
   | Enabled of Ident.t
       (** currently enabled parameterless events of the object —
-          answered from a frozen view, probed by the server's domain
-          pool *)
+          probed in place, or over a frozen view when the server's
+          domain pool fans the probes out *)
   | Candidates of Ident.t
       (** all non-birth events of the object's class with parameter
           types and (for parameterless ones) enabledness *)
@@ -137,3 +137,11 @@ val error_frame : id:Json.t -> Wire_error.t -> Json.t
 
 val outcome_to_json : Engine.outcome -> Json.t
 (** [{"committed": [[event…]…], "created": […], "destroyed": […]}]. *)
+
+val enabled_to_json : string list -> Json.t
+(** The [enabled] result: [{"events": [name…]}]. *)
+
+val candidates_to_json : (string * Vtype.t list * bool option) list -> Json.t
+(** The [candidates] result:
+    [{"candidates": [{"event": …, "params": [type…], "enabled"?: …}…]}],
+    ["enabled"] present exactly where the verdict is [Some]. *)

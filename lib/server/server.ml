@@ -88,8 +88,9 @@ type t = {
   stats : counters;
   latency : (string, Trace.Latency.t) Hashtbl.t;
   mutable view : View.t option;
-      (** frozen projection reused across probe requests until the
-          community changes (one freeze per quiescent point) *)
+      (** frozen projection reused across fanned-out probe dispatches
+          until the community changes (one freeze per quiescent point);
+          sequential probes never take one *)
   mutable pool : Pool.t option;
       (** probe pool, created lazily on the first probe request — a
           server that never probes never spawns a domain and stays
@@ -167,7 +168,8 @@ let stop t =
 
 (** The frozen view for the current quiescent point, freezing a fresh
     one only when the cached view went stale (schema edit, committed
-    step, restore). *)
+    step, restore).  Only a probe dispatch that fans out to pool
+    domains needs one. *)
 let current_view t : View.t =
   let community = Troll.Session.community t.session in
   match t.view with
@@ -343,33 +345,6 @@ let stats_json t : Json.t =
 let instance_to_json (inst : Interface.instance) : Json.t =
   Json.Obj (List.map (fun (n, id) -> (n, Protocol.ident_to_json id)) inst)
 
-let enabled_result names : Json.t =
-  Json.Obj
-    [ ("events", Json.List (List.map (fun n -> Json.String n) names)) ]
-
-let candidates_result cands : Json.t =
-  Json.Obj
-    [
-      ( "candidates",
-        Json.List
-          (List.map
-             (fun (name, params, en) ->
-               Json.Obj
-                 ([
-                    ("event", Json.String name);
-                    ( "params",
-                      Json.List
-                        (List.map
-                           (fun ty -> Json.String (Vtype.to_string ty))
-                           params) );
-                  ]
-                 @
-                 match en with
-                 | None -> []
-                 | Some b -> [ ("enabled", Json.Bool b) ]))
-             cands) );
-    ]
-
 let unknown_class_error cls =
   Protocol.Wire_error.of_reason (Runtime_error.Unknown_class cls)
 
@@ -381,6 +356,91 @@ let allowed_while_prepared = function
       true
   | _ -> false
 
+let txn_pending =
+  Protocol.Wire_error.make ~code:"txn_pending"
+    "a prepared transaction is open; commit or abort it first"
+
+(** Answer probe requests ([enabled], [candidates]) at the current
+    quiescent point, with every enabledness check of every request
+    pooled into one array.  Templates, liveness and descriptors come
+    from the live community.  When the pool would run the array
+    sequentially anyway ({!Pool.fans_out}), each check is a
+    {!Txn.probe} on the live community itself: at a quiescent point it
+    sees exactly what a thawed copy would, rolls back bit for bit,
+    bumps no version and fires no commit hook, so cached views and the
+    WAL are undisturbed.  Only a dispatch that really fans out freezes
+    a {!View} for the pool's domains to thaw.  Callers guarantee no
+    prepared transaction is open. *)
+let answer_probes t (reqs : Protocol.request list) :
+    (Json.t, Protocol.Wire_error.t) result list =
+  let community = Troll.Session.community t.session in
+  let evs = ref [] and n_evs = ref 0 in
+  let push id name =
+    evs := Event.make id name [] :: !evs;
+    incr n_evs;
+    !n_evs - 1
+  in
+  let plans =
+    List.map
+      (fun req ->
+        t.stats.probe_requests <- t.stats.probe_requests + 1;
+        match req with
+        | Protocol.Enabled id -> (
+            match Community.find_template community id.Ident.cls with
+            | None -> `Done (unknown_class_error id.Ident.cls)
+            | Some _ -> (
+                match Community.living community id with
+                | None -> `Enabled ([||], [||])
+                | Some o ->
+                    let descs =
+                      Engine.nullary_descriptors community o.Obj_state.template
+                    in
+                    `Enabled
+                      ( descs,
+                        Array.map
+                          (fun (ed : Template.event_def) ->
+                            push id ed.Template.ed_name)
+                          descs )))
+        | Protocol.Candidates id -> (
+            match Community.find_template community id.Ident.cls with
+            | None -> `Done (unknown_class_error id.Ident.cls)
+            | Some tpl ->
+                let cands = Engine.candidate_descriptors community tpl in
+                let alive = Option.is_some (Community.living community id) in
+                `Cands
+                  ( cands,
+                    Array.map
+                      (fun (name, params) ->
+                        if alive && params = [] then Some (push id name)
+                        else None)
+                      cands ))
+        | _ -> assert false)
+      reqs
+  in
+  let evs = Array.of_list (List.rev !evs) in
+  let pool = probe_pool t in
+  let ok =
+    if Pool.fans_out pool ~n:(Array.length evs) then
+      Engine.enabled_batch_par ~pool (current_view t) evs
+    else Array.map (Engine.enabled community) evs
+  in
+  List.map
+    (function
+      | `Done err -> Error err
+      | `Enabled (descs, offs) ->
+          let names = ref [] in
+          for i = Array.length descs - 1 downto 0 do
+            if ok.(offs.(i)) then names := descs.(i).Template.ed_name :: !names
+          done;
+          Ok (Protocol.enabled_to_json !names)
+      | `Cands (cands, slots) ->
+          Ok
+            (Protocol.candidates_to_json
+               (List.init (Array.length cands) (fun i ->
+                    let name, params = cands.(i) in
+                    (name, params, Option.map (fun k -> ok.(k)) slots.(i))))))
+    plans
+
 let server_caps t =
   (if Option.is_some t.wal then [ "wal" ] else [])
   @ (if t.config.jobs > 1 then [ "jobs" ] else [])
@@ -391,9 +451,7 @@ let execute t (req : Protocol.request) :
   let s = t.session in
   let community = Troll.Session.community s in
   if Option.is_some t.prepared && not (allowed_while_prepared req) then
-    Error
-      (Protocol.Wire_error.make ~code:"txn_pending"
-         "a prepared transaction is open; commit or abort it first")
+    Error txn_pending
   else
   match req with
   | Protocol.Ping -> Ok (Json.Obj [ ("pong", Json.Bool true) ])
@@ -530,24 +588,8 @@ let execute t (req : Protocol.request) :
                      (List.map Protocol.ident_to_json
                         (Troll.Session.extension s cls)) );
                ]))
-  | Protocol.Enabled id -> (
-      match Community.find_template community id.Ident.cls with
-      | None -> Error (unknown_class_error id.Ident.cls)
-      | Some _ ->
-          t.stats.probe_requests <- t.stats.probe_requests + 1;
-          let view = current_view t in
-          Ok
-            (enabled_result
-               (Engine.enabled_events_par ~pool:(probe_pool t) view id)))
-  | Protocol.Candidates id -> (
-      match Community.find_template community id.Ident.cls with
-      | None -> Error (unknown_class_error id.Ident.cls)
-      | Some _ ->
-          t.stats.probe_requests <- t.stats.probe_requests + 1;
-          let view = current_view t in
-          Ok
-            (candidates_result
-               (Engine.candidate_events_par ~pool:(probe_pool t) view id)))
+  | (Protocol.Enabled _ | Protocol.Candidates _) as probe ->
+      List.hd (answer_probes t [ probe ])
   | Protocol.View { view; what } -> (
       match Troll.Session.view s view with
       | None ->
@@ -717,93 +759,22 @@ let drop_expired t (jobs : job list) =
       | _ -> true)
     jobs
 
-(** Answer a run of consecutive probe jobs from one frozen view, with
-    every individual enabledness probe of every job in the run coalesced
-    into a single pool dispatch.  Per-job deadline checks, counters and
-    latency recording are exactly those of per-job {!process}; the
-    answers equal per-job execution because all jobs in the run see the
-    same quiescent point. *)
+(** Answer a run of consecutive probe jobs through one {!answer_probes}
+    call, so every enabledness check of the run goes out as one
+    dispatch.  Per-job deadline checks, counters and latency recording
+    are exactly those of per-job {!process}; the answers equal per-job
+    execution because all jobs in the run see the same quiescent
+    point.  Probes observe state, so an open prepared transaction
+    answers the whole run [txn_pending], as {!execute} would. *)
 let process_probe_batch t (jobs : job list) =
-  let live = drop_expired t jobs in
-  if live <> [] then begin
-    t.stats.probe_batches <- t.stats.probe_batches + 1;
-    let view = current_view t in
-    let pool = probe_pool t in
-    (* the main-domain thaw only answers schema/liveness questions while
-       planning; the probes themselves run on per-domain thaws *)
-    let c0 = View.thaw_cached view in
-    let evs = ref [] and n_evs = ref 0 in
-    let push ev =
-      evs := ev :: !evs;
-      incr n_evs;
-      !n_evs - 1
-    in
-    let plans =
-      List.map
-        (fun job ->
-          t.stats.probe_requests <- t.stats.probe_requests + 1;
-          match job.request with
-          | Protocol.Enabled id -> (
-              match Community.find_template c0 id.Ident.cls with
-              | None -> (job, `Done (Error (unknown_class_error id.Ident.cls)))
-              | Some _ -> (
-                  match Community.living c0 id with
-                  | None -> (job, `Done (Ok (enabled_result [])))
-                  | Some o ->
-                      let descs =
-                        Engine.nullary_descriptors c0 o.Obj_state.template
-                      in
-                      let offs =
-                        Array.map
-                          (fun (ed : Template.event_def) ->
-                            push (Event.make id ed.Template.ed_name []))
-                          descs
-                      in
-                      (job, `Enabled (descs, offs))))
-          | Protocol.Candidates id -> (
-              match Community.find_template c0 id.Ident.cls with
-              | None -> (job, `Done (Error (unknown_class_error id.Ident.cls)))
-              | Some tpl ->
-                  let cands = Engine.candidate_descriptors c0 tpl in
-                  let alive = Option.is_some (Community.living c0 id) in
-                  let slots =
-                    Array.map
-                      (fun (name, params) ->
-                        if alive && params = [] then
-                          Some (push (Event.make id name []))
-                        else None)
-                      cands
-                  in
-                  (job, `Cands (cands, slots)))
-          | _ ->
-              (job, `Done (Error
-                             (Protocol.Wire_error.make ~code:"internal_error"
-                                "non-probe request in a probe batch"))))
-        live
-    in
-    let ok =
-      Engine.enabled_batch_par ~pool view (Array.of_list (List.rev !evs))
-    in
-    List.iter
-      (fun (job, plan) ->
-        match plan with
-        | `Done r -> finish_job t job r
-        | `Enabled (descs, offs) ->
-            let names = ref [] in
-            for i = Array.length descs - 1 downto 0 do
-              if ok.(offs.(i)) then
-                names := descs.(i).Template.ed_name :: !names
-            done;
-            finish_job t job (Ok (enabled_result !names))
-        | `Cands (cands, slots) ->
-            finish_job t job
-              (Ok
-                 (candidates_result
-                    (List.init (Array.length cands) (fun i ->
-                         let name, params = cands.(i) in
-                         (name, params, Option.map (fun k -> ok.(k)) slots.(i)))))))
-      plans
-  end
+  match drop_expired t jobs with
+  | [] -> ()
+  | live when Option.is_some t.prepared ->
+      List.iter (fun job -> finish_job t job (Error txn_pending)) live
+  | live ->
+      t.stats.probe_batches <- t.stats.probe_batches + 1;
+      List.iter2 (finish_job t) live
+        (answer_probes t (List.map (fun job -> job.request) live))
 
 (** Answer a run of consecutive single-event fires from every session in
     one speculative-parallel dispatch.  [Engine.step_batch_par] promises
@@ -891,7 +862,7 @@ let gather_jobs t : job list =
   end
 
 (** Execute one turn's jobs, coalescing maximal contiguous runs: probes
-    answer from one frozen view in one pool dispatch, single-event fires
+    answer at one quiescent point in one dispatch, single-event fires
     batch through the speculative-parallel path (only while no prepared
     transaction is open and the session is unsharded — checked per run,
     because a [prepare] executing mid-turn closes the window). *)

@@ -20,11 +20,17 @@
     [overloaded] immediately.
 
     {b Batched execution.}  Maximal contiguous runs of the turn's job
-    order coalesce.  Read-only probe requests ([enabled],
-    [candidates]) are answered from a frozen {!View} of the community,
-    taken once per quiescent point, with a whole run dispatched over
-    the probe pool at once ([config.jobs] domains; 1 = sequential on
-    the loop thread, the default).  Runs of single-event fires go
+    order coalesce.  A run of read-only probe requests ([enabled],
+    [candidates]) pools every enabledness check of the run into one
+    dispatch.  When that dispatch would run sequentially anyway
+    ([config.jobs] = 1, the default; a run below
+    {!Pool.small_batch_cutoff} checks; no worker domains — the
+    {!Pool.fans_out} test), each check is a {!Txn.probe} on the live
+    community, which rolls back bit-identically without bumping its
+    version or firing the commit hook.  Only a dispatch that fans out
+    over the pool's domains freezes a {!View}, once per quiescent
+    point, for the domains to thaw.  {!execute} answers single probes
+    through the same path.  Runs of single-event fires go
     through {!Engine.step_batch_par}, whose results are bit-identical
     to firing them one at a time — footprint-disjoint prefixes commit
     speculatively in parallel (only while no prepared transaction is

@@ -43,25 +43,25 @@ let fire c id name args =
   | Ok _ -> ()
   | Error r -> Alcotest.failf "fire failed: %s" (Runtime_error.reason_to_string r)
 
-(* A community of [n] counters, counter [i] stepped up [i] times, so
+(* [n] counters on [c], counter [i] stepped up [i] times, so
    enabledness of [decr] varies across the society. *)
+let populate c n =
+  Array.init n (fun i ->
+      let key = Printf.sprintf "c%d" i in
+      (match Engine.create c ~cls:"COUNTER" ~key:(Value.String key) () with
+      | Ok _ -> ()
+      | Error r ->
+          Alcotest.failf "create failed: %s"
+            (Runtime_error.reason_to_string r));
+      let id = ident key in
+      for _ = 1 to i do
+        fire c id "incr" []
+      done;
+      id)
+
 let society n =
   let c = load counter_spec in
-  let ids =
-    Array.init n (fun i ->
-        let key = Printf.sprintf "c%d" i in
-        (match Engine.create c ~cls:"COUNTER" ~key:(Value.String key) () with
-        | Ok _ -> ()
-        | Error r ->
-            Alcotest.failf "create failed: %s"
-              (Runtime_error.reason_to_string r));
-        let id = ident key in
-        for _ = 1 to i do
-          fire c id "incr" []
-        done;
-        id)
-  in
-  (c, ids)
+  (c, populate c n)
 
 (* Every object crossed with every parameterless non-birth event. *)
 let probe_batch ids =
@@ -344,6 +344,65 @@ let test_commit_jobs1 () =
   run_batch_identity "disjoint jobs=1" ~jobs:1 disjoint_steps;
   run_batch_identity "mixed jobs=1" ~jobs:1 mixed_steps
 
+(* ------------------------------------------------------------------ *)
+(* The society server's probe runs                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Serve [lines] through a [jobs]-sized server on a ten-counter society
+   over pipes; every frame arrives in the first wakeup, so they all run
+   in one turn.  Returns the response lines. *)
+let serve_counters ~jobs lines =
+  let session =
+    match Troll.Session.load counter_spec with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "load failed: %s" (Troll.Error.to_string e)
+  in
+  ignore (populate (Troll.Session.community session) 10);
+  let server =
+    Server.create ~config:{ Server.default_config with Server.jobs } session
+  in
+  let req_r, req_w = Unix.pipe () and resp_r, resp_w = Unix.pipe () in
+  let payload = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+  ignore (Unix.write_substring req_w payload 0 (String.length payload));
+  Unix.close req_w;
+  Server.serve_fds server req_r resp_w;
+  Unix.close req_r;
+  Unix.close resp_w;
+  In_channel.input_lines (Unix.in_channel_of_descr resp_r)
+
+let probe_row name = List.assoc name (Trace.probe_stats_rows ())
+
+(* A probe run of at least [Pool.small_batch_cutoff] enabledness checks
+   still fans out at jobs > 1: one View per quiescent point, one
+   parallel dispatch per run, and answers byte-equal to the jobs=1
+   server's, which probes in place and takes no view. *)
+let test_server_probe_fan_out () =
+  let probes op =
+    List.init 10 (fun i ->
+        Printf.sprintf {|{"id":"%s%d","op":"%s","cls":"COUNTER","key":"c%d"}|}
+          op i op i)
+  in
+  (* two runs of 10 requests x 3 parameterless events, either side of a
+     committed step *)
+  let lines =
+    probes "enabled"
+    @ [ {|{"id":"step","op":"fire","cls":"COUNTER","key":"c0","event":"incr"}|} ]
+    @ probes "candidates"
+  in
+  check tbool "a run clears the cutoff" true (30 >= Pool.small_batch_cutoff);
+  let taken = probe_row "views taken"
+  and dispatched = probe_row "parallel dispatches" in
+  let sequential = serve_counters ~jobs:1 lines in
+  check tint "jobs=1 takes no view" taken (probe_row "views taken");
+  check tint "jobs=1 never fans out" dispatched
+    (probe_row "parallel dispatches");
+  let parallel = serve_counters ~jobs:4 lines in
+  check tint "one view per quiescent point" (taken + 2)
+    (probe_row "views taken");
+  check tint "one parallel dispatch per run" (dispatched + 2)
+    (probe_row "parallel dispatches");
+  check Alcotest.(list string) "answers identical" sequential parallel
+
 let () =
   Alcotest.run "parallel"
     [
@@ -368,6 +427,11 @@ let () =
         ] );
       ( "stress",
         [ Alcotest.test_case "4-domain stress" `Quick test_stress ] );
+      ( "server",
+        [
+          Alcotest.test_case "probe runs fan out at jobs > 1" `Quick
+            test_server_probe_fan_out;
+        ] );
       ( "commit",
         [
           Alcotest.test_case "disjoint batch speculates" `Quick

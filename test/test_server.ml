@@ -293,8 +293,9 @@ let test_step_rejection_reason () =
 
 (* Write the request lines up front, run [serve_fds] to completion,
    read every response.  Requests and responses both fit comfortably
-   inside a pipe buffer. *)
-let serve_script ?config ?(close_input = true) lines =
+   inside a pipe buffer, so the server reads every frame in its first
+   wakeup and executes them all in one turn. *)
+let serve_lines ?(close_input = true) server lines =
   let req_r, req_w = Unix.pipe () in
   let resp_r, resp_w = Unix.pipe () in
   let payload = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
@@ -302,8 +303,6 @@ let serve_script ?config ?(close_input = true) lines =
   if n >= 65536 then Alcotest.fail "script too large for a pipe buffer";
   ignore (Unix.write_substring req_w payload 0 n);
   if close_input then Unix.close req_w;
-  let session = load_session () in
-  let server = Server.create ?config session in
   Server.serve_fds server req_r resp_w;
   Unix.close resp_w;
   if not close_input then Unix.close req_w;
@@ -316,7 +315,12 @@ let serve_script ?config ?(close_input = true) lines =
   in
   let responses = drain [] in
   close_in ic;
-  (session, server, responses)
+  responses
+
+let serve_script ?config ?close_input lines =
+  let session = load_session () in
+  let server = Server.create ?config session in
+  (session, server, serve_lines ?close_input server lines)
 
 let by_id responses id =
   match
@@ -610,6 +614,142 @@ let test_serve_default_deadline () =
   in
   check_code "config deadline applies" "deadline_expired" (by_id responses 1)
 
+(* examples/specs/cells.trl: eight independent counter classes CELL0..7,
+   each with a parameterless death event [drop] and a guarded
+   [add(integer)] that refuses to take Total below zero *)
+let cells_session () =
+  let src =
+    In_channel.with_open_bin "../examples/specs/cells.trl" In_channel.input_all
+  in
+  match Troll.Session.load src with
+  | Ok s -> s
+  | Error e -> Alcotest.failf "cells.trl failed to load: %s" (Troll.Error.to_string e)
+
+let cell_frame id op cls key rest =
+  Printf.sprintf {|{"id":%d,"op":"%s","cls":"%s","key":"%s"%s}|} id op cls key rest
+
+let add_frame id cls key n =
+  cell_frame id "fire" cls key (Printf.sprintf {|,"event":"add","args":[%d]|} n)
+
+let result_of responses id = Json.member "result" (by_id responses id)
+
+let state_of responses id =
+  Json.to_string_opt (Json.member "state" (result_of responses id))
+
+(* Probes observe state, so while a two-phase prepare holds the journal
+   open they must be refused like any other request — on the coalesced
+   probe path as well as in [Server.execute] — and the daemon must keep
+   serving. *)
+let test_serve_probe_while_prepared () =
+  let session = cells_session () in
+  let server = Server.create session in
+  let responses =
+    serve_lines server
+      [
+        cell_frame 1 "create" "CELL0" "a" "";
+        {|{"id":2,"op":"save"}|};
+        {|{"id":3,"op":"prepare","step":{"op":"fire","cls":"CELL0","key":"a","event":"add","args":[1]}}|};
+        cell_frame 4 "enabled" "CELL0" "a" "";
+        cell_frame 5 "candidates" "CELL0" "a" "";
+        {|{"id":6,"op":"abort"}|};
+        cell_frame 7 "enabled" "CELL0" "a" "";
+        {|{"id":8,"op":"save"}|};
+      ]
+  in
+  Alcotest.(check int) "the server answered every frame" 8 (List.length responses);
+  check_ok "prepare" (by_id responses 3);
+  check_code "enabled while prepared" "txn_pending" (by_id responses 4);
+  check_code "candidates while prepared" "txn_pending" (by_id responses 5);
+  Alcotest.check json "abort rolled the prepare back" (Json.Bool true)
+    (Json.member "aborted" (result_of responses 6));
+  Alcotest.check json "enabled after the abort"
+    (parse_ok {|{"events":["drop"]}|})
+    (result_of responses 7);
+  Alcotest.(check (option string))
+    "state bit-identical to before the prepare" (state_of responses 2)
+    (state_of responses 8);
+  Alcotest.(check (option string)) "snapshot is live state"
+    (Some (Persist.save (Troll.Session.community session)))
+    (state_of responses 8)
+
+(* At --jobs 1 no probe dispatch can fan out, so probes run in place on
+   the live community under Txn.probe: no View is ever frozen, and a
+   turn of nothing but probes leaves the state and its version as they
+   were. *)
+let test_serve_probes_in_place () =
+  let config = { Server.default_config with Server.jobs = 1 } in
+  let session = cells_session () in
+  Trace.reset_probe_stats ();
+  let probe_stat server name =
+    match
+      Json.to_int_opt
+        (Json.member name (Json.member "probe" (Server.stats_json server)))
+    with
+    | Some n -> n
+    | None -> Alcotest.failf "stats carry no probe.%s" name
+  in
+  let server = Server.create ~config session in
+  let responses =
+    serve_lines server
+      [
+        cell_frame 1 "create" "CELL0" "a" "";
+        cell_frame 2 "create" "CELL1" "b" "";
+        add_frame 3 "CELL0" "a" 1;
+        cell_frame 4 "enabled" "CELL0" "a" "";
+        cell_frame 5 "candidates" "CELL1" "b" "";
+        add_frame 6 "CELL1" "b" 2;
+        cell_frame 7 "enabled" "CELL1" "b" "";
+        add_frame 8 "CELL0" "a" (-5);
+        cell_frame 9 "candidates" "CELL0" "a" "";
+        cell_frame 10 "enabled" "CELL0" "a" "";
+        cell_frame 11 "enabled" "CELL2" "ghost" "";
+        add_frame 12 "CELL1" "b" 1;
+        cell_frame 13 "candidates" "CELL1" "b" "";
+      ]
+  in
+  List.iter
+    (fun id -> check_ok (string_of_int id) (by_id responses id))
+    [ 1; 2; 3; 4; 5; 6; 7; 9; 10; 11; 12; 13 ];
+  check_code "overdraw" "permission_denied" (by_id responses 8);
+  Alcotest.check json "enabled on a living cell"
+    (parse_ok {|{"events":["drop"]}|})
+    (result_of responses 4);
+  Alcotest.check json "enabled on a cell never created"
+    (parse_ok {|{"events":[]}|})
+    (result_of responses 11);
+  Alcotest.check json "candidates decide the parameterless event only"
+    (parse_ok
+       {|{"candidates":[{"event":"drop","params":[],"enabled":true},{"event":"add","params":["integer"]}]}|})
+    (result_of responses 9);
+  (* four maximal probe runs: 4-5, 7, 9-11, 13 *)
+  Alcotest.(check int) "probe requests" 7 (probe_stat server "requests");
+  Alcotest.(check int) "probe batches" 4 (probe_stat server "batches");
+  Alcotest.(check int) "views taken" 0 (probe_stat server "views taken");
+  Alcotest.(check int) "parallel dispatches" 0
+    (probe_stat server "parallel dispatches");
+  (* a probe-only turn *)
+  let c = Troll.Session.community session in
+  let image = Persist.save c and version = c.Community.version in
+  let server = Server.create ~config session in
+  let responses =
+    serve_lines server
+      [
+        cell_frame 20 "enabled" "CELL0" "a" "";
+        cell_frame 21 "candidates" "CELL0" "a" "";
+        cell_frame 22 "enabled" "CELL1" "b" "";
+        cell_frame 23 "candidates" "CELL1" "b" "";
+      ]
+  in
+  List.iter
+    (fun id -> check_ok (string_of_int id) (by_id responses id))
+    [ 20; 21; 22; 23 ];
+  Alcotest.(check string) "probe-only turn leaves the state bit-identical"
+    image (Persist.save c);
+  Alcotest.(check int) "probe-only turn bumps no version" version
+    c.Community.version;
+  Alcotest.(check int) "one coalesced batch" 1 (probe_stat server "batches");
+  Alcotest.(check int) "still no view taken" 0 (probe_stat server "views taken")
+
 (* a pipelined connection's responses come back in request order *)
 let test_serve_pipelined_fifo () =
   let _, _, responses =
@@ -895,6 +1035,10 @@ let () =
             test_serve_two_phase;
           Alcotest.test_case "pipelined responses stay FIFO" `Quick
             test_serve_pipelined_fifo;
+          Alcotest.test_case "probes answer txn_pending while prepared"
+            `Quick test_serve_probe_while_prepared;
+          Alcotest.test_case "probes run in place at jobs 1" `Quick
+            test_serve_probes_in_place;
           Alcotest.test_case "slow reader pauses and resumes" `Quick
             test_serve_slow_reader;
           Alcotest.test_case "peer killed with backlogged output" `Quick
