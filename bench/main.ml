@@ -5,7 +5,9 @@
 
     - E1 parse, E2 check — front-end scaling in spec size;
     - E3 engine throughput vs community size (plain vs quantified
-      permissions);
+      permissions), and E3p the §3 DEPT's parametric [fire] permission
+      against N PERSONs (a hire+fire pair must cost the same at N = 32
+      and N = 1024: the run fails when its minor words grow past 1.5×);
     - E4 ablation: incremental permission monitors vs re-evaluating the
       temporal guard over the recorded trace;
     - E5 interface (view) indirection overhead;
@@ -37,6 +39,15 @@ open Toolkit
 (* ------------------------------------------------------------------ *)
 (* Benchmark definitions                                               *)
 (* ------------------------------------------------------------------ *)
+
+(* One benchmark arm: its name, and a set-up that returns the thunk to
+   time and a release for what the set-up acquired.  Set-up runs only
+   for the arms the filter keeps, right before the arm is measured, so
+   an arm's pool (E15) lives exactly as long as the arm. *)
+type arm = { name : string; setup : unit -> (unit -> unit) * (unit -> unit) }
+
+(* an arm whose workload its family builds up front *)
+let eager (name, fn) = { name; setup = (fun () -> (fn, ignore)) }
 
 let ignore_outcome : Engine.step_result -> unit = function
   | Ok _ -> ()
@@ -90,6 +101,69 @@ let engine_quantified_tests () =
              match Engine.fire c (Event.make q name [ Ident.to_value p ]) with
              | Ok _ | Error _ -> ())))
     [ 10; 100 ]
+
+(* E3p: the §3 DEPT's parametric [fire] permission against N PERSONs it
+   has all seen.  A step re-steps only the instances its event binds,
+   so a hire+fire pair and the enabledness of fire(P) cost the same at
+   every N. *)
+let e3p_sizes = [ 32; 256; 1024 ]
+
+let hire_fire_pair c dept p =
+  ignore_outcome (Engine.fire c (Event.make dept "hire" [ p ]));
+  ignore_outcome (Engine.fire c (Event.make dept "fire" [ p ]))
+
+let engine_parametric_tests () =
+  List.concat_map
+    (fun n ->
+      let arm name run =
+        {
+          name = Printf.sprintf "E3p %s/%d" name n;
+          setup =
+            (fun () ->
+              let c, dept, persons = Workload.parametric_dept_community n in
+              let i = ref 0 in
+              ( (fun () ->
+                  let p = persons.(!i mod n) in
+                  incr i;
+                  run c dept p),
+                ignore ));
+        }
+      in
+      [
+        arm "engine-parametric" hire_fire_pair;
+        arm "enabled-parametric" (fun c dept p ->
+            ignore (Engine.enabled c (Event.make dept "fire" [ p ])));
+      ])
+    e3p_sizes
+
+(* The scaling gate: minor words per hire+fire pair, which a
+   single-domain run counts exactly, so the gate cannot flake. *)
+let e3p_words_per_pair n =
+  let c, dept, persons = Workload.parametric_dept_community n in
+  let pairs = 256 in
+  for i = 0 to 15 do
+    hire_fire_pair c dept persons.(i mod n)
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 0 to pairs - 1 do
+    hire_fire_pair c dept persons.(i mod n)
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int pairs
+
+let e3p_gate () =
+  let small = List.hd e3p_sizes and large = List.hd (List.rev e3p_sizes) in
+  let ws = e3p_words_per_pair small and wl = e3p_words_per_pair large in
+  let ratio = wl /. ws in
+  Printf.printf
+    "E3p minor words per hire+fire pair: %.0f at N = %d, %.0f at N = %d \
+     (%.2fx, gate 1.50x)\n%!"
+    ws small wl large ratio;
+  if ratio > 1.5 then begin
+    Printf.eprintf
+      "E3p: a hire+fire pair allocates %.2fx more at N = %d than at N = %d\n"
+      ratio large small;
+    exit 1
+  end
 
 (* E4 *)
 let monitor_tests () =
@@ -362,36 +436,49 @@ let generated_tests () =
    sequential baseline the speedup divides by; on a single-core host
    the larger arms only measure scheduling overhead. *)
 let parallel_tests () =
-  let tolerate (_ : Engine.step_result) = () in
-  let c, steps = Workload.generated_workload 1 ~len:400 in
-  Array.iter (fun st -> tolerate (Engine.step c st)) steps;
-  let view = View.freeze c in
-  (* the batch: every living object x its parameterless events, tiled
-     until the dispatch is big enough to amortise chunking *)
-  let base =
-    List.concat_map
-      (fun (o : Obj_state.t) ->
-        Array.to_list
-          (Array.map
-             (fun (ed : Template.event_def) ->
-               Event.make o.Obj_state.id ed.Template.ed_name [])
-             (Engine.nullary_descriptors c o.Obj_state.template)))
-      (Community.living_objects c)
-    |> Array.of_list
+  let workload =
+    lazy
+      (let tolerate (_ : Engine.step_result) = () in
+       let c, steps = Workload.generated_workload 1 ~len:400 in
+       Array.iter (fun st -> tolerate (Engine.step c st)) steps;
+       let view = View.freeze c in
+       (* the batch: every living object x its parameterless events,
+          tiled until the dispatch is big enough to amortise chunking *)
+       let base =
+         List.concat_map
+           (fun (o : Obj_state.t) ->
+             Array.to_list
+               (Array.map
+                  (fun (ed : Template.event_def) ->
+                    Event.make o.Obj_state.id ed.Template.ed_name [])
+                  (Engine.nullary_descriptors c o.Obj_state.template)))
+           (Community.living_objects c)
+         |> Array.of_list
+       in
+       if Array.length base = 0 then
+         failwith "E15: workload left no living objects";
+       let tile = (512 + Array.length base - 1) / Array.length base in
+       let batch = Array.concat (List.init tile (fun _ -> base)) in
+       (view, batch, Workload.employee_pair ()))
   in
-  if Array.length base = 0 then failwith "E15: workload left no living objects";
-  let tile = (512 + Array.length base - 1) / Array.length base in
-  let batch = Array.concat (List.init tile (fun _ -> base)) in
-  let abs, conc = Workload.employee_pair () in
+  (* each arm owns its pool: created at set-up, shut down at release,
+     so no other arm runs with parked domains *)
+  let arm name jobs run =
+    {
+      name = Printf.sprintf "E15 %s/jobs%d" name jobs;
+      setup =
+        (fun () ->
+          let w = Lazy.force workload in
+          let pool = Pool.create ~jobs in
+          ((fun () -> run pool w), fun () -> Pool.shutdown pool));
+    }
+  in
   List.concat_map
     (fun jobs ->
-      let pool = Pool.create ~jobs in
-      at_exit (fun () -> Pool.shutdown pool);
       [
-        ( Printf.sprintf "E15 probe-batch/jobs%d" jobs,
-          fun () -> ignore (Engine.enabled_batch_par ~pool view batch) );
-        ( Printf.sprintf "E15 refine-par/jobs%d" jobs,
-          fun () ->
+        arm "probe-batch" jobs (fun pool (view, batch, _) ->
+            ignore (Engine.enabled_batch_par ~pool view batch));
+        arm "refine-par" jobs (fun pool (_, _, (abs, conc)) ->
             let report =
               Refinement.check ~pool
                 ~impl:
@@ -401,7 +488,7 @@ let parallel_tests () =
             in
             match report.Refinement.verdict with
             | Ok () -> ()
-            | Error _ -> failwith "refinement failed" );
+            | Error _ -> failwith "refinement failed");
       ])
     [ 1; 2; 4; 8 ]
 
@@ -512,21 +599,24 @@ let run_e16 () =
   arm "wal-fsync" (Some `Batch) 3
 
 let all_tests ~quick () =
-  front_end_tests ()
-  @ engine_tests ()
-  @ engine_quantified_tests ()
-  @ monitor_tests ()
-  @ view_tests ()
-  @ schema_tests ()
-  @ refinement_tests ~max_depth:(if quick then 4 else 5) ()
-  @ cascade_tests ()
-  @ query_tests ()
-  @ rollback_tests ()
-  @ probe_tests ()
-  @ access_method_tests ()
-  @ dispatch_tests ()
-  @ persist_tests ()
-  @ generated_tests ()
+  List.map eager
+    (front_end_tests ()
+    @ engine_tests ()
+    @ engine_quantified_tests ())
+  @ engine_parametric_tests ()
+  @ List.map eager
+      (monitor_tests ()
+      @ view_tests ()
+      @ schema_tests ()
+      @ refinement_tests ~max_depth:(if quick then 4 else 5) ()
+      @ cascade_tests ()
+      @ query_tests ()
+      @ rollback_tests ()
+      @ probe_tests ()
+      @ access_method_tests ()
+      @ dispatch_tests ()
+      @ persist_tests ()
+      @ generated_tests ())
   @ parallel_tests ()
 
 (* ------------------------------------------------------------------ *)
@@ -537,16 +627,15 @@ let apply_filter ~filter benches =
   match filter with
   | None -> benches
   | Some f ->
-      List.filter
-        (fun (name, _) ->
-          String.length name >= String.length f
-          && String.sub name 0 (String.length f) = f)
-        benches
+      List.filter (fun a -> String.starts_with ~prefix:f a.name) benches
 
 let run_bechamel benches =
   let tests =
     List.map
-      (fun (name, fn) -> Test.make ~name (Staged.stage fn))
+      (fun a ->
+        Test.make_with_resource ~name:a.name Test.uniq ~allocate:a.setup
+          ~free:(fun (_, release) -> release ())
+          (Staged.stage (fun (fn, _) -> fn ())))
       benches
   in
   let grouped = Test.make_grouped ~name:"troll" tests in
@@ -589,7 +678,8 @@ let run_quick benches =
   Printf.printf "%-44s %16s\n" "benchmark" "ns/run";
   Printf.printf "%s\n" (String.make 62 '-');
   List.iter
-    (fun (name, fn) ->
+    (fun a ->
+      let fn, release = a.setup () in
       (* drain garbage left by earlier rows — the workloads stay live,
          and a major slice landing mid-row skews the 50 ms window *)
       Gc.major ();
@@ -605,7 +695,8 @@ let run_quick benches =
                 fn ()
               done)
       done;
-      Printf.printf "%-44s %16.1f\n" name
+      release ();
+      Printf.printf "%-44s %16.1f\n" a.name
         (!elapsed /. float_of_int !reps *. 1e9))
     benches
 
@@ -637,6 +728,8 @@ let () =
      timing below doesn't inherit the heap *)
   let run_suite () =
     let benches = apply_filter ~filter (all_tests ~quick ()) in
+    if List.exists (fun a -> String.starts_with ~prefix:"E3p" a.name) benches
+    then e3p_gate ();
     if benches <> [] then
       if quick then run_quick benches else run_bechamel benches
   in

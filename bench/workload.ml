@@ -149,6 +149,38 @@ let qdept_community m =
   | Error r -> failwith (Runtime_error.reason_to_string r));
   (c, Ident.make "QDEPT" key, persons)
 
+(** E3p: the §3 company with one DEPT whose [fire(P)] permission
+    ([sometime(after(hire(P)))]) has seen [n] PERSONs — each hired and
+    fired once, so the permission's instance table holds [n] instances.
+    Returns the community, the DEPT and the PERSON references. *)
+let parametric_dept_community n =
+  let c = load_exn Paper_specs.company in
+  let ok = function
+    | Ok (_ : Engine.outcome) -> ()
+    | Error r -> failwith (Runtime_error.reason_to_string r)
+  in
+  let persons =
+    Array.init n (fun i ->
+        let key =
+          Value.Tuple
+            [ ("Name", Value.String (Printf.sprintf "p%04d" i));
+              ("Birthdate", Value.Date i) ]
+        in
+        ok
+          (Engine.create c ~cls:"PERSON" ~key
+             ~args:[ Value.Money 100_000; Value.String "Research" ]
+             ());
+        Ident.to_value (Ident.make "PERSON" key))
+  in
+  ok (Engine.create c ~cls:"DEPT" ~key:(Value.String "D") ());
+  let dept = Ident.make "DEPT" (Value.String "D") in
+  Array.iter
+    (fun p ->
+      ok (Engine.fire c (Event.make dept "hire" [ p ]));
+      ok (Engine.fire c (Event.make dept "fire" [ p ])))
+    persons;
+  (c, dept, persons)
+
 (** A chain of [d] objects linked by calling rules (E8). *)
 let cascade_spec =
   {|

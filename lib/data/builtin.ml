@@ -176,6 +176,20 @@ let set_elem_args v1 v2 =
   | Value.Set s, e -> Some (s, e)
   | _ -> None
 
+(* Every [Value.Set] is canonical (built by [Value.set], an
+   order-preserving filter, or empty), so inserting is one ordered walk
+   instead of re-sorting; the result equals [Value.set (e :: s)]. *)
+let set_insert e s =
+  let rec go = function
+    | [] -> [ e ]
+    | x :: rest as l ->
+        let c = Value.compare e x in
+        if c < 0 then e :: l
+        else if c = 0 then raise_notrace Exit
+        else x :: go rest
+  in
+  Value.Set (try go s with Exit -> s)
+
 let rec aggregate name vs =
   match (name, vs) with
   | _, [] -> Ok Value.Undefined
@@ -267,7 +281,7 @@ let apply name (args : Value.t list) : (Value.t, error) result =
       | "xor", [ Value.Bool x; Value.Bool y ] -> Ok (bool (x <> y))
       | "insert", [ a; b ] -> (
           match set_elem_args a b with
-          | Some (s, e) -> Ok (Value.set (e :: s))
+          | Some (s, e) -> Ok (set_insert e s)
           | None -> err "insert: no set operand")
       | ("remove" | "delete"), [ a; b ] -> (
           match set_elem_args a b with

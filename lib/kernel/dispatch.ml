@@ -159,7 +159,17 @@ type catom =
     false, so the monitor can advance with a constant-false evaluator —
     the truth vector (and hence the persisted state) is bit-identical,
     only the evaluation work is skipped. *)
-type cmon = { cm_names : string array; cm_has_state : bool }
+type cmon = {
+  cm_names : string array;
+  cm_has_state : bool;
+  cm_slice : slice_pat list option;
+      (** sliceable parametric guard: where each occurrence atom's event
+          carries the binding *)
+}
+
+(** Event name, arity and index-variable argument positions of one
+    occurrence atom of a sliceable guard. *)
+and slice_pat = { sl_name : string; sl_nargs : int; sl_pos : int list }
 
 (** A static constraint with its read footprint. *)
 type cstatic = {
@@ -686,9 +696,11 @@ let build_tpl (c : Community.t) (tpl : Template.t) : tpl_index =
            | Template.K_temporal _ -> None)
          tpl.Template.t_constraints)
   in
-  let monitor_footprint (body : Template.atom Formula.t) : cmon =
+  let monitor_footprint ?(index_vars = []) (body : Template.atom Formula.t)
+      : cmon =
     let names = ref [] in
     let has_state = ref false in
+    let atoms = Formula.atoms [] body in
     List.iter
       (fun (a : Template.atom) ->
         match a.Template.pred with
@@ -696,8 +708,47 @@ let build_tpl (c : Community.t) (tpl : Template.t) : tpl_index =
         | Template.P_occurs e ->
             let n = e.Ast.ev_name in
             if not (List.mem n !names) then names := n :: !names)
-      (Formula.atoms [] body);
-    { cm_names = Array.of_list !names; cm_has_state = !has_state }
+      atoms;
+    let slice_pat (e : Ast.event_term) =
+      let local =
+        match e.Ast.target with
+        | None | Some Ast.OR_self -> true
+        | Some _ -> false
+      in
+      let position v =
+        let rec go i = function
+          | [] -> None
+          | { Ast.e = Ast.E_var x; _ } :: _ when String.equal x v -> Some i
+          | _ :: rest -> go (i + 1) rest
+        in
+        go 0 e.Ast.ev_args
+      in
+      let pos = List.map position index_vars in
+      if local && List.for_all Option.is_some pos then
+        Some
+          {
+            sl_name = e.Ast.ev_name;
+            sl_nargs = List.length e.Ast.ev_args;
+            sl_pos = List.map Option.get pos;
+          }
+      else None
+    in
+    let cm_slice =
+      if index_vars = [] || !has_state then None
+      else
+        let pats =
+          List.filter_map
+            (fun (a : Template.atom) ->
+              match a.Template.pred with
+              | Template.P_occurs e -> Some (slice_pat e)
+              | Template.P_state _ -> None)
+            atoms
+        in
+        if List.for_all Option.is_some pats then
+          Some (List.map Option.get pats)
+        else None
+    in
+    { cm_names = Array.of_list !names; cm_has_state = !has_state; cm_slice }
   in
   let ti_perm_mons =
     Array.of_list
@@ -706,10 +757,10 @@ let build_tpl (c : Community.t) (tpl : Template.t) : tpl_index =
            match pm.Template.pm_guard with
            | Template.PG_state _ -> None
            | Template.PG_closed (body, _) -> Some (monitor_footprint body)
-           | Template.PG_indexed { ix_body; _ } ->
-               Some (monitor_footprint ix_body)
-           | Template.PG_quant { q_body; _ } ->
-               Some (monitor_footprint q_body))
+           | Template.PG_indexed { ix_vars; ix_body; _ } ->
+               Some (monitor_footprint ~index_vars:ix_vars ix_body)
+           | Template.PG_quant { q_var; q_body; _ } ->
+               Some (monitor_footprint ~index_vars:[ q_var ] q_body))
          tpl.Template.t_perms)
   in
   let ti_temp_mons =
@@ -831,6 +882,20 @@ let atom (ti : tpl_index) (a : Template.atom) : catom option =
 let spawn_patterns (ti : tpl_index) (perm_idx : int) :
     Eval.compiled_pattern list option =
   List.assoc_opt perm_idx ti.ti_spawns
+
+let slice_keys (pats : slice_pat list) (occurred : Event.t list) :
+    Value.t list list =
+  List.concat_map
+    (fun (ev : Event.t) ->
+      List.filter_map
+        (fun sp ->
+          if
+            String.equal sp.sl_name ev.Event.name
+            && List.compare_length_with ev.Event.args sp.sl_nargs = 0
+          then Some (List.map (List.nth ev.Event.args) sp.sl_pos)
+          else None)
+        pats)
+    occurred
 
 let footprint (ti : tpl_index) (event_name : string) : footprint =
   Option.value

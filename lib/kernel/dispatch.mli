@@ -81,11 +81,26 @@ type catom =
   | CA_state of Eval.compiled_formula
   | CA_occurs of Eval.compiled_pattern
 
+(** Where an occurrence atom's event carries a parametric guard's
+    binding: the event name, its arity, and the argument position of
+    each index variable (in the guard's variable order). *)
+type slice_pat = { sl_name : string; sl_nargs : int; sl_pos : int list }
+
 (** Event footprint of a monitored formula; when a step's occurred
     events are disjoint from [cm_names] and there are no state atoms,
     every atom is false and the monitor can advance with a
-    constant-false evaluator — same truth vector, no evaluation work. *)
-type cmon = { cm_names : string array; cm_has_state : bool }
+    constant-false evaluator — same truth vector, no evaluation work.
+
+    [cm_slice] is [Some pats] for a parametric guard that can be sliced
+    by event: no state atoms, and every occurrence atom local (no
+    target) and naming every index variable as a plain argument.  An
+    instance whose key no occurred event carries at those positions
+    ({!slice_keys}) then sees every atom false. *)
+type cmon = {
+  cm_names : string array;
+  cm_has_state : bool;
+  cm_slice : slice_pat list option;
+}
 
 type cstatic = {
   cs_compiled : Eval.compiled_formula;
@@ -178,6 +193,10 @@ val phases_for :
 
 val atom : tpl_index -> Template.atom -> catom option
 (** Compiled form of a monitored atom, by physical identity. *)
+
+val slice_keys : slice_pat list -> Event.t list -> Value.t list list
+(** The bindings the events carry for a sliceable guard's occurrence
+    atoms — a superset of the keys whose instance has a true atom. *)
 
 val spawn_patterns : tpl_index -> int -> Eval.compiled_pattern list option
 (** Occurrence patterns of a [PG_indexed] permission's body, compiled

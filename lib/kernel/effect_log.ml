@@ -30,6 +30,9 @@ type eff =
       (** closed permission monitor advanced to this truth vector *)
   | E_perm_indexed of Ident.t * int * (Value.t list * bool array) list
       (** indexed/quantified permission monitor: full instance table *)
+  | E_perm_upsert of Ident.t * int * (Value.t list * bool array) list
+      (** indexed/quantified permission monitor: the instances that
+          changed (added or replaced); the others are kept *)
   | E_constr of Ident.t * int * bool array option
       (** temporal-constraint monitor advanced to this truth vector *)
   | E_steps of Ident.t * int  (** life-cycle step counter *)
@@ -40,7 +43,10 @@ type eff =
 
 let bools_of_state s = Monitor.state_to_bools s
 
-let perm_effects emit id idx (old_ps : Obj_state.pstate option)
+(** [stamp] is the object's step counter at transaction entry (the
+    snapshot's), which lets an instance table name the instances the
+    transaction's steps changed. *)
+let perm_effects emit id idx ~stamp (old_ps : Obj_state.pstate option)
     (ps : Obj_state.pstate) =
   let changed = match old_ps with Some o -> ps != o | None -> true in
   if changed then
@@ -56,15 +62,20 @@ let perm_effects emit id idx (old_ps : Obj_state.pstate option)
         | _ -> ())
     | Obj_state.PS_closed (Some s) ->
         emit (E_perm_closed (id, idx, Some (bools_of_state s)))
-    | Obj_state.PS_indexed [] -> (
-        match old_ps with
-        | Some (Obj_state.PS_indexed (_ :: _)) ->
-            emit (E_perm_indexed (id, idx, []))
-        | _ -> ())
-    | Obj_state.PS_indexed insts ->
-        emit
-          (E_perm_indexed
-             (id, idx, List.map (fun (k, s) -> (k, bools_of_state s)) insts))
+    | Obj_state.PS_indexed tbl -> (
+        let image = List.map (fun (k, s) -> (k, bools_of_state s)) in
+        let changes =
+          match old_ps with
+          | Some (Obj_state.PS_indexed old) ->
+              Param_table.changes ~old ~stamp tbl
+          | _ -> None
+        in
+        match changes with
+        | Some [] -> ()
+        | Some kvs -> emit (E_perm_upsert (id, idx, image kvs))
+        | None ->
+            if Param_table.cardinal tbl > 0 then
+              emit (E_perm_indexed (id, idx, image (Param_table.bindings tbl))))
 
 (** Effects of one object, given the oldest snapshot of it taken inside
     the transaction ([None] = the object was created by it, so the
@@ -102,7 +113,7 @@ let object_effects emit (o : Obj_state.t) (old : Obj_state.snapshot option) =
       let old_ps =
         match old with Some s -> Some s.Obj_state.s_perm_states.(i) | None -> None
       in
-      perm_effects emit id i old_ps ps)
+      perm_effects emit id i ~stamp:old_steps old_ps ps)
     o.Obj_state.perm_states;
   (* constraint monitors *)
   Array.iteri
@@ -197,8 +208,8 @@ let delta (c : Community.t) (j : Community.journal) : eff list =
 
 let ident_of = function
   | E_register id | E_unregister id | E_life (id, _, _) | E_attr (id, _, _)
-  | E_perm_closed (id, _, _) | E_perm_indexed (id, _, _) | E_constr (id, _, _)
-  | E_steps (id, _) ->
+  | E_perm_closed (id, _, _) | E_perm_indexed (id, _, _)
+  | E_perm_upsert (id, _, _) | E_constr (id, _, _) | E_steps (id, _) ->
       id
 
 (** Serialise one effect into [buf], maintaining the [obj] context line
@@ -266,10 +277,11 @@ let encode_eff buf (current : Ident.t option ref) eff =
       add "|closed|";
       add_bits bits;
       addc '\n'
-  | E_perm_indexed (_, idx, insts) ->
+  | E_perm_indexed (_, idx, insts) | E_perm_upsert (_, idx, insts) ->
       add "perm|";
       add_int idx;
-      add "|indexed|";
+      add
+        (match eff with E_perm_upsert _ -> "|upsert|" | _ -> "|indexed|");
       add_int (List.length insts);
       addc '\n';
       List.iter
@@ -341,27 +353,35 @@ let decode (payload : string) : (eff list, string) result =
       match !current with Some id -> id | None -> fail "effect outside an object"
     in
     let acc = ref [] in
-    let pending_inst = ref None (* (idx, remaining, rev insts) *) in
+    (* (record constructor, idx, remaining, rev insts) *)
+    let pending_inst = ref None in
     let flush_inst () =
       match !pending_inst with
-      | Some (idx, 0, insts) ->
-          acc := E_perm_indexed (id (), idx, List.rev insts) :: !acc;
+      | Some (make, idx, 0, insts) ->
+          acc := make (id (), idx, List.rev insts) :: !acc;
           pending_inst := None
       | Some _ -> fail "truncated indexed-monitor instance block"
       | None -> ()
+    in
+    let instance_block make idx n =
+      let idx = int_of_string idx and n = int_of_string n in
+      if n = 0 then acc := make (id (), idx, []) :: !acc
+      else pending_inst := Some (make, idx, n, [])
     in
     List.iter
       (fun line ->
         match String.split_on_char '|' line with
         | [ "inst"; key; bits ] -> (
             match !pending_inst with
-            | Some (idx, n, insts) when n > 0 ->
+            | Some (make, idx, n, insts) when n > 0 ->
                 let key =
                   match decode_value key with
                   | Value.List l -> l
                   | _ -> fail "instance key is not a list"
                 in
-                let p = Some (idx, n - 1, (key, bits_of_string bits) :: insts) in
+                let p =
+                  Some (make, idx, n - 1, (key, bits_of_string bits) :: insts)
+                in
                 pending_inst := p;
                 if n - 1 = 0 then flush_inst ()
             | _ -> fail "inst line outside an indexed block")
@@ -391,10 +411,13 @@ let decode (payload : string) : (eff list, string) result =
                     (id (), int_of_string idx, Some (bits_of_string bits))
                   :: !acc
             | [ "perm"; idx; "indexed"; n ] ->
-                let n = int_of_string n in
-                if n = 0 then
-                  acc := E_perm_indexed (id (), int_of_string idx, []) :: !acc
-                else pending_inst := Some (int_of_string idx, n, [])
+                instance_block
+                  (fun (id, i, l) -> E_perm_indexed (id, i, l))
+                  idx n
+            | [ "perm"; idx; "upsert"; n ] ->
+                instance_block
+                  (fun (id, i, l) -> E_perm_upsert (id, i, l))
+                  idx n
             | [ "constr"; idx; "none" ] ->
                 acc := E_constr (id (), int_of_string idx, None) :: !acc
             | [ "constr"; idx; bits ] ->
@@ -485,18 +508,24 @@ let apply (c : Community.t) (effs : eff list) : (unit, string) result =
                   Obj_state.PS_closed
                     (Option.map (monitor_state_for compiled) bits)
             | `Indexed _ -> fail "closed state for indexed guard")
-        | E_perm_indexed (id, idx, insts) -> (
+        | E_perm_indexed (id, idx, insts) | E_perm_upsert (id, idx, insts) -> (
             let o = obj id in
             if idx < 0 || idx >= Array.length o.Obj_state.perm_states then
               fail "permission index out of range";
-            match perm_compiled o idx with
-            | `Indexed compiled ->
+            match (perm_compiled o idx, o.Obj_state.perm_states.(idx)) with
+            | `Indexed compiled, ps ->
+                let insts =
+                  List.map
+                    (fun (k, bits) -> (k, monitor_state_for compiled bits))
+                    insts
+                in
                 o.Obj_state.perm_states.(idx) <-
                   Obj_state.PS_indexed
-                    (List.map
-                       (fun (k, bits) -> (k, monitor_state_for compiled bits))
-                       insts)
-            | `Closed _ -> fail "instance table for closed guard")
+                    (match (eff, ps) with
+                    | E_perm_upsert _, Obj_state.PS_indexed tbl ->
+                        Param_table.upsert tbl insts
+                    | _ -> Param_table.of_bindings insts)
+            | `Closed _, _ -> fail "instance table for closed guard")
         | E_constr (id, idx, bits) ->
             let o = obj id in
             if idx < 0 || idx >= Array.length o.Obj_state.constr_states then

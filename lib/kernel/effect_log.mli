@@ -22,6 +22,9 @@ type eff =
       (** closed permission monitor advanced to this truth vector *)
   | E_perm_indexed of Ident.t * int * (Value.t list * bool array) list
       (** indexed/quantified permission monitor: full instance table *)
+  | E_perm_upsert of Ident.t * int * (Value.t list * bool array) list
+      (** indexed/quantified permission monitor: the instances that
+          changed (added or replaced); the others are kept *)
   | E_constr of Ident.t * int * bool array option
       (** temporal-constraint monitor advanced to this truth vector *)
   | E_steps of Ident.t * int  (** life-cycle step counter *)

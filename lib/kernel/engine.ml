@@ -410,9 +410,6 @@ let virtual_value (c : Community.t) (o : Obj_state.t) compiled ~binds =
   in
   Monitor.value compiled s
 
-let find_indexed key insts =
-  List.find_opt (fun (k, _) -> List.compare Value.compare k key = 0) insts
-
 (** Does the guard of permission [idx]/[pm] hold for event [ev] with the
     unification environment [env]? *)
 let permission_holds (c : Community.t) (o : Obj_state.t) idx
@@ -435,37 +432,31 @@ let permission_holds (c : Community.t) (o : Obj_state.t) idx
       in
       let binds = List.combine ix_vars key in
       match o.Obj_state.perm_states.(idx) with
-      | Obj_state.PS_indexed insts -> (
-          match find_indexed key insts with
-          | Some (_, s) -> Monitor.value ix_compiled s
+      | Obj_state.PS_indexed tbl -> (
+          match Param_table.find key tbl with
+          | Some s -> Monitor.value ix_compiled s
           | None -> virtual_value c o ix_compiled ~binds)
       | Obj_state.PS_none | Obj_state.PS_closed _ -> assert false)
   | Template.PG_quant { q_quant; q_var; q_class; q_compiled; _ } -> (
       match o.Obj_state.perm_states.(idx) with
-      | Obj_state.PS_indexed insts ->
-          let members = Ident.Set.elements (Community.extension c q_class) in
-          let value_for m =
-            let key = [ Ident.to_value m ] in
-            match find_indexed key insts with
-            | Some (_, s) -> Monitor.value q_compiled s
-            | None ->
-                virtual_value c o q_compiled
-                  ~binds:[ (q_var, Ident.to_value m) ]
-          in
-          (* instances cover members that have left the extension too *)
-          let spawned_values =
-            List.map (fun (_, s) -> Monitor.value q_compiled s) insts
-          in
+      | Obj_state.PS_indexed tbl -> (
+          (* instances cover members that have left the extension too;
+             members without one yet take the virtual first-instant
+             value *)
           let unspawned =
-            List.filter
+            List.filter_map
               (fun m ->
-                find_indexed [ Ident.to_value m ] insts = None)
-              members
+                let v = Ident.to_value m in
+                if Param_table.find [ v ] tbl <> None then None
+                else Some (virtual_value c o q_compiled ~binds:[ (q_var, v) ]))
+              (Ident.Set.elements (Community.extension c q_class))
           in
-          let all = spawned_values @ List.map value_for unspawned in
-          (match q_quant with
-          | `Forall -> List.for_all (fun b -> b) all
-          | `Exists -> List.exists (fun b -> b) all)
+          let holds = Monitor.value q_compiled in
+          match q_quant with
+          | `Forall ->
+              Param_table.for_all holds tbl && List.for_all Fun.id unspawned
+          | `Exists ->
+              Param_table.exists holds tbl || List.exists Fun.id unspawned)
       | Obj_state.PS_none | Obj_state.PS_closed _ -> assert false)
 
 (** [ce] is the event's staged entry when dispatch staging is on (the
@@ -624,6 +615,37 @@ let step_monitors (c : Community.t) (o : Obj_state.t)
         | _ -> false)
     | None -> false
   in
+  (* a parametric permission's instance table: when no atom can be true
+     (the fast case) or the guard is sliceable, only the instances the
+     occurred events bind take a full step; otherwise every instance
+     does, as always on the interpreted path, the reference *)
+  let step_table idx compiled ~binds ~spawn tbl =
+    let pf = perm_fast idx in
+    let atom_eval key =
+      if pf then const_false else atom_eval c o ~occurred ~binds:(binds key)
+    in
+    let stamp = o.Obj_state.steps in
+    let matched =
+      if pf then Some []
+      else
+        match ti with
+        | Some ti -> (
+            match ti.Dispatch.ti_perm_mons.(idx) with
+            | Some { Dispatch.cm_slice = Some pats; _ } ->
+                Some (Dispatch.slice_keys pats occurred)
+            | _ -> None)
+        | None -> None
+    in
+    let tbl' =
+      match matched with
+      | Some matched ->
+          Param_table.step_sliced compiled ~atom_eval ~matched ~spawn ~stamp
+            tbl
+      | None -> Param_table.step_full compiled ~atom_eval ~spawn ~stamp tbl
+    in
+    if tbl' != tbl then
+      o.Obj_state.perm_states.(idx) <- Obj_state.PS_indexed tbl'
+  in
   (* permissions *)
   List.iteri
     (fun idx (pm : Template.permission) ->
@@ -643,36 +665,8 @@ let step_monitors (c : Community.t) (o : Obj_state.t)
               let s = Monitor.step compiled ~atom_eval:ae prev in
               o.Obj_state.perm_states.(idx) <- Obj_state.PS_closed (Some s))
       | ( Template.PG_indexed { ix_vars; ix_body; ix_compiled },
-          Obj_state.PS_indexed insts ) ->
-          let pf = perm_fast idx in
-          let stepped =
-            if pf then begin
-              let unchanged = ref true in
-              let stepped =
-                List.map
-                  (fun ((key, s) as inst) ->
-                    let s' = Monitor.step_false ix_compiled s in
-                    if s' == s then inst
-                    else begin
-                      unchanged := false;
-                      (key, s')
-                    end)
-                  insts
-              in
-              if !unchanged then insts else stepped
-            end
-            else
-              List.map
-                (fun (key, s) ->
-                  ( key,
-                    Monitor.step ix_compiled
-                      ~atom_eval:
-                        (atom_eval c o ~occurred
-                           ~binds:(List.combine ix_vars key))
-                      (Some s) ))
-                insts
-          in
-          let keys =
+          Obj_state.PS_indexed tbl ) ->
+          let spawn =
             match ti with
             | Some ti -> (
                 match Dispatch.spawn_patterns ti idx with
@@ -687,77 +681,16 @@ let step_monitors (c : Community.t) (o : Obj_state.t)
                 | None -> spawn_keys c o ~occurred ~ix_vars ix_body)
             | None -> spawn_keys c o ~occurred ~ix_vars ix_body
           in
-          let fresh =
-            List.filter_map
-              (fun key ->
-                if find_indexed key stepped <> None then None
-                else
-                  let ae =
-                    if pf then const_false
-                    else
-                      atom_eval c o ~occurred
-                        ~binds:(List.combine ix_vars key)
-                  in
-                  Some (key, Monitor.step ix_compiled ~atom_eval:ae None))
-              keys
-          in
-          (match fresh with
-          | [] ->
-              if stepped != insts then
-                o.Obj_state.perm_states.(idx) <- Obj_state.PS_indexed stepped
-          | _ ->
-              o.Obj_state.perm_states.(idx) <-
-                Obj_state.PS_indexed (stepped @ fresh))
+          step_table idx ix_compiled ~binds:(List.combine ix_vars) ~spawn tbl
       | ( Template.PG_quant { q_var; q_class; q_compiled; _ },
-          Obj_state.PS_indexed insts ) ->
-          let pf = perm_fast idx in
-          let key_ae key =
-            if pf then const_false
-            else
-              let binds = match key with [ v ] -> [ (q_var, v) ] | _ -> [] in
-              atom_eval c o ~occurred ~binds
+          Obj_state.PS_indexed tbl ) ->
+          let spawn =
+            List.map
+              (fun m -> [ Ident.to_value m ])
+              (Ident.Set.elements (Community.extension c q_class))
           in
-          let stepped =
-            if pf then begin
-              let unchanged = ref true in
-              let stepped =
-                List.map
-                  (fun ((key, s) as inst) ->
-                    let s' = Monitor.step_false q_compiled s in
-                    if s' == s then inst
-                    else begin
-                      unchanged := false;
-                      (key, s')
-                    end)
-                  insts
-              in
-              if !unchanged then insts else stepped
-            end
-            else
-              List.map
-                (fun (key, s) ->
-                  ( key,
-                    Monitor.step q_compiled ~atom_eval:(key_ae key) (Some s) ))
-                insts
-          in
-          let members = Ident.Set.elements (Community.extension c q_class) in
-          let fresh =
-            List.filter_map
-              (fun m ->
-                let key = [ Ident.to_value m ] in
-                if find_indexed key stepped <> None then None
-                else
-                  Some
-                    (key, Monitor.step q_compiled ~atom_eval:(key_ae key) None))
-              members
-          in
-          (match fresh with
-          | [] ->
-              if stepped != insts then
-                o.Obj_state.perm_states.(idx) <- Obj_state.PS_indexed stepped
-          | _ ->
-              o.Obj_state.perm_states.(idx) <-
-                Obj_state.PS_indexed (stepped @ fresh))
+          let binds = function [ v ] -> [ (q_var, v) ] | _ -> [] in
+          step_table idx q_compiled ~binds ~spawn tbl
       | _, _ -> assert false)
     tpl.Template.t_perms;
   (* temporal constraints: step and require truth *)

@@ -13,7 +13,7 @@ module Smap = Map.Make (String)
 type pstate =
   | PS_none  (** non-temporal guard: nothing to track *)
   | PS_closed of Monitor.state option  (** [None] before the first step *)
-  | PS_indexed of (Value.t list * Monitor.state) list
+  | PS_indexed of Param_table.t
       (** one instance per observed instantiation of the guard's
           parameters (or per class member for quantified guards) *)
 
@@ -39,7 +39,7 @@ let initial_pstate (p : Template.permission) =
   match p.pm_guard with
   | Template.PG_state _ -> PS_none
   | Template.PG_closed _ -> PS_closed None
-  | Template.PG_indexed _ | Template.PG_quant _ -> PS_indexed []
+  | Template.PG_indexed _ | Template.PG_quant _ -> PS_indexed Param_table.empty
 
 let create id (template : Template.t) =
   {

@@ -14,7 +14,7 @@ module Smap :
 type pstate =
   | PS_none  (** non-temporal guard: nothing to track *)
   | PS_closed of Monitor.state option  (** [None] before the first step *)
-  | PS_indexed of (Value.t list * Monitor.state) list
+  | PS_indexed of Param_table.t
       (** one instance per observed instantiation of the guard's
           parameters (or per class member, for quantified guards) *)
 

@@ -52,16 +52,16 @@ let save_object buf (o : Obj_state.t) =
       | Obj_state.PS_closed (Some s) ->
           Buffer.add_string buf
             (Printf.sprintf "perm|%d|closed|%s\n" idx (bits_of_state s))
-      | Obj_state.PS_indexed insts ->
+      | Obj_state.PS_indexed tbl ->
           Buffer.add_string buf
-            (Printf.sprintf "perm|%d|indexed|%d\n" idx (List.length insts));
-          (* instances spawn in event-arrival order, which is not
-             canonical (concurrent clients interleave); sort by encoded
-             key so equal states always dump bit-identically *)
+            (Printf.sprintf "perm|%d|indexed|%d\n" idx
+               (Param_table.cardinal tbl));
+          (* the dump orders instances by encoded key, as it always has,
+             so dumps stay comparable byte for byte across versions *)
           let encoded =
             List.map
               (fun (key, s) -> (Value_codec.encode (Value.List key), s))
-              insts
+              (Param_table.bindings tbl)
           in
           List.iter
             (fun (key, s) ->
@@ -163,7 +163,7 @@ let load ?(reset = true) (c : Community.t) (dump : string) :
               if List.length insts <> expected then
                 fail "indexed monitor count mismatch";
               o.Obj_state.perm_states.(idx) <-
-                Obj_state.PS_indexed (List.rev insts);
+                Obj_state.PS_indexed (Param_table.of_bindings (List.rev insts));
               pending_indexed := None
           | Some _, None -> fail "instance lines outside an object"
           | None, _ -> ()

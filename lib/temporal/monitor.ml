@@ -163,61 +163,3 @@ let run (c : 'a compiled) ~(atom : 'a -> 'state -> bool)
     s := step c ~atom_eval:(fun a -> atom a trace.(i)) (Some !s)
   done;
   !s
-
-(* ------------------------------------------------------------------ *)
-(* Parametric (quantified) monitoring                                  *)
-(* ------------------------------------------------------------------ *)
-
-(** Monitoring of singly-quantified formulas [∀x. φ(x)] / [∃x. φ(x)]
-    where the domain of [x] grows dynamically (e.g. "for every PERSON
-    ever hired…").  A fresh instance monitor is spawned when a value
-    first appears in the domain; from then on it tracks φ(x) over the
-    remaining life cycle.  This is the standard spawning semantics of
-    parametric runtime verification: history before the value existed is
-    treated as empty. *)
-module Param = struct
-  type ('k, 'a) t = {
-    quantifier : [ `Forall | `Exists ];
-    instance : 'k -> 'a compiled;
-    key_equal : 'k -> 'k -> bool;
-  }
-
-  type ('k, 'a) instances = ('k * 'a compiled * state) list
-
-  let make ~quantifier ~key_equal ~instance =
-    { quantifier; instance; key_equal }
-
-  let empty_state : ('k, 'a) instances = []
-
-  (** Advance all instances by the new state; spawn monitors for domain
-      values not seen before.  [atom_eval k a] decides atom [a] of
-      instance [k]. *)
-  let step (t : ('k, 'a) t) ~(domain : 'k list)
-      ~(atom_eval : 'k -> 'a -> bool) (insts : ('k, 'a) instances) :
-      ('k, 'a) instances =
-    let stepped =
-      List.map
-        (fun (k, c, s) -> (k, c, step c ~atom_eval:(atom_eval k) (Some s)))
-        insts
-    in
-    let known insts k =
-      List.exists (fun (k', _, _) -> t.key_equal k k') insts
-    in
-    List.fold_left
-      (fun insts k ->
-        if known insts k then insts
-        else
-          let c = t.instance k in
-          insts @ [ (k, c, step c ~atom_eval:(atom_eval k) None) ])
-      stepped domain
-
-  let cardinal (insts : ('k, 'a) instances) = List.length insts
-
-  (** Truth value of the quantified formula: conjunction (∀) or
-      disjunction (∃) over all instances spawned so far.  An empty
-      domain yields [true] for ∀ and [false] for ∃. *)
-  let value (t : ('k, 'a) t) (insts : ('k, 'a) instances) : bool =
-    match t.quantifier with
-    | `Forall -> List.for_all (fun (_, c, s) -> value c s) insts
-    | `Exists -> List.exists (fun (_, c, s) -> value c s) insts
-end

@@ -44,37 +44,3 @@ val run :
   'a compiled -> atom:('a -> 'state -> bool) -> 'state array -> state
 (** Fold {!step} over a complete trace (mainly for tests).  Raises
     [Invalid_argument] on an empty trace. *)
-
-(** Parametric (quantified) monitoring: [∀x. φ(x)] / [∃x. φ(x)] over a
-    dynamically growing domain.  A fresh instance monitor is spawned
-    when a value first appears in the domain and tracks φ(x) over the
-    remaining life cycle (standard spawning semantics: history before
-    the value existed is treated as empty). *)
-module Param : sig
-  type ('k, 'a) t
-  type ('k, 'a) instances
-
-  val make :
-    quantifier:[ `Forall | `Exists ] ->
-    key_equal:('k -> 'k -> bool) ->
-    instance:('k -> 'a compiled) ->
-    ('k, 'a) t
-
-  val empty_state : ('k, 'a) instances
-
-  val step :
-    ('k, 'a) t ->
-    domain:'k list ->
-    atom_eval:('k -> 'a -> bool) ->
-    ('k, 'a) instances ->
-    ('k, 'a) instances
-  (** Advance all instances; spawn monitors for unseen domain values
-      (deduplicated). *)
-
-  val cardinal : ('k, 'a) instances -> int
-  (** Number of instances spawned so far. *)
-
-  val value : ('k, 'a) t -> ('k, 'a) instances -> bool
-  (** Conjunction (∀) or disjunction (∃) over all instances spawned so
-      far; the empty domain yields [true] for ∀ and [false] for ∃. *)
-end

@@ -287,6 +287,24 @@ let prop_set_constructor_idempotent =
       | Value.Set s -> Value.equal (Value.set s) (Value.Set s)
       | _ -> false)
 
+(* [insert] walks the canonical operand instead of re-sorting it; it
+   must agree with the canonical constructor on every set and element,
+   members and newcomers alike *)
+let prop_insert_is_canonical =
+  QCheck.Test.make ~name:"builtin: insert equals Value.set (e :: s)"
+    ~count:500
+    (QCheck.pair arbitrary_value
+       (QCheck.list_of_size (QCheck.Gen.int_range 0 8) arbitrary_value))
+    (fun (e, xs) ->
+      let s = match Value.set xs with Value.Set s -> s | _ -> assert false in
+      (* often pick a member, so the "already present" walk runs too *)
+      let e = match s with x :: _ when Value.compare e x < 0 -> x | _ -> e in
+      (* an undefined operand makes [insert] undefined (strictness) *)
+      QCheck.assume (not (Value.is_undefined e));
+      match Builtin.apply "insert" [ e; Value.Set s ] with
+      | Ok v -> v = Value.set (e :: s)
+      | Error _ -> false)
+
 (* ------------------------------------------------------------------ *)
 (* Builtin operators                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -528,7 +546,7 @@ let () =
         ] );
       qsuite "value-properties"
         [ prop_value_compare_antisym; prop_value_compare_transitive;
-          prop_set_constructor_idempotent ];
+          prop_set_constructor_idempotent; prop_insert_is_canonical ];
       ( "builtin",
         [
           Alcotest.test_case "arithmetic" `Quick test_builtin_arith;

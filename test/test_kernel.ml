@@ -938,6 +938,184 @@ let prop_naive_equals_monitor_random =
       !ok)
 
 (* ------------------------------------------------------------------ *)
+(* Parametric slicing: stepping only the instances an event touches     *)
+(* ------------------------------------------------------------------ *)
+
+(* Four parametric guards, one per shape the engine steps differently:
+   [fire] is sliceable and settles after one all-false step; [recall]
+   is sliceable but stays unsettled for two all-false steps after its
+   event, so its instance must stay hot; [praise] has a state atom, so
+   it is never sliced; [audit] is a sliceable class-quantified guard. *)
+let slicing_spec = {|
+object class PERSON
+  identification pname: string;
+  template
+    events birth born;
+end object class PERSON;
+
+object class DEPT
+  identification id: string;
+  template
+    attributes
+      manager: |PERSON|;
+      employees: set(|PERSON|);
+    events
+      birth establishment;
+      hire(|PERSON|);
+      fire(|PERSON|);
+      new_manager(|PERSON|);
+      recall(|PERSON|);
+      praise(|PERSON|);
+      audit;
+    valuation
+      variables P: |PERSON|;
+      [establishment] employees = {};
+      [new_manager(P)] manager = P;
+      [hire(P)] employees = insert(P, employees);
+      [fire(P)] employees = remove(P, employees);
+    permissions
+      variables P: |PERSON|;
+      { sometime(after(hire(P))) } fire(P);
+      { previous(previous(after(hire(P)))) } recall(P);
+      { sometime(after(fire(P)) or manager = P) } praise(P);
+      { exists (Q: PERSON : previous(after(fire(Q)))) } audit;
+end object class DEPT;
+|}
+
+type slice_op =
+  | Step of string * int  (** a DEPT event on person [i] ([audit] ignores it) *)
+  | Doomed of (string * int) list
+      (** a sequence ending in a refused event: rolled back whole *)
+  | Reload  (** Persist save, then load into a fresh community *)
+
+let slicing_persons = 4
+let slicing_dept = ident "DEPT" "d"
+let slicing_person i = Ident.to_value (ident "PERSON" (Printf.sprintf "p%d" i))
+
+(* never hired, so fire(ghost) is always refused *)
+let slicing_ghost = Ident.to_value (ident "PERSON" "ghost")
+
+let slicing_event (name, i) =
+  Event.make slicing_dept name
+    (if String.equal name "audit" then [] else [ slicing_person i ])
+
+let slicing_load ~compiled =
+  load
+    ~config:
+      { Community.default_config with Community.compiled_dispatch = compiled }
+    slicing_spec
+
+let slicing_community ~compiled =
+  let c = slicing_load ~compiled in
+  List.iter
+    (fun key -> ignore (Engine.create c ~cls:"PERSON" ~key ()))
+    (Value.String "ghost"
+    :: List.init slicing_persons (fun i ->
+           Value.String (Printf.sprintf "p%d" i)));
+  ignore (Engine.create c ~cls:"DEPT" ~key:(Value.String "d") ());
+  c
+
+(* which guards the template index marks sliceable *)
+let test_slicing_condition () =
+  let c = slicing_community ~compiled:true in
+  let tpl = Community.template_exn c "DEPT" in
+  let ti = Dispatch.template_index c tpl in
+  let sliced event =
+    let idx =
+      let rec find i = function
+        | [] -> Alcotest.failf "no permission on %s" event
+        | (pm : Template.permission) :: rest ->
+            if String.equal pm.Template.pm_event event then i
+            else find (i + 1) rest
+      in
+      find 0 tpl.Template.t_perms
+    in
+    match ti.Dispatch.ti_perm_mons.(idx) with
+    | Some cm -> cm.Dispatch.cm_slice <> None
+    | None -> false
+  in
+  check tbool "occurrence-only guard" true (sliced "fire");
+  check tbool "slow-settling guard" true (sliced "recall");
+  check tbool "guard with a state atom" false (sliced "praise");
+  check tbool "quantified occurrence guard" true (sliced "audit")
+
+let slicing_op_gen =
+  let open QCheck.Gen in
+  let name =
+    frequencyl
+      [ (4, "hire"); (2, "fire"); (2, "recall"); (1, "praise");
+        (1, "new_manager"); (1, "audit") ]
+  in
+  let ev = pair name (int_bound (slicing_persons - 1)) in
+  frequency
+    [ (16, map (fun e -> Step (fst e, snd e)) ev);
+      (2, map (fun evs -> Doomed evs) (list_size (int_range 1 2) ev));
+      (1, return Reload) ]
+
+let slicing_op_to_string = function
+  | Step (n, i) -> Printf.sprintf "%s(p%d)" n i
+  | Doomed evs ->
+      Printf.sprintf "doomed[%s]"
+        (String.concat ";"
+           (List.map (fun (n, i) -> Printf.sprintf "%s(p%d)" n i) evs))
+  | Reload -> "reload"
+
+(* every verdict the guards decide, as the enabledness of each event on
+   each person *)
+let slicing_verdicts c =
+  List.concat_map
+    (fun name ->
+      List.init slicing_persons (fun i ->
+          Engine.enabled c (slicing_event (name, i))))
+    [ "fire"; "recall"; "praise" ]
+  @ [ Engine.enabled c (slicing_event ("audit", 0)) ]
+
+(* The compiled engine slices sliceable guards and keeps hot sets; the
+   interpreted one walks every instance with full atom evaluation.  Fed
+   the same steps, both must give every step the same verdict, every
+   instance the same enabledness after every step, and dump the same
+   state. *)
+let prop_sliced_equals_full_walk =
+  QCheck.Test.make ~name:"sliced parametric stepping ≡ full walk" ~count:150
+    (QCheck.make
+       ~print:(fun ops -> String.concat " " (List.map slicing_op_to_string ops))
+       QCheck.Gen.(list_size (int_range 1 30) slicing_op_gen))
+    (fun ops ->
+      let c = ref (slicing_community ~compiled:true) in
+      let r = ref (slicing_community ~compiled:false) in
+      let agree = ref (slicing_verdicts !c = slicing_verdicts !r) in
+      let run step =
+        Result.is_ok (Engine.step !c step) = Result.is_ok (Engine.step !r step)
+      in
+      List.iter
+        (fun op ->
+          let same =
+            match op with
+            | Step (n, i) -> run (Step.Fire (slicing_event (n, i)))
+            | Doomed evs ->
+                run
+                  (Step.Seq
+                     (List.map slicing_event evs
+                     @ [ Event.make slicing_dept "fire" [ slicing_ghost ] ]))
+            | Reload ->
+                let reload ~compiled com =
+                  let fresh = slicing_load ~compiled in
+                  (match Persist.load fresh (Persist.save !com) with
+                  | Ok () -> ()
+                  | Error m -> Alcotest.failf "reload: %s" m);
+                  com := fresh
+                in
+                let same = Persist.save !c = Persist.save !r in
+                reload ~compiled:true c;
+                reload ~compiled:false r;
+                same
+          in
+          if not (same && slicing_verdicts !c = slicing_verdicts !r) then
+            agree := false)
+        ops;
+      !agree && Persist.save !c = Persist.save !r)
+
+(* ------------------------------------------------------------------ *)
 (* The transaction layer (Txn): journal, savepoints, probes, stats      *)
 (* ------------------------------------------------------------------ *)
 
@@ -1237,4 +1415,8 @@ let () =
         Alcotest.test_case "hand case" `Quick test_naive_equals_monitor
         :: List.map QCheck_alcotest.to_alcotest
              [ prop_naive_equals_monitor_random ] );
+      ( "parametric-slicing",
+        Alcotest.test_case "slicing condition" `Quick test_slicing_condition
+        :: List.map QCheck_alcotest.to_alcotest [ prop_sliced_equals_full_walk ]
+      );
     ]

@@ -237,52 +237,43 @@ let prop_monitor_size_linear =
 (* Parametric monitors                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* instance formula: sometime(atom k) where the atom checks whether the
-   state (an int list) contains k *)
-let param_monitor quantifier =
-  Monitor.Param.make ~quantifier ~key_equal:Int.equal ~instance:(fun _k ->
-      Monitor.compile (Formula.Sometime (Formula.Atom ())))
+(* One monitor per key: sometime(atom), where the atom of key k holds
+   when the state (an int list) contains k.  The table is the engine's
+   own ({!Param_table}); the quantifier is a fold over its instances. *)
+let param_formula = Monitor.compile (Formula.Sometime (Formula.Atom ()))
+let param_key k = [ Value.Int k ]
+
+let param_step domain state tbl =
+  Param_table.step_full param_formula
+    ~atom_eval:(fun k () ->
+      match k with [ Value.Int k ] -> List.mem k state | _ -> false)
+    ~spawn:(List.map param_key domain) ~stamp:0 tbl
+
+let forall tbl = Param_table.for_all (Monitor.value param_formula) tbl
+let exists tbl = Param_table.exists (Monitor.value param_formula) tbl
 
 let test_param_forall () =
-  let m = param_monitor `Forall in
-  let step domain state insts =
-    Monitor.Param.step m ~domain
-      ~atom_eval:(fun k () -> List.mem k state)
-      insts
-  in
   (* empty domain: vacuously true *)
-  check tbool "empty" true (Monitor.Param.value m Monitor.Param.empty_state);
+  check tbool "empty" true (forall Param_table.empty);
   (* key 1 appears and is satisfied; key 2 appears later, never satisfied *)
-  let s1 = step [ 1 ] [ 1 ] Monitor.Param.empty_state in
-  check tbool "one satisfied instance" true (Monitor.Param.value m s1);
-  let s2 = step [ 1; 2 ] [] s1 in
-  check tbool "unsatisfied newcomer falsifies" false (Monitor.Param.value m s2);
-  let s3 = step [ 1; 2 ] [ 2 ] s2 in
-  check tbool "newcomer satisfied later" true (Monitor.Param.value m s3)
+  let s1 = param_step [ 1 ] [ 1 ] Param_table.empty in
+  check tbool "one satisfied instance" true (forall s1);
+  let s2 = param_step [ 1; 2 ] [] s1 in
+  check tbool "unsatisfied newcomer falsifies" false (forall s2);
+  let s3 = param_step [ 1; 2 ] [ 2 ] s2 in
+  check tbool "newcomer satisfied later" true (forall s3)
 
 let test_param_exists () =
-  let m = param_monitor `Exists in
-  let step domain state insts =
-    Monitor.Param.step m ~domain
-      ~atom_eval:(fun k () -> List.mem k state)
-      insts
-  in
-  check tbool "empty is false" false
-    (Monitor.Param.value m Monitor.Param.empty_state);
-  let s1 = step [ 1; 2 ] [] Monitor.Param.empty_state in
-  check tbool "none satisfied" false (Monitor.Param.value m s1);
-  let s2 = step [ 1; 2 ] [ 2 ] s1 in
-  check tbool "one witness suffices" true (Monitor.Param.value m s2)
+  check tbool "empty is false" false (exists Param_table.empty);
+  let s1 = param_step [ 1; 2 ] [] Param_table.empty in
+  check tbool "none satisfied" false (exists s1);
+  let s2 = param_step [ 1; 2 ] [ 2 ] s1 in
+  check tbool "one witness suffices" true (exists s2)
 
 let test_param_spawn_once () =
-  let m = param_monitor `Forall in
-  let s1 =
-    Monitor.Param.step m ~domain:[ 1; 1; 1 ]
-      ~atom_eval:(fun _ () -> true)
-      Monitor.Param.empty_state
-  in
+  let s1 = param_step [ 1; 1; 1 ] [ 1 ] Param_table.empty in
   check Alcotest.int "duplicate domain values spawn once" 1
-    (Monitor.Param.cardinal s1)
+    (Param_table.cardinal s1)
 
 (* ------------------------------------------------------------------ *)
 

@@ -337,6 +337,117 @@ let test_atomic_save_file () =
            (fun f -> not (Filename.check_suffix f ".tmp"))
            (Sys.readdir dir)))
 
+(* ------------------------------------------------------------------ *)
+(* Full-table instance records (the format before upsert records)       *)
+(* ------------------------------------------------------------------ *)
+
+(* [recall]'s guard stays unsettled for two steps after each hire, so a
+   replayed instance table must go on stepping instances no event of
+   the later steps names. *)
+let recall_spec = {|
+object class PERSON
+  identification pname: string;
+  template
+    events birth born;
+end object class PERSON;
+
+object class DEPT
+  identification id: string;
+  template
+    attributes employees: set(|PERSON|);
+    events
+      birth establishment;
+      hire(|PERSON|);
+      fire(|PERSON|);
+      recall(|PERSON|);
+    valuation
+      variables P: |PERSON|;
+      [establishment] employees = {};
+      [hire(P)] employees = insert(P, employees);
+      [fire(P)] employees = remove(P, employees);
+    permissions
+      variables P: |PERSON|;
+      { sometime(after(hire(P))) } fire(P);
+      { previous(previous(after(hire(P)))) } recall(P);
+end object class DEPT;
+|}
+
+let test_full_table_records_recover () =
+  with_dir (fun dir ->
+      let spec_digest = Digest.to_hex (Digest.string recall_spec) in
+      let key i = Value.String (Printf.sprintf "p%d" i) in
+      let p i = Ident.to_value (Ident.make "PERSON" (key i)) in
+      let ev name i = Event.make d name [ p i ] in
+      let c = load_spec recall_spec in
+      (* the log a writer of full-table records would have produced:
+         every upsert record replaced by the object's whole table *)
+      let batches = ref [] and upserts = ref 0 in
+      let full_table id idx =
+        match (Community.object_exn c id).Obj_state.perm_states.(idx) with
+        | Obj_state.PS_indexed tbl ->
+            List.map
+              (fun (k, s) -> (k, Monitor.state_to_bools s))
+              (Param_table.bindings tbl)
+        | _ -> Alcotest.fail "expected an instance table"
+      in
+      c.Community.commit_hook <-
+        Some
+          (fun j ->
+            let batch =
+              List.map
+                (function
+                  | Effect_log.E_perm_upsert (id, idx, _) ->
+                      incr upserts;
+                      Effect_log.E_perm_indexed (id, idx, full_table id idx)
+                  | e -> e)
+                (Effect_log.delta c j)
+            in
+            batches := batch :: !batches);
+      for i = 0 to 2 do
+        ignore (Engine.create c ~cls:"PERSON" ~key:(key i) ())
+      done;
+      ignore (Engine.create c ~cls:"DEPT" ~key:(Value.String "d") ());
+      List.iter
+        (fun e -> ignore (Engine.fire c e))
+        [ ev "hire" 0; ev "hire" 1; ev "fire" 0; ev "hire" 2; ev "hire" 0 ];
+      c.Community.commit_hook <- None;
+      check tbool "the run logged instance changes" true (!upserts > 0);
+      let writer = load_spec recall_spec in
+      let t =
+        match Wal.attach ~dir ~spec_digest writer with
+        | Ok (t, None) -> t
+        | Ok (_, Some _) -> Alcotest.fail "fresh dir claimed to recover"
+        | Error m -> Alcotest.failf "attach: %s" m
+      in
+      List.iter
+        (fun batch ->
+          (* each record carries the writer's version stamp, which a
+             commit bumps *)
+          Community.bump_version writer;
+          Wal.append t batch)
+        (List.rev !batches);
+      Wal.detach t;
+      let c2 = load_spec recall_spec in
+      (match Wal.recover ~dir ~spec_digest c2 with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "recover: %s" m);
+      check tstr "full-table records recover the dump" (Persist.save c)
+        (Persist.save c2);
+      (* the recovered tables go on stepping exactly like the live ones *)
+      List.iter
+        (fun e ->
+          let verdict com = Result.is_ok (Engine.fire com e) in
+          check tbool "same verdict after recovery" (verdict c) (verdict c2);
+          List.iter
+            (fun i ->
+              check tbool "same recall enabledness"
+                (Engine.enabled c (ev "recall" i))
+                (Engine.enabled c2 (ev "recall" i)))
+            [ 0; 1; 2 ])
+        [ ev "hire" 1; ev "fire" 2; ev "recall" 0; ev "hire" 2; ev "fire" 1 ];
+      check tstr "same dump after further steps" (Persist.save c)
+        (Persist.save c2))
+
 let () =
   Alcotest.run "wal"
     [
@@ -357,6 +468,8 @@ let () =
             test_wal_crc_corruption;
           Alcotest.test_case "wrong specification rejected" `Quick
             test_wal_rejects_wrong_spec;
+          Alcotest.test_case "full-table instance records recover" `Quick
+            test_full_table_records_recover;
         ] );
       ( "snapshots",
         [
