@@ -24,38 +24,71 @@
       perm|<index>|indexed|<n>
       inst|<key values…>|<bits>
       constr|<index>|<bits>
-    v} *)
+    v}
+
+    The output bytes are part of the contract (state digests, snapshots
+    and golden files compare them): [test_storage]'s "dump bytes pinned"
+    case checks {!save} against a fixed text that has every record
+    kind. *)
 
 let header = "troll-state 1"
 
 (* --- saving --------------------------------------------------------- *)
 
-let bits_of_state s =
-  String.concat ""
-    (Array.to_list
-       (Array.map (fun b -> if b then "1" else "0") (Monitor.state_to_bools s)))
+(* Every field goes straight into the one buffer, with no [Printf] and
+   no intermediate strings: a state digest ({!View.state_digest}) is an
+   MD5 of this dump, taken for every state pair a refinement check
+   visits. *)
+
+let add_field buf s =
+  Buffer.add_char buf '|';
+  Buffer.add_string buf s
+
+let add_int_field buf n =
+  Buffer.add_char buf '|';
+  Value_codec.add_int buf n
+
+let add_value_field buf v =
+  Buffer.add_char buf '|';
+  Value_codec.encode_buf buf v
+
+let add_bits_field buf s =
+  Buffer.add_char buf '|';
+  Array.iter
+    (fun b -> Buffer.add_char buf (if b then '1' else '0'))
+    (Monitor.state_to_bools s)
 
 let save_object buf (o : Obj_state.t) =
-  Buffer.add_string buf
-    (Printf.sprintf "object|%s|%s|%b|%b|%d\n" o.Obj_state.id.Ident.cls
-       (Value_codec.encode o.Obj_state.id.Ident.key)
-       o.Obj_state.alive o.Obj_state.dead o.Obj_state.steps);
+  Buffer.add_string buf "object";
+  add_field buf o.Obj_state.id.Ident.cls;
+  add_value_field buf o.Obj_state.id.Ident.key;
+  add_field buf (string_of_bool o.Obj_state.alive);
+  add_field buf (string_of_bool o.Obj_state.dead);
+  add_int_field buf o.Obj_state.steps;
+  Buffer.add_char buf '\n';
   List.iter
     (fun (name, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf "attr|%s|%s\n" name (Value_codec.encode v)))
+      Buffer.add_string buf "attr";
+      add_field buf name;
+      add_value_field buf v;
+      Buffer.add_char buf '\n')
     (Obj_state.bindings o);
   Array.iteri
     (fun idx ps ->
       match ps with
       | Obj_state.PS_none | Obj_state.PS_closed None -> ()
       | Obj_state.PS_closed (Some s) ->
-          Buffer.add_string buf
-            (Printf.sprintf "perm|%d|closed|%s\n" idx (bits_of_state s))
+          Buffer.add_string buf "perm";
+          add_int_field buf idx;
+          Buffer.add_string buf "|closed";
+          add_bits_field buf s;
+          Buffer.add_char buf '\n'
       | Obj_state.PS_indexed tbl ->
-          Buffer.add_string buf
-            (Printf.sprintf "perm|%d|indexed|%d\n" idx
-               (Param_table.cardinal tbl));
+          Buffer.add_string buf "perm";
+          add_int_field buf idx;
+          Buffer.add_string buf "|indexed";
+          add_int_field buf (Param_table.cardinal tbl);
+          Buffer.add_char buf '\n';
           (* the dump orders instances by encoded key, as it always has,
              so dumps stay comparable byte for byte across versions *)
           let encoded =
@@ -65,8 +98,10 @@ let save_object buf (o : Obj_state.t) =
           in
           List.iter
             (fun (key, s) ->
-              Buffer.add_string buf
-                (Printf.sprintf "inst|%s|%s\n" key (bits_of_state s)))
+              Buffer.add_string buf "inst";
+              add_field buf key;
+              add_bits_field buf s;
+              Buffer.add_char buf '\n')
             (List.sort (fun (a, _) (b, _) -> String.compare a b) encoded))
     o.Obj_state.perm_states;
   Array.iteri
@@ -74,14 +109,19 @@ let save_object buf (o : Obj_state.t) =
       match cs with
       | None -> ()
       | Some s ->
-          Buffer.add_string buf
-            (Printf.sprintf "constr|%d|%s\n" idx (bits_of_state s)))
+          Buffer.add_string buf "constr";
+          add_int_field buf idx;
+          add_bits_field buf s;
+          Buffer.add_char buf '\n')
     o.Obj_state.constr_states
 
 (** Serialise the dynamic state of a community. *)
 let save (c : Community.t) : string =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (header ^ "\n");
+  (* 1 KiB stays below the minor heap's largest block, so a small dump
+     never allocates in the major heap; larger ones grow by doubling *)
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf header;
+  Buffer.add_char buf '\n';
   (* the ordered index yields objects in identity order directly *)
   List.iter (save_object buf) (Community.objects_sorted c);
   Buffer.contents buf

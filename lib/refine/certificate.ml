@@ -85,6 +85,12 @@ let esc (s : string) : string =
     s;
   Buffer.contents b
 
+(* almost every field is metacharacter-free and is returned as is *)
+let esc s =
+  if String.exists (function '%' | '|' | '\n' | '\r' -> true | _ -> false) s
+  then esc s
+  else s
+
 let unesc (s : string) : string =
   let n = String.length s in
   let b = Buffer.create n in
@@ -102,6 +108,8 @@ let unesc (s : string) : string =
     incr i
   done;
   Buffer.contents b
+
+let unesc s = if String.contains s '%' then unesc s else s
 
 let enc_value v = esc (Value_codec.encode v)
 
@@ -121,15 +129,25 @@ let dec_args s =
 (* Canonical keys and ordering                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* An edge key is its pre-pair's node key followed by its event key. *)
 let node_key p = p.p_abs ^ "," ^ p.p_conc
-let edge_key (e : edge) =
-  node_key e.e_pre ^ "," ^ e.e_event ^ "," ^ enc_args e.e_args
+let event_key name args = String.concat "," [ ""; name; enc_args args ]
 
-let sort_nodes ns =
-  List.sort (fun (a, _) (b, _) -> compare (node_key a) (node_key b)) ns
+(* [args] is [enc_args e.e_args], when the caller already has it *)
+let edge_key_enc (e : edge) ~args =
+  String.concat "," [ e.e_pre.p_abs; e.e_pre.p_conc; e.e_event; args ]
 
-let sort_edges es =
-  List.sort (fun a b -> compare (edge_key a) (edge_key b)) es
+let edge_key (e : edge) = edge_key_enc e ~args:(enc_args e.e_args)
+
+(* Ordering by a precomputed key: each entry's key is built once, never
+   inside the comparator (an edge key costs a value encoding). *)
+let by_key (entries : (string * 'a) list) : (string * 'a) list =
+  List.sort (fun (a, _) (b, _) -> String.compare a b) entries
+
+(* a builder table's entries, in the order of the keys they are stored
+   under *)
+let sorted_table (tbl : (string, 'a) Hashtbl.t) : 'a list =
+  List.map snd (by_key (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []))
 
 (** The obligation id an edge with this verdict discharges (or violates)
     — {!Refinement.check} marks exactly these ids, and the validator
@@ -143,26 +161,39 @@ let oblig_of_verdict (event : string) = function
 (* Emit                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let add_line buf fmt =
-  Printf.ksprintf
-    (fun s ->
-      Buffer.add_string buf s;
-      Buffer.add_char buf '\n')
-    fmt
+(* [tag|field|…|field\n] straight into the output buffer; the fields
+   are already escaped or encoded *)
+let add_record buf tag fields =
+  Buffer.add_string buf tag;
+  List.iter
+    (fun f ->
+      Buffer.add_char buf '|';
+      Buffer.add_string buf f)
+    fields;
+  Buffer.add_char buf '\n'
 
-let emit_node buf (p, d) = add_line buf "node|%s|%s|%d" p.p_abs p.p_conc d
+let emit_node buf (p, d) =
+  add_record buf "node" [ p.p_abs; p.p_conc; string_of_int d ]
 
-let emit_edge buf (e : edge) =
-  let head =
-    Printf.sprintf "edge|%s|%s|%s|%s|%s" e.e_pre.p_abs e.e_pre.p_conc
-      (esc e.e_event) (enc_args e.e_args) (esc e.e_oblig)
+(* [args] is [enc_args e.e_args], computed by the caller *)
+let emit_edge buf (e : edge) ~args =
+  let verdict =
+    match e.e_verdict with
+    | E_ok post -> [ "ok"; post.p_abs; post.p_conc ]
+    | E_stuck -> [ "stuck" ]
+    | E_missing r -> [ "missing"; esc r ]
+    | E_escape r -> [ "escape"; esc r ]
+    | E_obs r -> [ "obs"; esc r ]
   in
-  match e.e_verdict with
-  | E_ok post -> add_line buf "%s|ok|%s|%s" head post.p_abs post.p_conc
-  | E_stuck -> add_line buf "%s|stuck" head
-  | E_missing r -> add_line buf "%s|missing|%s" head (esc r)
-  | E_escape r -> add_line buf "%s|escape|%s" head (esc r)
-  | E_obs r -> add_line buf "%s|obs|%s" head (esc r)
+  add_record buf "edge"
+    (e.e_pre.p_abs :: e.e_pre.p_conc :: esc e.e_event :: args
+   :: esc e.e_oblig :: verdict)
+
+(* the sorted node and edge records of a graph; [edges] carry their
+   encoded arguments *)
+let emit_graph buf nodes (edges : (string * edge) list) =
+  List.iter (emit_node buf) nodes;
+  List.iter (fun (args, e) -> emit_edge buf e ~args) edges
 
 let frame magic body =
   Printf.sprintf "%s|%d|%08x\n%s" magic (String.length body)
@@ -173,30 +204,55 @@ let cert_magic = "troll-cert 1"
 let memo_magic = "troll-memo 1"
 
 let encode (t : t) : string =
-  let buf = Buffer.create 4096 in
-  add_line buf "impl|%s|%s|%s|%s|%s|%s|%d|%d" (esc t.abs_class)
-    (esc t.conc_class) (enc_value t.abs_key) (enc_value t.conc_key)
-    (enc_args t.abs_args) (enc_args t.conc_args) t.depth
-    (if t.holds then 1 else 0);
-  (match t.fail_reason with
-  | None -> ()
-  | Some r -> add_line buf "fail|%s" (esc r));
-  List.iter (fun (a, c) -> add_line buf "emap|%s|%s" (esc a) (esc c))
-    t.event_map;
-  List.iter (fun (a, c) -> add_line buf "amap|%s|%s" (esc a) (esc c))
-    t.attr_map;
-  List.iter (fun a -> add_line buf "hide|%s" (esc a)) t.hidden;
-  List.iter (fun (n, args) -> add_line buf "cand|%s|%s" (esc n) (enc_args args))
+  (* decorate, sort, undecorate: one key per entry, and an edge's
+     encoded arguments serve both its key and its record *)
+  let nodes =
+    List.map snd
+      (by_key (List.map (fun ((p, _) as n) -> (node_key p, n)) t.nodes))
+  in
+  let edges =
+    List.map snd
+      (by_key
+         (List.map
+            (fun (e : edge) ->
+              let args = enc_args e.e_args in
+              (edge_key_enc e ~args, (args, e)))
+            t.edges))
+  in
+  (* sized for the sources plus ~256 bytes per record, so the buffer
+     seldom has to grow *)
+  let buf =
+    Buffer.create
+      (String.length t.abs_src + String.length t.conc_src
+      + (256 * (List.length nodes + List.length edges)))
+  in
+  add_record buf "impl"
+    [
+      esc t.abs_class;
+      esc t.conc_class;
+      enc_value t.abs_key;
+      enc_value t.conc_key;
+      enc_args t.abs_args;
+      enc_args t.conc_args;
+      string_of_int t.depth;
+      (if t.holds then "1" else "0");
+    ];
+  Option.iter (fun r -> add_record buf "fail" [ esc r ]) t.fail_reason;
+  List.iter (fun (a, c) -> add_record buf "emap" [ esc a; esc c ]) t.event_map;
+  List.iter (fun (a, c) -> add_record buf "amap" [ esc a; esc c ]) t.attr_map;
+  List.iter (fun a -> add_record buf "hide" [ esc a ]) t.hidden;
+  List.iter
+    (fun (n, args) -> add_record buf "cand" [ esc n; enc_args args ])
     t.alphabet;
-  add_line buf "abs-src|%d" (String.length t.abs_src);
-  Buffer.add_string buf t.abs_src;
-  Buffer.add_char buf '\n';
-  add_line buf "conc-src|%d" (String.length t.conc_src);
-  Buffer.add_string buf t.conc_src;
-  Buffer.add_char buf '\n';
-  add_line buf "root|%s|%s" t.root.p_abs t.root.p_conc;
-  List.iter (emit_node buf) (sort_nodes t.nodes);
-  List.iter (emit_edge buf) (sort_edges t.edges);
+  let add_block tag src =
+    add_record buf tag [ string_of_int (String.length src) ];
+    Buffer.add_string buf src;
+    Buffer.add_char buf '\n'
+  in
+  add_block "abs-src" t.abs_src;
+  add_block "conc-src" t.conc_src;
+  add_record buf "root" [ t.root.p_abs; t.root.p_conc ];
+  emit_graph buf nodes edges;
   frame cert_magic (Buffer.contents buf)
 
 (* ------------------------------------------------------------------ *)
@@ -221,6 +277,7 @@ let read_line cur =
   line
 
 let read_block cur n =
+  if n < 0 then fail "negative source block length %d" n;
   if cur.pos + n + 1 > String.length cur.src then fail "truncated source block";
   let s = String.sub cur.src cur.pos n in
   if cur.src.[cur.pos + n] <> '\n' then fail "source block not newline-terminated";
@@ -461,8 +518,8 @@ let finish (b : builder) : t =
     depth = b.b_depth;
     alphabet = b.b_alphabet;
     root;
-    nodes = sort_nodes (Hashtbl.fold (fun _ nd acc -> nd :: acc) b.b_sink.s_nodes []);
-    edges = sort_edges (Hashtbl.fold (fun _ e acc -> e :: acc) b.b_sink.s_edges []);
+    nodes = sorted_table b.b_sink.s_nodes;
+    edges = sorted_table b.b_sink.s_edges;
     holds = b.b_fail = None;
     fail_reason = b.b_fail;
   }
@@ -517,21 +574,25 @@ let save_memo (b : builder) ~(dir : string) : (unit, string) result =
        "no violation below this pair" and must not seed later runs *)
     Ok ()
   else
+    let key = spec_key b in
     let buf = Buffer.create 4096 in
-    List.iter (emit_node buf)
-      (sort_nodes (Hashtbl.fold (fun _ nd acc -> nd :: acc) b.b_sink.s_nodes []));
-    List.iter (emit_edge buf)
-      (sort_edges (Hashtbl.fold (fun _ e acc -> e :: acc) b.b_sink.s_edges []));
-    let body = Printf.sprintf "%s\n%s" (spec_key b) (Buffer.contents buf) in
+    Buffer.add_string buf key;
+    Buffer.add_char buf '\n';
+    emit_graph buf
+      (sorted_table b.b_sink.s_nodes)
+      (List.map
+         (fun (e : edge) -> (enc_args e.e_args, e))
+         (sorted_table b.b_sink.s_edges));
     try
       if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      Persist.write_file_atomic (memo_path ~dir ~key:(spec_key b))
-        (frame memo_magic body);
+      Persist.write_file_atomic (memo_path ~dir ~key)
+        (frame memo_magic (Buffer.contents buf));
       Ok ()
     with Sys_error m | Unix.Unix_error (_, m, _) -> Error m
 
 let load_memo (b : builder) ~(dir : string) : (int, string) result =
-  let path = memo_path ~dir ~key:(spec_key b) in
+  let key = spec_key b in
+  let path = memo_path ~dir ~key in
   if not (Sys.file_exists path) then Ok 0
   else
     try
@@ -540,7 +601,7 @@ let load_memo (b : builder) ~(dir : string) : (int, string) result =
       let s = really_input_string ic n in
       close_in ic;
       let cur = { src = unframe memo_magic s; pos = 0 } in
-      if read_line cur <> spec_key b then Ok 0
+      if read_line cur <> key then Ok 0
       else begin
         let count = ref 0 in
         while not (at_end cur) do

@@ -71,7 +71,17 @@ val oblig_of_verdict : string -> everdict -> string
 
 val node_key : pair -> string
 val edge_key : edge -> string
-(** Canonical table keys (used for sorting and deduplication). *)
+(** Canonical table keys, used for deduplication and as the sort keys of
+    {!encode}, {!finish} and {!save_memo}.  Each is computed once per
+    entry: the builder stores every node and edge under its key as it is
+    recorded, {!finish} and {!save_memo} sort by those stored keys, and
+    {!encode} builds one key per entry before it sorts (an edge key costs
+    a {!Value_codec} encoding of the arguments). *)
+
+val event_key : string -> Value.t list -> string
+(** [edge_key e = node_key e.e_pre ^ event_key e.e_event e.e_args]: a
+    caller that looks up one event at many pairs encodes its arguments
+    once. *)
 
 (** {1 Recording}
 

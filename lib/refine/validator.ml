@@ -89,6 +89,15 @@ let validate (cert : Certificate.t) : (stats, string) result =
         then reject "edge event %s outside the alphabet" e.Certificate.e_event;
         Hashtbl.replace edges k e)
       cert.Certificate.edges;
+    (* the alphabet with each candidate's event key, encoded once: the
+       coverage check and the replay look every candidate up at every
+       node *)
+    let alphabet =
+      List.map
+        (fun (n, args) -> (n, Certificate.event_key n args))
+        cert.Certificate.alphabet
+    in
+    let find_edge node_key ek = Hashtbl.find_opt edges (node_key ^ ek) in
     let node_depth p =
       match Hashtbl.find_opt nodes (Certificate.node_key p) with
       | Some (_, d) -> d
@@ -104,20 +113,11 @@ let validate (cert : Certificate.t) : (stats, string) result =
          together these force the claimed depth coverage from the root
          down, so dropping an edge or demoting a node is caught here *)
       Hashtbl.iter
-        (fun _ (p, d) ->
+        (fun k (p, d) ->
           if d > 0 then
             List.iter
-              (fun (n, args) ->
-                let probe_edge =
-                  {
-                    Certificate.e_pre = p;
-                    e_event = n;
-                    e_args = args;
-                    e_oblig = "";
-                    e_verdict = Certificate.E_stuck;
-                  }
-                in
-                match Hashtbl.find_opt edges (Certificate.edge_key probe_edge) with
+              (fun (n, ek) ->
+                match find_edge k ek with
                 | Some e -> (
                     match e.Certificate.e_verdict with
                     | Certificate.E_ok post ->
@@ -136,7 +136,7 @@ let validate (cert : Certificate.t) : (stats, string) result =
                 | None ->
                     reject "node %s (depth %d) has no edge for candidate %s"
                       (pp_pair p) d n)
-              cert.Certificate.alphabet)
+              alphabet)
         nodes
     end
     else if cert.Certificate.fail_reason = None then
@@ -190,20 +190,9 @@ let validate (cert : Certificate.t) : (stats, string) result =
       if not (Hashtbl.mem visited k) then begin
         Hashtbl.replace visited k ();
         List.iter
-          (fun (n, args) ->
-            let key_edge =
-              {
-                Certificate.e_pre = p;
-                e_event = n;
-                e_args = args;
-                e_oblig = "";
-                e_verdict = Certificate.E_stuck;
-              }
-            in
-            match Hashtbl.find_opt edges (Certificate.edge_key key_edge) with
-            | Some e -> replay p e
-            | None -> ())
-          cert.Certificate.alphabet
+          (fun (_, ek) ->
+            match find_edge k ek with Some e -> replay p e | None -> ())
+          alphabet
       end
     and replay (p : Certificate.pair) (e : Certificate.edge) =
       incr replayed;

@@ -128,11 +128,20 @@ let lex_string st =
   go ()
 
 let lex_number st =
-  let start = st.off in
+  let start = st.off and line = st.line and col = st.col in
+  let too_large () =
+    error ~line ~col "numeric literal %s is out of range"
+      (String.sub st.src start (st.off - start))
+  in
+  (* [a * m + b] for non-negative operands, refusing to wrap *)
+  let scale a m b = if a > (max_int - b) / m then too_large () else (a * m) + b in
   while (match peek_char st with Some c -> is_digit c | None -> false) do
     advance st
   done;
   let int_part = String.sub st.src start (st.off - start) in
+  let units () =
+    match int_of_string_opt int_part with Some n -> n | None -> too_large ()
+  in
   (* A '.' followed by a digit makes it a money literal; a '.' followed
      by anything else (field selection, end of sentence) stays with the
      integer. *)
@@ -144,20 +153,19 @@ let lex_number st =
         advance st
       done;
       let frac = String.sub st.src fstart (st.off - fstart) in
-      let units = int_of_string int_part in
       let cents =
         match String.length frac with
-        | 1 -> (units * 100) + (int_of_string frac * 10)
-        | 2 -> (units * 100) + int_of_string frac
+        | 1 -> scale (units ()) 100 (int_of_string frac * 10)
+        | 2 -> scale (units ()) 100 (int_of_string frac)
         | 3 ->
             (* thousands grouping, e.g. the paper's [5.000] *)
-            ((units * 1000) + int_of_string frac) * 100
+            scale (scale (units ()) 1000 (int_of_string frac)) 100 0
         | n ->
             error ~line:st.line ~col:st.col
               "money literal with %d fraction digits (use 1-3)" n
       in
       Token.MONEY cents
-  | _ -> Token.INT (int_of_string int_part)
+  | _ -> Token.INT (units ())
 
 let lex_ident_or_keyword st =
   let start = st.off in
@@ -175,8 +183,10 @@ let lex_ident_or_keyword st =
     | Some d -> Token.DATE d
     | None -> error ~line:st.line ~col:st.col "invalid date literal %S" s
   end
-  else if Token.is_keyword word then Token.KW (String.lowercase_ascii word)
-  else Token.IDENT word
+  else
+    match Token.keyword word with
+    | Some kw -> Token.KW kw
+    | None -> Token.IDENT word
 
 (* Unicode operators the paper typesets: ⇒ (E2 87 92), ≥ (E2 89 A5),
    ≤ (E2 89 A4), ≠ (E2 89 A0). *)

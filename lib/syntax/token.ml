@@ -54,7 +54,15 @@ let keywords =
     "else"; "fi"; "set"; "list"; "map"; "tuple"; "select"; "project";
   ]
 
-let is_keyword s = List.mem (String.lowercase_ascii s) keywords
+let keyword_table =
+  let t = Hashtbl.create 128 in
+  List.iter (fun k -> Hashtbl.replace t k k) keywords;
+  t
+
+(** [keyword word]: the lower-cased keyword [word] spells, if it spells
+    one (case-insensitively).  One hash lookup per identifier — the
+    lexer asks this of every word it reads. *)
+let keyword word = Hashtbl.find_opt keyword_table (String.lowercase_ascii word)
 
 let pp ppf = function
   | IDENT s -> Format.fprintf ppf "identifier %s" s

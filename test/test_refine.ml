@@ -579,6 +579,70 @@ let test_framing_rejects_corruption () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "decode accepted a flipped byte"
 
+(* [encode] sorts its own input: canonical bytes never rely on the order
+   [finish] happens to hand over *)
+let test_encode_order_independent () =
+  let cert = employee_cert ~depth:3 in
+  let enc = Certificate.encode cert in
+  let shuffle l =
+    let rng = Random.State.make [| 17 |] in
+    List.map (fun x -> (Random.State.bits rng, x)) l
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map snd
+  in
+  check tbool "certificate has several edges" true
+    (List.length cert.Certificate.edges > 2);
+  List.iter
+    (fun (what, nodes, edges) ->
+      check Alcotest.string what enc
+        (Certificate.encode { cert with Certificate.nodes; edges }))
+    [
+      ("reversed", List.rev cert.Certificate.nodes, List.rev cert.Certificate.edges);
+      ("shuffled", shuffle cert.Certificate.nodes, shuffle cert.Certificate.edges);
+    ]
+
+(* frame a certificate body the way [Certificate.encode] does, so a
+   malformed body reaches the parser behind a valid length and CRC *)
+let frame_cert body =
+  Printf.sprintf "troll-cert 1|%d|%08x\n%s" (String.length body)
+    (Wal.crc32 body land 0xffffffff)
+    body
+
+let test_negative_block_length () =
+  let enc = Certificate.encode (employee_cert ~depth:1) in
+  let nl = String.index enc '\n' in
+  let body =
+    String.sub enc (nl + 1) (String.length enc - nl - 1)
+    |> String.split_on_char '\n'
+    |> List.map (fun line ->
+           if String.starts_with ~prefix:"abs-src|" line then "abs-src|-3"
+           else line)
+    |> String.concat "\n"
+  in
+  match Certificate.decode (frame_cert body) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "decode accepted a negative source-block length"
+
+let test_out_of_range_literal_rejected () =
+  (* the embedded source fails to lex: the validator answers Error, it
+     does not raise *)
+  let cert = employee_cert ~depth:1 in
+  let cert =
+    {
+      cert with
+      Certificate.abs_src = cert.Certificate.abs_src ^ "\n99999999999999999999\n";
+    }
+  in
+  match Validator.validate_string (Certificate.encode cert) with
+  | Error m ->
+      let has sub =
+        let n = String.length m and k = String.length sub in
+        let rec at i = i + k <= n && (String.sub m i k = sub || at (i + 1)) in
+        at 0
+      in
+      check tbool "names the literal" true (has "out of range")
+  | Ok _ -> Alcotest.fail "validator accepted an uncompilable source"
+
 let () =
   Alcotest.run "refine"
     [
@@ -626,6 +690,10 @@ let () =
             test_memo_warm_recheck;
           Alcotest.test_case "frame corruption rejected" `Quick
             test_framing_rejects_corruption;
+          Alcotest.test_case "encode ignores input order" `Quick
+            test_encode_order_independent;
+          Alcotest.test_case "negative source-block length rejected" `Quick
+            test_negative_block_length;
         ] );
       ( "validator",
         [
@@ -639,5 +707,7 @@ let () =
             test_tamper_corrupted_digest;
           Alcotest.test_case "rejects dropped edge" `Quick
             test_tamper_dropped_edge;
+          Alcotest.test_case "rejects an out-of-range literal" `Quick
+            test_out_of_range_literal_rejected;
         ] );
     ]

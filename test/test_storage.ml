@@ -254,6 +254,99 @@ let test_persist_rejects_garbage () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "accepted attr outside object"
 
+(* The dump bytes, pinned.  The round-trip tests compare two outputs of
+   the same code, so a drift in the format would pass them; this one
+   compares [save] with a text written down once.  LOCKER makes every
+   record kind appear: [object], [attr], a closed permission monitor
+   ([perm|0|closed]), an indexed one ([perm|1|indexed] with its [inst]
+   lines, listed in encoded-key order rather than value order) and a
+   temporal constraint ([constr]); the dead object keeps an empty
+   instance table. *)
+let locker_spec = {|object class LOCKER
+  identification lid: string;
+  template
+    attributes
+      n: integer;
+      tags: set(string);
+    events
+      birth mk;
+      death gone;
+      bump;
+      seal;
+      tag(string);
+      untag(string);
+    valuation
+      variables s: string;
+      [mk] n = 0;
+      [mk] tags = {};
+      [bump] n = n + 1;
+      [tag(s)] tags = insert(s, tags);
+      [untag(s)] tags = remove(s, tags);
+    permissions
+      variables s: string;
+      { sometime(after(bump)) } seal;
+      { sometime(after(tag(s))) } untag(s);
+    constraints
+      sometime(n >= 1) or n = 0;
+end object class LOCKER;
+|}
+
+let locker_dump = {|troll-state 1
+object|LOCKER|S1:a|true|false|2
+attr|lid|S1:a
+attr|n|I0;
+attr|tags|*1[S4:only]
+perm|0|closed|00
+perm|1|indexed|1
+inst|L1[S4:only]|11
+constr|0|0011
+object|LOCKER|S1:b|true|false|6
+attr|lid|S1:b
+attr|n|I1;
+attr|tags|*2[S5:alphaS3:mid]
+perm|0|closed|01
+perm|1|indexed|3
+inst|L1[S3:mid]|01
+inst|L1[S4:zeta]|01
+inst|L1[S5:alpha]|01
+constr|0|1101
+object|LOCKER|S4:gone|false|true|2
+attr|lid|S4:gone
+attr|n|I0;
+attr|tags|*0[]
+perm|0|closed|00
+perm|1|indexed|0
+constr|0|0011
+|}
+
+let test_persist_golden_dump () =
+  let c = load_spec locker_spec in
+  let locker k = Ident.make "LOCKER" (Value.String k) in
+  let step what r =
+    match r with
+    | Ok _ -> ()
+    | Error e ->
+        Alcotest.failf "%s: %s" what (Runtime_error.reason_to_string e)
+  in
+  let fire k ev args =
+    step ev (Engine.step c (Step.Fire (Event.make (locker k) ev args)))
+  in
+  let create k = step "mk" (Engine.create c ~cls:"LOCKER" ~key:(Value.String k) ()) in
+  create "b";
+  fire "b" "bump" [];
+  List.iter (fun t -> fire "b" "tag" [ Value.String t ]) [ "zeta"; "alpha"; "mid" ];
+  fire "b" "untag" [ Value.String "zeta" ];
+  create "a";
+  fire "a" "tag" [ Value.String "only" ];
+  create "gone";
+  step "gone" (Engine.destroy c ~id:(locker "gone") ());
+  check Alcotest.string "dump bytes" locker_dump (Persist.save c);
+  let c2 = load_spec locker_spec in
+  (match Persist.load c2 locker_dump with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "load: %s" e);
+  check Alcotest.string "reloaded dump bytes" locker_dump (Persist.save c2)
+
 (* behavioural equivalence after save/load under random walks *)
 let prop_persist_preserves_decisions =
   QCheck.Test.make
@@ -344,6 +437,8 @@ let () =
             test_persist_dead_objects;
           Alcotest.test_case "garbage rejected" `Quick
             test_persist_rejects_garbage;
+          Alcotest.test_case "dump bytes pinned" `Quick
+            test_persist_golden_dump;
           QCheck_alcotest.to_alcotest prop_persist_preserves_decisions;
         ] );
     ]

@@ -91,6 +91,47 @@ let test_lex_keyword_case () =
     [ Token.IDENT "Name"; Token.IDENT "DEPT"; Token.EOF ]
     (tokens_of "Name DEPT")
 
+let test_lex_every_keyword () =
+  let mixed k =
+    String.mapi (fun i c -> if i mod 2 = 0 then Char.uppercase_ascii c else c) k
+  in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun spelled ->
+          check (Alcotest.list token) spelled [ Token.KW k; Token.EOF ]
+            (tokens_of spelled))
+        [ k; String.uppercase_ascii k; mixed k ])
+    Token.keywords;
+  check (Alcotest.list token) "near-misses stay identifiers"
+    [ Token.IDENT "selects"; Token.IDENT "sel"; Token.IDENT "in_x";
+      Token.IDENT "Emps"; Token.IDENT "d"; Token.EQ; Token.IDENT "d";
+      Token.EOF ]
+    (tokens_of "selects sel in_x Emps d = d")
+
+let test_lex_out_of_range () =
+  let error_at src =
+    match Lexer.tokenize src with
+    | exception Lexer.Error e -> Some (e.Lexer.pos.Loc.line, e.Lexer.pos.Loc.col)
+    | _ -> None
+  in
+  let at = Alcotest.(option (pair int int)) in
+  check at "integer above max_int" (Some (2, 3))
+    (error_at "x\n  99999999999999999999");
+  check at "money whose cents wrap" (Some (1, 5))
+    (error_at "x = 99999999999999999.50");
+  check at "one fraction digit past the largest amount" (Some (1, 1))
+    (error_at "46116860184273879.1");
+  check at "grouped money whose cents wrap" (Some (1, 1))
+    (error_at "46116860184274.000");
+  check (Alcotest.list token) "largest integer"
+    [ Token.INT max_int; Token.EOF ]
+    (tokens_of "4611686018427387903");
+  check (Alcotest.list token) "largest amount"
+    [ Token.MONEY max_int; Token.EOF ]
+    (tokens_of "46116860184273879.03");
+  check at "one cent more" (Some (1, 1)) (error_at "46116860184273879.04")
+
 let test_lex_errors () =
   let fails src =
     match Lexer.tokenize src with
@@ -597,6 +638,10 @@ let () =
           Alcotest.test_case "unicode operators" `Quick test_lex_unicode;
           Alcotest.test_case "comments" `Quick test_lex_comments;
           Alcotest.test_case "keyword case" `Quick test_lex_keyword_case;
+          Alcotest.test_case "every keyword, any case" `Quick
+            test_lex_every_keyword;
+          Alcotest.test_case "out-of-range literals" `Quick
+            test_lex_out_of_range;
           Alcotest.test_case "errors" `Quick test_lex_errors;
           Alcotest.test_case "positions" `Quick test_lex_positions;
         ] );
