@@ -21,9 +21,8 @@
     - E13 persistence save/restore throughput;
     - E14 generated mixed workloads (the fuzzing generator's random
       communities and traces replayed through the engine);
-    - E15 parallel-probe scaling: coalesced enabledness batches and
-      parallel refinement checks over frozen views at pool sizes
-      1/2/4/8;
+    - E15 parallel-probe scaling: coalesced enabledness batches over
+      frozen views at pool sizes 1/2/4/8;
     - E16 durability cost: script-layer animation steps (the [trollc
       run] path) over the E8 cascade, with no WAL, with WAL appends
       (group fsync deferred), and with an fsync per committed batch.
@@ -431,10 +430,10 @@ let generated_tests () =
     [ 1; 7 ]
 
 (* E15: parallel-probe scaling — one coalesced enabledness batch over a
-   frozen view of the largest generated workload, and one parallel
-   refinement check, at pool sizes 1/2/4/8.  The jobs=1 arm is the
-   sequential baseline the speedup divides by; on a single-core host
-   the larger arms only measure scheduling overhead. *)
+   frozen view of the largest generated workload at pool sizes 1/2/4/8.
+   The jobs=1 arm is the sequential baseline the speedup divides by; on
+   a single-core host the larger arms only measure scheduling
+   overhead. *)
 let parallel_tests () =
   let workload =
     lazy
@@ -459,37 +458,21 @@ let parallel_tests () =
          failwith "E15: workload left no living objects";
        let tile = (512 + Array.length base - 1) / Array.length base in
        let batch = Array.concat (List.init tile (fun _ -> base)) in
-       (view, batch, Workload.employee_pair ()))
+       (view, batch))
   in
   (* each arm owns its pool: created at set-up, shut down at release,
      so no other arm runs with parked domains *)
-  let arm name jobs run =
-    {
-      name = Printf.sprintf "E15 %s/jobs%d" name jobs;
-      setup =
-        (fun () ->
-          let w = Lazy.force workload in
-          let pool = Pool.create ~jobs in
-          ((fun () -> run pool w), fun () -> Pool.shutdown pool));
-    }
-  in
-  List.concat_map
+  List.map
     (fun jobs ->
-      [
-        arm "probe-batch" jobs (fun pool (view, batch, _) ->
-            ignore (Engine.enabled_batch_par ~pool view batch));
-        arm "refine-par" jobs (fun pool (_, _, (abs, conc)) ->
-            let report =
-              Refinement.check ~pool
-                ~impl:
-                  (Implementation.make ~abs_class:"EMPLOYEE"
-                     ~conc_class:"EMPL_IMPL" ())
-                ~abs ~conc ~alphabet:Workload.refinement_alphabet ~depth:4 ()
-            in
-            match report.Refinement.verdict with
-            | Ok () -> ()
-            | Error _ -> failwith "refinement failed");
-      ])
+      {
+        name = Printf.sprintf "E15 probe-batch/jobs%d" jobs;
+        setup =
+          (fun () ->
+            let view, batch = Lazy.force workload in
+            let pool = Pool.create ~jobs in
+            ( (fun () -> ignore (Engine.enabled_batch_par ~pool view batch)),
+              fun () -> Pool.shutdown pool ));
+      })
     [ 1; 2; 4; 8 ]
 
 (* E16: durability cost, measured as animation steps per second

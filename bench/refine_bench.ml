@@ -27,25 +27,6 @@ let depth_cap = 40
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
-let command_line cmd =
-  match Unix.open_process_in cmd with
-  | exception _ -> None
-  | ic -> (
-      let line = try Some (String.trim (input_line ic)) with _ -> None in
-      match Unix.close_process_in ic with
-      | Unix.WEXITED 0 -> line
-      | _ -> None)
-
-let git_rev () =
-  Option.value ~default:"unknown"
-    (command_line "git rev-parse --short HEAD 2>/dev/null")
-
-let iso_date () =
-  let t = Unix.gmtime (Unix.time ()) in
-  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (t.Unix.tm_year + 1900)
-    (t.Unix.tm_mon + 1) t.Unix.tm_mday t.Unix.tm_hour t.Unix.tm_min
-    t.Unix.tm_sec
-
 let hostname () = try Unix.gethostname () with _ -> "unknown"
 
 (* self-looping alphabet: the memo's best case, the cold tree's worst *)
@@ -178,7 +159,7 @@ let () =
     \  \"depth_cap\": %d,\n\
     \  \"results\": [\n%s,\n%s\n  ]\n\
      }\n"
-    (git_rev ()) (iso_date ()) (hostname ())
+    (Workload.git_rev ()) (Workload.iso_date ()) (hostname ())
     (Domain.recommended_domain_count ())
     !budget depth_cap (json_of_arm cold) (json_of_arm memo);
   close_out oc;

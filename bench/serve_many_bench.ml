@@ -29,7 +29,7 @@ let n_cells = 4
 
 (* Spread each connection's cells over the spec's 8 structurally
    identical CELL classes; every key is connection-unique, so the
-   workloads are footprint-disjoint across connections. *)
+   connections touch disjoint objects. *)
 let cell_cls c i = Printf.sprintf "CELL%d" ((c + i) mod 8)
 let cell_key c i = Printf.sprintf "c%03dx%d" c i
 
@@ -335,29 +335,6 @@ let run_arm ~spec ~depth scripts =
   (total, wall_s, rtts, state)
 
 (* ---------------------------------------------------------------- *)
-(* Provenance                                                        *)
-(* ---------------------------------------------------------------- *)
-
-let command_line cmd =
-  match Unix.open_process_in cmd with
-  | exception _ -> None
-  | ic -> (
-      let line = try Some (String.trim (input_line ic)) with _ -> None in
-      match Unix.close_process_in ic with
-      | Unix.WEXITED 0 -> line
-      | _ -> None)
-
-let git_rev () =
-  Option.value ~default:"unknown"
-    (command_line "git rev-parse --short HEAD 2>/dev/null")
-
-let iso_date () =
-  let t = Unix.gmtime (Unix.time ()) in
-  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (t.Unix.tm_year + 1900)
-    (t.Unix.tm_mon + 1) t.Unix.tm_mday t.Unix.tm_hour t.Unix.tm_min
-    t.Unix.tm_sec
-
-(* ---------------------------------------------------------------- *)
 (* Driver                                                            *)
 (* ---------------------------------------------------------------- *)
 
@@ -464,8 +441,8 @@ let () =
              serve at fixed pipeline depths; per-connection FIFO and a \
              final state bit-identical to a sequential replay are \
              enforced" );
-        ("git_rev", Json.String (git_rev ()));
-        ("date", Json.String (iso_date ()));
+        ("git_rev", Json.String (Workload.git_rev ()));
+        ("date", Json.String (Workload.iso_date ()));
         ("host", Json.String (Unix.gethostname ()));
         ("cores", Json.Int (Domain.recommended_domain_count ()));
         ("spec", Json.String !spec);

@@ -36,25 +36,6 @@ let read_file path =
   close_in ic;
   s
 
-let command_line cmd =
-  match Unix.open_process_in cmd with
-  | exception _ -> None
-  | ic -> (
-      let line = try Some (String.trim (input_line ic)) with _ -> None in
-      match Unix.close_process_in ic with
-      | Unix.WEXITED 0 -> line
-      | _ -> None)
-
-let git_rev () =
-  Option.value ~default:"unknown"
-    (command_line "git rev-parse --short HEAD 2>/dev/null")
-
-let iso_date () =
-  let t = Unix.gmtime (Unix.time ()) in
-  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (t.Unix.tm_year + 1900)
-    (t.Unix.tm_mon + 1) t.Unix.tm_mday t.Unix.tm_hour t.Unix.tm_min
-    t.Unix.tm_sec
-
 let rec rm_rf path =
   match Unix.lstat path with
   | exception Unix.Unix_error _ -> ()
@@ -290,8 +271,8 @@ let () =
             "sharded step throughput: pipelined single-shard steps against \
              trollc-shard-style processes (per-shard WAL, per-batch fsync), \
              window 32, one enabled-probe per 16 steps" );
-        ("git_rev", Json.String (git_rev ()));
-        ("date", Json.String (iso_date ()));
+        ("git_rev", Json.String (Workload.git_rev ()));
+        ("date", Json.String (Workload.iso_date ()));
         ("host", Json.String (Unix.gethostname ()));
         ("cores", Json.Int (Domain.recommended_domain_count ()));
         ("spec", Json.String !spec);

@@ -3,7 +3,42 @@
     The paper has no evaluation section, so these workloads are the
     substitutes documented in DESIGN.md: each produces a system of the
     shape the paper's examples describe (DEPT-style information-system
-    classes), scaled by a size parameter. *)
+    classes), scaled by a size parameter.  The provenance stamps every
+    BENCH_*.json emitter writes live here too. *)
+
+(* ------------------------------------------------------------------ *)
+(* Provenance stamps for the BENCH_*.json emitters                     *)
+(* ------------------------------------------------------------------ *)
+
+(** The first line a shell command prints, when it exits 0. *)
+let command_line cmd =
+  match Unix.open_process_in cmd with
+  | exception _ -> None
+  | ic -> (
+      let line = try Some (String.trim (input_line ic)) with _ -> None in
+      match Unix.close_process_in ic with
+      | Unix.WEXITED 0 -> line
+      | _ -> None)
+
+(** The checkout's short commit hash, suffixed [-dirty] when the working
+    tree differs from it: a number measured on uncommitted code must
+    not name the commit it was not measured on. *)
+let git_rev () =
+  match command_line "git rev-parse --short HEAD 2>/dev/null" with
+  | None -> "unknown"
+  | Some rev ->
+      if Sys.command "git diff --quiet HEAD 2>/dev/null" = 0 then rev
+      else rev ^ "-dirty"
+
+let iso_date () =
+  let t = Unix.gmtime (Unix.time ()) in
+  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (t.Unix.tm_year + 1900)
+    (t.Unix.tm_mon + 1) t.Unix.tm_mday t.Unix.tm_hour t.Unix.tm_min
+    t.Unix.tm_sec
+
+(* ------------------------------------------------------------------ *)
+(* Loading                                                             *)
+(* ------------------------------------------------------------------ *)
 
 (** Load a specification through the session API, failing loudly — the
     benches never expect a load error. *)

@@ -186,20 +186,17 @@ let jobs_arg =
     & opt (some int) None
     & info [ "jobs" ] ~docv:"N"
         ~doc:
-          "Domain-pool size for parallel enabledness queries and the \
-           speculative parallel commit engine; 1 probes and commits \
-           sequentially on the calling thread without spawning a \
-           domain.  Default: $(b,TROLLC_JOBS) if set, else one less \
-           than the recommended domain count (at least 1)")
+          "Domain-pool size for the server's coalesced enabledness \
+           probes; 1 probes in place on the serving thread without \
+           spawning a domain.  Default: $(b,TROLLC_JOBS) if set, else 1")
 
 let resolve_jobs = function
   | Some n -> max 1 n
   | None -> Pool.default_jobs ()
 
 let run_cmd =
-  let run spec_path script_path save restore stats jobs wal snapshot_every
+  let run spec_path script_path save restore stats wal snapshot_every
       wal_fsync kill_after =
-    (match jobs with Some n -> Pool.set_default_jobs (max 1 n) | None -> ());
     let src = read_file spec_path in
     match load_system src with
     | Error e ->
@@ -257,7 +254,6 @@ let run_cmd =
                     (fun (label, n) -> Printf.printf "  %-26s %d\n" label n)
                     (Trace.wal_stats_rows ())
                 end;
-                Pool.shutdown_default ();
                 code))
   in
   Cmd.v
@@ -267,12 +263,10 @@ let run_cmd =
           persist the object base between runs; --wal makes every committed \
           step durable (with --snapshot-every compaction and --wal-fsync \
           batch fsync); --stats reports the transaction, dispatch, probe \
-          and wal counters; --jobs sizes the domain pool used by \
-          parallel probes and the script's par batches")
+          and wal counters")
     Term.(
       const run $ spec_arg $ script_arg $ save_arg $ restore_arg $ stats_arg
-      $ jobs_arg $ wal_arg $ snapshot_every_arg $ wal_fsync_arg
-      $ kill_after_arg)
+      $ wal_arg $ snapshot_every_arg $ wal_fsync_arg $ kill_after_arg)
 
 let dot_cmd =
   let run path =
@@ -414,7 +408,7 @@ let refine_cmd =
              digest of the whole problem instance); a warm re-check skips \
              every subtree an earlier successful run certified")
   in
-  let run abs_path conc_path abs_cls conc_cls depth jobs cert memo =
+  let run abs_path conc_path abs_cls conc_cls depth cert memo =
     let abs_src = read_file abs_path and conc_src = read_file conc_path in
     let load src =
       match load_system src with
@@ -472,20 +466,15 @@ let refine_cmd =
                     | Ok n -> Printf.printf "memo pairs loaded %d\n" n
                     | Error m -> Printf.eprintf "memo: %s\n" m)
                 | _ -> ());
-                let pool = Pool.create ~jobs:(resolve_jobs jobs) in
                 let report =
-                  Fun.protect
-                    ~finally:(fun () -> Pool.shutdown pool)
-                    (fun () ->
-                      Refinement.check ~pool ?record ~impl
-                        ~abs:
-                          { Refinement.community = abs_c;
-                            id = Ident.make abs_cls (key_for abs_tpl "probe") }
-                        ~conc:
-                          { Refinement.community = conc_c;
-                            id =
-                              Ident.make conc_cls (key_for conc_tpl "probe") }
-                        ~alphabet ~depth ())
+                  Refinement.check ?record ~impl
+                    ~abs:
+                      { Refinement.community = abs_c;
+                        id = Ident.make abs_cls (key_for abs_tpl "probe") }
+                    ~conc:
+                      { Refinement.community = conc_c;
+                        id = Ident.make conc_cls (key_for conc_tpl "probe") }
+                    ~alphabet ~depth ()
                 in
                 Format.printf "%a@." Refinement.pp_report report;
                 (match record with
@@ -511,11 +500,10 @@ let refine_cmd =
     (Cmd.info "refine"
        ~doc:
          "Check by bounded lock-step simulation that CONCRETE's --conc class \
-          implements ABSTRACT's --abs class (§5.2); --jobs explores the \
-          abstract alphabet's branches in parallel over frozen views")
+          implements ABSTRACT's --abs class (§5.2)")
     Term.(
       const run $ abs_spec $ conc_spec $ abs_class $ conc_class $ depth
-      $ jobs_arg $ cert_arg $ memo_arg)
+      $ cert_arg $ memo_arg)
 
 let validate_cert_cmd =
   let cert_file =
@@ -909,14 +897,14 @@ let fuzz_cmd =
     (Cmd.info "fuzz"
        ~doc:
          "Generate seed-deterministic well-typed specifications and event \
-          workloads, and check every pair against eight differential \
+          workloads, and check every pair against nine differential \
           oracles: compiled vs interpreted dispatch, engine vs society \
           server, save/load/replay, journal cleanliness of rejected steps \
-          (probe = clone), parallel vs sequential enabledness probes, \
+          (probe = clone), fanned-out vs in-place enabledness probes, \
           kill -9 crash recovery from the WAL, sharded vs single-engine \
-          execution, and linearizability of the speculative parallel \
-          commit path.  The first failure is shrunk to a minimal (spec, \
-          trace) pair when --shrink is given")
+          execution, a server steps batch vs its members one at a time, \
+          and refinement certificates.  The first failure is shrunk to a \
+          minimal (spec, trace) pair when --shrink is given")
     Term.(const run $ seed_arg $ iters_arg $ shrink_arg $ out_arg $ dump_arg)
 
 let recover_cmd =

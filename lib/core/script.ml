@@ -5,7 +5,6 @@
       new DEPT("sales") establishment(d"1991-03-21");
       DEPT("sales").hire(PERSON("alice"));
       seq DEPT("s").fire(P); DEPT("s").closure end;   -- atomic transaction
-      par DEPT("a").raise(10); DEPT("b").raise(5) end; -- independent steps
       show DEPT("sales").employees;
       view SAL_EMPLOYEE;                               -- tabulate a view
       expect reject DEPT("sales").closure;
@@ -14,18 +13,13 @@
 
     Statements are separated by [';'].  [expect reject] asserts that the
     following statement is rejected by the specification (and fails the
-    script if it is accepted).  [par] fires each event as its own step
-    through the speculative parallel commit engine
-    ({!Engine.step_batch_par}, pool sized by [--jobs]); the results are
-    bit-identical to firing them one by one. *)
+    script if it is accepted). *)
 
 type cmd =
   | C_new of string * Ast.expr * (string * Ast.expr list) option
       (** class, key expression, optional birth event with args *)
   | C_fire of Ast.event_term
   | C_seq of Ast.event_term list  (** atomic transaction *)
-  | C_par of Ast.event_term list
-      (** independent steps, speculatively committed in parallel *)
   | C_show of Ast.expr
   | C_trace of Ast.obj_ref  (** recorded life cycle of an object *)
   | C_goal of Ast.obj_ref * Ast.formula  (** liveness audit of a goal *)
@@ -155,7 +149,7 @@ let parse (source : string) : (script, string) result =
                   "expected 'reject' after 'expect', got %s"
                   (Token.to_string t));
             C_expect_reject (command ())
-        | Token.IDENT (("seq" | "par") as kw) ->
+        | Token.IDENT "seq" ->
             advance ();
             let rec events acc =
               let ev = Parser.parse_event_term st in
@@ -172,11 +166,10 @@ let parse (source : string) : (script, string) result =
                   List.rev (ev :: acc)
               | t ->
                   Parse_error.raise_at Loc.dummy
-                    "expected ';' or 'end' in %s, got %s" kw
+                    "expected ';' or 'end' in seq, got %s"
                     (Token.to_string t)
             in
-            let evs = events [] in
-            if kw = "seq" then C_seq evs else C_par evs
+            C_seq (events [])
         | _ -> C_fire (Parser.parse_event_term st)
       in
       let rec commands acc =
@@ -236,24 +229,6 @@ let rec exec_cmd sys (cmd : cmd) : (string list, string) result =
       match Engine.fire_seq sys.Troll.community evs with
       | Ok _ -> Ok [ Printf.sprintf "ok: transaction of %d" (List.length evs) ]
       | Error r -> Error (Runtime_error.reason_to_string r))
-  | C_par terms -> (
-      let evs = List.map (resolve_event sys) terms in
-      let steps = Array.of_list (List.map (fun ev -> Step.Fire ev) evs) in
-      let results = Engine.step_batch_par sys.Troll.community steps in
-      let first_failure = ref None in
-      Array.iteri
-        (fun i r ->
-          match (r, !first_failure) with
-          | Error reason, None -> first_failure := Some (i, reason)
-          | _ -> ())
-        results;
-      match !first_failure with
-      | Some (i, reason) ->
-          Error
-            (Printf.sprintf "parallel step %d: %s" i
-               (Runtime_error.reason_to_string reason))
-      | None ->
-          Ok [ Printf.sprintf "ok: parallel batch of %d" (Array.length steps) ])
   | C_show e -> (
       match Eval.expr sys.Troll.community ~env:Env.empty ~self:None e with
       | v -> Ok [ Printf.sprintf "%s = %s" (Pretty.expr_to_string e) (Value.to_string v) ]

@@ -5,7 +5,6 @@
       new DEPT("sales") establishment(d"1991-03-21");
       DEPT("sales").hire(PERSON("alice"));
       seq DEPT("s").fire(P); DEPT("s").closure end;   -- atomic transaction
-      par DEPT("a").raise(10); DEPT("b").raise(5) end; -- independent steps
       show DEPT("sales").employees;
       view SAL_EMPLOYEE;                               -- tabulate a view
       expect reject DEPT("sales").closure;
@@ -17,10 +16,6 @@ type cmd =
       (** class, key expression, optional birth event with arguments *)
   | C_fire of Ast.event_term
   | C_seq of Ast.event_term list  (** atomic transaction *)
-  | C_par of Ast.event_term list
-      (** independent steps, committed through the speculative parallel
-          engine ({!Engine.step_batch_par}); bit-identical to firing
-          them one by one, the script fails on the first rejection *)
   | C_show of Ast.expr
   | C_trace of Ast.obj_ref
       (** recorded life cycle (needs [record_history]) *)

@@ -429,17 +429,17 @@ let journal src trace =
   loop 0 trace
 
 (* ---------------------------------------------------------------- *)
-(* Oracle 5: parallel probes ≡ sequential probes on every prefix     *)
+(* Oracle 5: fanned-out probes ≡ in-place probes on every prefix     *)
 (* ---------------------------------------------------------------- *)
 
-(* [enabled_events_par] runs over a domain pool, and once a domain has
-   ever been created in a process [Unix.fork] raises — which the
-   "server" oracle and any later iteration of it depend on.  So the
+(* [Engine.enabled_batch_par] runs over a domain pool, and once a
+   domain has ever been created in a process [Unix.fork] raises — which
+   the "server" oracle and any later iteration of it depend on.  So the
    whole comparison runs in a forked child: the child alone creates the
    jobs=4 pool, replays the trace, and at every prefix compares the
-   parallel answers from a frozen view against the sequential engine;
-   the parent only reads a one-line verdict from a pipe and never
-   creates a domain. *)
+   batch answers from a frozen view against [Engine.enabled] on the
+   live community; the parent only reads a one-line verdict from a pipe
+   and never creates a domain. *)
 
 let parallel_jobs = 4
 
@@ -450,63 +450,37 @@ let parallel_verdict src trace =
   | Ok s -> (
       let c = Troll.Session.community s in
       let pool = Pool.create ~jobs:parallel_jobs in
-      let bool_opt = function
-        | None -> "?"
-        | Some true -> "t"
-        | Some false -> "f"
-      in
-      let check_object i view (o : Obj_state.t) =
-        let id = o.Obj_state.id in
-        let seq = Engine.enabled_events c id in
-        let par = Engine.enabled_events_par ~pool view id in
-        if seq <> par then
-          Some
-            (Printf.sprintf "prefix %d: %s: enabled seq [%s] par [%s]" i
-               (Ident.to_string id) (String.concat " " seq)
-               (String.concat " " par))
-        else
-          let cseq = Engine.candidate_events c id in
-          let cpar = Engine.candidate_events_par ~pool view id in
-          if
-            List.map fst cseq <> List.map (fun (n, _, _) -> n) cpar
-            || List.map snd cseq <> List.map (fun (_, p, _) -> p) cpar
-          then
-            Some
-              (Printf.sprintf "prefix %d: %s: candidate lists differ" i
-                 (Ident.to_string id))
-          else
-            let bad =
-              List.find_opt
-                (fun (n, params, verdict) ->
-                  match (params, verdict) with
-                  | [], Some b -> b <> List.mem n seq
-                  | [], None -> o.Obj_state.alive
-                  | _ :: _, Some _ -> true
-                  | _ :: _, None -> false)
-                cpar
-            in
-            match bad with
-            | Some (n, _, verdict) ->
-                Some
-                  (Printf.sprintf
-                     "prefix %d: %s: candidate %s verdict %s vs enabled %b" i
-                     (Ident.to_string id) n (bool_opt verdict)
-                     (List.mem n seq))
-            | None -> None
-      in
+      (* every living object's parameterless events, one batch *)
       let check_prefix i =
-        let view = View.freeze c in
-        let rec loop = function
-          | [] ->
-              if not (View.valid view) then
-                Some (Printf.sprintf "prefix %d: probes invalidated the view" i)
-              else None
-          | o :: rest -> (
-              match check_object i view o with
-              | Some _ as f -> f
-              | None -> loop rest)
+        let evs =
+          Array.of_list
+            (List.concat_map
+               (fun (o : Obj_state.t) ->
+                 if not o.Obj_state.alive then []
+                 else
+                   Array.to_list
+                     (Array.map
+                        (fun (ed : Template.event_def) ->
+                          Event.make o.Obj_state.id ed.Template.ed_name [])
+                        (Engine.nullary_descriptors c o.Obj_state.template)))
+               (Community.objects_sorted c))
         in
-        loop (Community.objects_sorted c)
+        let view = View.freeze c in
+        let batch = Engine.enabled_batch_par ~pool view evs in
+        let in_place = Array.map (Engine.enabled c) evs in
+        let rec first k =
+          if k >= Array.length evs then None
+          else if batch.(k) <> in_place.(k) then Some k
+          else first (k + 1)
+        in
+        match first 0 with
+        | Some k ->
+            Some
+              (Printf.sprintf "prefix %d: %s: in place %b, batch %b" i
+                 (Event.to_string evs.(k)) in_place.(k) batch.(k))
+        | None when not (View.valid view) ->
+            Some (Printf.sprintf "prefix %d: probes invalidated the view" i)
+        | None -> None
       in
       let rec run i = function
         | [] -> check_prefix i
@@ -740,116 +714,92 @@ let sharded src trace =
           else Ok ())
 
 (* ---------------------------------------------------------------- *)
-(* Oracle 8: speculative parallel commit is linearizable             *)
+(* Oracle 8: a [steps] batch is its members fired one at a time      *)
 (* ---------------------------------------------------------------- *)
 
-(* The trace runs in chunks through {!Engine.step_batch_par} over a
-   jobs=4 pool; every chunk is replayed sequentially from the same
-   [Persist.save] pre-image on a reference community.  The engine
-   promises results bit-identical to the left-to-right order, so that
-   comparison alone decides pass/fail — but on divergence the oracle
-   also searches the other sequential orders (permutations of the
-   chunk, bounded) to tell a *reordered-but-linearizable* schedule
-   (determinism bug) apart from one matching *no* sequential order
-   (atomicity bug).  The chunk length equals {!Pool.small_batch_cutoff}
-   so full chunks actually reach the speculative path.  Domains make
-   the parent unforkable, so as with "parallel" the whole comparison
-   runs in a forked child. *)
+(* The trace goes to a society server in chunks of [linearizable_chunk]
+   steps, each chunk as one [steps] request through [Server.execute];
+   a reference community fires the same members one by one through
+   [Engine.step].  Each member's verdict code (and, when accepted, its
+   outcome document) and the [Persist.save] image after every chunk
+   must agree. *)
 
-let linearizable_chunk = Pool.small_batch_cutoff
-let permutation_bound = 720
+let linearizable_chunk = 8
 
-(* Permutations of [l], lexicographic, identity first. *)
-let rec perm_seq l : int list Seq.t =
-  match l with
-  | [] -> Seq.return []
-  | _ ->
-      Seq.concat_map
-        (fun x ->
-          Seq.map
-            (fun p -> x :: p)
-            (perm_seq (List.filter (fun y -> y <> x) l)))
-        (List.to_seq l)
-
-let linearizable_verdict src trace =
-  match (load_session src, load_session src) with
-  | Error e, _ | _, Error e ->
-      Printf.sprintf "FAIL spec failed to load: %s" (Troll.Error.to_string e)
-  | Ok s, Ok sref -> (
-      let c = Troll.Session.community s in
-      let cref = Troll.Session.community sref in
-      let pool = Pool.create ~jobs:parallel_jobs in
-      let rec chunks = function
-        | [] -> []
-        | l ->
-            let rec take n acc = function
-              | rest when n = 0 -> (List.rev acc, rest)
-              | [] -> (List.rev acc, [])
-              | x :: rest -> take (n - 1) (x :: acc) rest
-            in
-            let chunk, rest = take linearizable_chunk [] l in
-            chunk :: chunks rest
-      in
-      (* replay [batch] in [order] on the reference, from [pre];
-         per-original-index verdict codes plus the final image *)
-      let run_seq_from pre order batch =
-        match Persist.load cref pre with
-        | Error e -> Error ("reference restore failed: " ^ e)
-        | Ok () ->
-            let codes = Array.make (Array.length batch) "?" in
-            List.iter
-              (fun k -> codes.(k) <- code_of (Engine.step cref batch.(k)))
-              order;
-            Ok (codes, Persist.save cref)
-      in
-      let check_chunk base chunk =
-        let batch = Array.of_list chunk in
-        let n = Array.length batch in
-        let pre = Persist.save c in
-        let rp = Engine.step_batch_par ~pool c batch in
-        let codes_p = Array.map code_of rp in
-        let img_p = Persist.save c in
-        let identity = List.init n Fun.id in
-        match run_seq_from pre identity batch with
-        | Error e -> Some e
-        | Ok (codes_s, img_s) ->
-            if codes_p = codes_s && img_p = img_s then None
-            else
-              let matches order =
-                match run_seq_from pre order batch with
-                | Ok (codes, img) -> codes = codes_p && img = img_p
-                | Error _ -> false
-              in
-              let reordered =
-                Seq.exists matches
-                  (Seq.take permutation_bound (perm_seq identity))
-              in
-              let where = Printf.sprintf "steps %d..%d" base (base + n - 1) in
-              if reordered then
-                Some
-                  (where
-                 ^ ": parallel schedule matches a permuted order, not the \
-                    batch order")
-              else
-                Some
-                  (Printf.sprintf
-                     "%s: parallel schedule matches no sequential order (%d \
-                      tried)"
-                     where permutation_bound)
-      in
-      let rec run base = function
-        | [] -> None
-        | chunk :: rest -> (
-            match check_chunk base chunk with
-            | Some _ as f -> f
-            | None -> run (base + List.length chunk) rest)
-      in
-      let outcome = run 0 (chunks trace) in
-      Pool.shutdown pool;
-      match outcome with None -> "ok" | Some d -> "FAIL " ^ d)
+(* The code of one entry of a [steps] result list; [None] if the entry
+   is malformed. *)
+let steps_entry_code entry =
+  match Json.member "ok" entry with
+  | Json.Bool true -> Some "ok"
+  | Json.Bool false -> (
+      match Json.member "code" (Json.member "error" entry) with
+      | Json.String code -> Some code
+      | _ -> None)
+  | _ -> None
 
 let linearizable src trace =
-  forked_verdict "linearizable" (fun () -> linearizable_verdict src trace)
+  let oracle = "linearizable" in
+  with_session oracle src @@ fun s ->
+  with_session oracle src @@ fun sref ->
+  let server = Server.create s in
+  let c = Troll.Session.community s in
+  let cref = Troll.Session.community sref in
+  let rec take n acc = function
+    | rest when n = 0 -> (List.rev acc, rest)
+    | [] -> (List.rev acc, [])
+    | x :: rest -> take (n - 1) (x :: acc) rest
+  in
+  let check_member i st entry =
+    let reference = Engine.step cref st in
+    match (steps_entry_code entry, reference) with
+    | None, _ ->
+        failf oracle "%s: malformed batch entry %s" (step_label i st)
+          (Json.to_string entry)
+    | Some got, _ when got <> code_of reference ->
+        failf oracle "%s: batch %s, one at a time %s" (step_label i st) got
+          (code_of reference)
+    | Some _, Ok outcome
+      when not
+             (Json.equal (Json.member "result" entry)
+                (Protocol.outcome_to_json outcome)) ->
+        failf oracle "%s: batch outcome %s, one at a time %s"
+          (step_label i st)
+          (Json.to_string (Json.member "result" entry))
+          (Json.to_string (Protocol.outcome_to_json outcome))
+    | Some _, _ -> Ok ()
+  in
+  let rec run base = function
+    | [] -> Ok ()
+    | l -> (
+        let chunk, rest = take linearizable_chunk [] l in
+        let n = List.length chunk in
+        let where = Printf.sprintf "steps %d..%d" base (base + n - 1) in
+        match Server.execute server (Protocol.Steps chunk) with
+        | Error e ->
+            failf oracle "%s: steps request failed: %s" where
+              (Json.to_string (Protocol.Wire_error.to_json e))
+        | Ok doc -> (
+            match Json.member "results" doc with
+            | Json.List entries when List.length entries = n -> (
+                let rec members i = function
+                  | [], [] -> Ok ()
+                  | st :: sts, entry :: entries -> (
+                      match check_member i st entry with
+                      | Ok () -> members (i + 1) (sts, entries)
+                      | Error _ as e -> e)
+                  | _ -> assert false
+                in
+                match members base (chunk, entries) with
+                | Error _ as e -> e
+                | Ok () ->
+                    if Persist.save c <> Persist.save cref then
+                      failf oracle "%s: images differ after the batch" where
+                    else run (base + n) rest)
+            | _ ->
+                failf oracle "%s: expected %d results, got %s" where n
+                  (Json.to_string doc)))
+  in
+  run 0 trace
 
 (* ---------------------------------------------------------------- *)
 (* Oracle 9: refinement certificates round-trip and validate         *)

@@ -20,12 +20,12 @@
       ({!Community.clone}) and executed — the three verdicts agree, the
       probe leaves the image untouched, a rejected step leaves it
       untouched, and clone and community stay bit-identical.
-    - ["parallel"]: {!Engine.enabled_events_par} /
-      {!Engine.candidate_events_par} over a jobs=4 {!Pool} against a
-      frozen {!View} vs the sequential queries, on every trace prefix
-      and every object; probing must not invalidate the view.  Runs in
-      a forked child (domains would make the parent unforkable), so the
-      fuzz driver itself never creates a domain.
+    - ["parallel"]: {!Engine.enabled_batch_par} over a jobs=4 {!Pool}
+      against a frozen {!View} vs {!Engine.enabled} in place, for every
+      living object's parameterless events on every trace prefix;
+      probing must not invalidate the view.  Runs in a forked child
+      (domains would make the parent unforkable), so the fuzz loop
+      itself never creates a domain.
     - ["recovery"]: a forked child animates the trace with a {!Wal}
       attached ([fsync `Batch]) and SIGKILLs itself from inside the
       commit callback of the k-th durable batch; {!Wal.recover} must
@@ -43,16 +43,12 @@
       decomposes into per-shard micro-steps).  When the spec admits
       identity-hash partitioning, a source-hash coin flip routes
       through the [hash:2] map ({!Shard.by_hash}) instead.
-    - ["linearizable"]: the trace runs in chunks of
-      {!Pool.small_batch_cutoff} steps through
-      {!Engine.step_batch_par} over a jobs=4 {!Pool}; each chunk is
-      replayed sequentially from the same {!Persist.save} pre-image.
-      Verdict codes and the post-chunk image must be bit-identical to
-      the left-to-right order; on divergence the oracle searches the
-      other sequential orders (bounded permutation sweep) to
-      distinguish a reordered-but-linearizable schedule from one
-      matching no sequential order.  Runs in a forked child, like
-      ["parallel"].
+    - ["linearizable"]: the trace goes to a society server in chunks
+      of 8 steps, each chunk one [steps] request through
+      [Server.execute]; a reference community fires the members one at
+      a time through {!Engine.step}.  Per-step codes (and accepted
+      outcomes) and the {!Persist.save} image after every chunk must
+      agree.  In process: no fork, no pool.
     - ["certificate"]: every specification refines itself, so two
       fresh communities from the same source are lock-step checked
       with {!Refinement.check} recording a certificate; the encoding

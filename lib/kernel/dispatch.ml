@@ -181,31 +181,6 @@ type cstatic = {
   cs_slots : int array;  (** the slots it reads (when [cs_local]) *)
 }
 
-(** Full read/write footprint of one event of one template, for the
-    speculative parallel commit path ({!Engine.step_batch_par}).
-
-    [FP_local] means a single occurrence of the event on an existing
-    object reads and writes only that object: the listed attribute
-    slots, plus state every step touches on its own target anyway
-    (life-cycle stage, step counter, permission monitor states,
-    temporal constraint monitor states).  [fp_extensions] records reads
-    of class extensions (quantified permission guards); extensions only
-    change through births and deaths, which always escape, so the flag
-    never blocks grouping — it documents the dependency.
-
-    [FP_escape] means the analysis cannot bound the footprint to the
-    target object (cross-object access, queries, quantifiers, dynamic
-    aspects, calling rules, birth/death, derived attributes, …); such
-    events take the sequential engine.  Over-approximation is always
-    sound: an escape only costs parallelism. *)
-type footprint =
-  | FP_escape of string  (** why the event must run sequentially *)
-  | FP_local of {
-      fp_reads : int array;  (** own slots read, sorted ascending *)
-      fp_writes : int array;  (** own slots written, sorted ascending *)
-      fp_extensions : bool;  (** reads class extensions *)
-    }
-
 type tpl_index = {
   ti_generation : int;
   ti_by_event : (string, centry) Hashtbl.t;
@@ -227,8 +202,6 @@ type tpl_index = {
   ti_candidates : (string * Vtype.t list) array;
       (** all non-birth events with their parameter types, in
           declaration order ([Engine.candidate_events]) *)
-  ti_footprints : (string, footprint) Hashtbl.t;
-      (** per event name: full read/write footprint ({!footprint}) *)
 }
 
 type Template.staged += T_staged of tpl_index
@@ -317,225 +290,6 @@ let static_footprint (c : Community.t) (tpl : Template.t) (f : Ast.formula) :
   in
   fo f;
   (!local, Array.of_list (List.sort_uniq compare !slots))
-
-(* ------------------------------------------------------------------ *)
-(* Per-event read/write footprints                                     *)
-(* ------------------------------------------------------------------ *)
-
-exception Fp_escape of string
-
-(** Compute the {!footprint} of every event name indexed in [by_event].
-
-    The reader walker resolves bare names attribute-first (an attribute
-    name is always a slot read), then against a per-template binder
-    superset: template variables, indexed/quantified monitor variables,
-    and every variable bound by a pattern argument anywhere in the
-    template.  The superset is sound — a name wrongly assumed bound
-    would evaluate (or fail to evaluate) from step-local data only,
-    never from another object's state.
-
-    Template-wide reads apply to every event: the engine advances all
-    permission and temporal-constraint monitors and re-checks static
-    constraints on every step of the target, so their read sets join
-    each event's own. *)
-let event_footprints (c : Community.t) (tpl : Template.t)
-    (by_event : (string, centry) Hashtbl.t) : (string, footprint) Hashtbl.t =
-  let out = Hashtbl.create 8 in
-  if tpl.Template.t_view_of <> None || tpl.Template.t_spec_of <> None then begin
-    (* dynamic aspects share identity (and fate) with their base object;
-       keep the whole template on the sequential path *)
-    Hashtbl.iter
-      (fun name _ ->
-        Hashtbl.replace out name (FP_escape "dynamic aspect template"))
-      by_event;
-    out
-  end
-  else begin
-    let binders = Hashtbl.create 16 in
-    let bind n = if Template.find_attr tpl n = None then Hashtbl.replace binders n () in
-    List.iter (fun (n, _) -> bind n) tpl.Template.t_vars;
-    let bind_pattern_args (t : Ast.event_term) =
-      List.iter
-        (fun (a : Ast.expr) ->
-          match a.Ast.e with Ast.E_var v -> bind v | _ -> ())
-        t.Ast.ev_args
-    in
-    List.iter
-      (fun (r : Ast.valuation_rule) -> bind_pattern_args r.Ast.v_event)
-      tpl.Template.t_valuations;
-    let monitored_atom_patterns body =
-      List.iter
-        (fun (a : Template.atom) ->
-          match a.Template.pred with
-          | Template.P_occurs p -> bind_pattern_args p
-          | Template.P_state _ -> ())
-        (Formula.atoms [] body)
-    in
-    List.iter
-      (fun (pm : Template.permission) ->
-        List.iter
-          (fun (a : Ast.expr) ->
-            match a.Ast.e with Ast.E_var v -> bind v | _ -> ())
-          pm.Template.pm_args;
-        match pm.Template.pm_guard with
-        | Template.PG_state _ -> ()
-        | Template.PG_closed (body, _) -> monitored_atom_patterns body
-        | Template.PG_indexed { ix_vars; ix_body; _ } ->
-            List.iter (fun v -> Hashtbl.replace binders v ()) ix_vars;
-            monitored_atom_patterns ix_body
-        | Template.PG_quant { q_var; q_body; _ } ->
-            Hashtbl.replace binders q_var ();
-            monitored_atom_patterns q_body)
-      tpl.Template.t_perms;
-    List.iter
-      (function
-        | Template.K_static _ -> ()
-        | Template.K_temporal (body, _, _) -> monitored_atom_patterns body)
-      tpl.Template.t_constraints;
-    (* the walker: accumulates into [reads]/[exts], raises [Fp_escape]
-       on anything not bounded to the target object *)
-    let reads = ref [] in
-    let exts = ref false in
-    let add_read name =
-      match (Template.find_attr tpl name, Template.slot_of tpl name) with
-      | Some def, Some i when def.Template.at_derived = None ->
-          reads := i :: !reads
-      | _ -> raise (Fp_escape ("derived or unresolved attribute " ^ name))
-    in
-    let bare_name name =
-      if Template.find_attr tpl name <> None then add_read name
-      else if Hashtbl.mem binders name then ()
-      else if Community.enum_of_const c name <> None then ()
-      else raise (Fp_escape ("unresolved name " ^ name))
-    in
-    let rec ex (x : Ast.expr) =
-      match x.Ast.e with
-      | Ast.E_lit _ | Ast.E_self -> ()
-      | Ast.E_var name -> bare_name name
-      | Ast.E_attr (Ast.OR_self, "surrogate", []) -> ()
-      | Ast.E_attr (Ast.OR_self, name, []) -> add_read name
-      | Ast.E_attr _ ->
-          raise (Fp_escape "cross-object or parameterized attribute access")
-      | Ast.E_field (b, _) -> ex b
-      | Ast.E_apply (_, args) -> List.iter ex args
-      | Ast.E_binop (_, a, b) ->
-          ex a;
-          ex b
-      | Ast.E_unop (_, a) -> ex a
-      | Ast.E_tuple fs -> List.iter (fun (_, e) -> ex e) fs
-      | Ast.E_setlit xs | Ast.E_listlit xs -> List.iter ex xs
-      | Ast.E_if (a, b, d) ->
-          ex a;
-          ex b;
-          ex d
-      | Ast.E_query _ -> raise (Fp_escape "query over class extensions")
-    in
-    let rec fo (f : Ast.formula) =
-      match f.Ast.f with
-      | Ast.F_expr e -> ex e
-      | Ast.F_not g -> fo g
-      | Ast.F_and (a, b) | Ast.F_or (a, b) | Ast.F_implies (a, b) ->
-          fo a;
-          fo b
-      | Ast.F_sometime _ | Ast.F_always _ | Ast.F_since _ | Ast.F_previous _
-        ->
-          raise (Fp_escape "temporal operator outside a monitor")
-      | Ast.F_after t -> (
-          (* occurrence in the target's own last step — step-local *)
-          match t.Ast.target with
-          | None | Some Ast.OR_self -> List.iter ex t.Ast.ev_args
-          | Some _ -> raise (Fp_escape "cross-object occurrence test"))
-      | Ast.F_forall _ | Ast.F_exists _ -> raise (Fp_escape "quantifier")
-    in
-    let walk_monitored body =
-      List.iter
-        (fun (a : Template.atom) ->
-          match a.Template.pred with
-          | Template.P_state f -> fo f
-          | Template.P_occurs p -> (
-              match p.Ast.target with
-              | None | Some Ast.OR_self -> List.iter ex p.Ast.ev_args
-              | Some _ -> raise (Fp_escape "cross-object occurrence pattern")))
-        (Formula.atoms [] body)
-    in
-    (* reads every event pays on this template: statics + all monitors *)
-    let template_base =
-      try
-        List.iter
-          (function
-            | Template.K_static f ->
-                let local, slots = static_footprint c tpl f in
-                if not local then
-                  raise (Fp_escape "non-local static constraint");
-                Array.iter (fun s -> reads := s :: !reads) slots
-            | Template.K_temporal (body, _, _) -> walk_monitored body)
-          tpl.Template.t_constraints;
-        List.iter
-          (fun (pm : Template.permission) ->
-            match pm.Template.pm_guard with
-            | Template.PG_state _ -> ()
-            | Template.PG_closed (body, _) -> walk_monitored body
-            | Template.PG_indexed { ix_body; _ } -> walk_monitored ix_body
-            | Template.PG_quant { q_body; _ } ->
-                exts := true;
-                walk_monitored q_body)
-          tpl.Template.t_perms;
-        Ok (!reads, !exts)
-      with Fp_escape reason -> Error reason
-    in
-    Hashtbl.iter
-      (fun name (e : centry) ->
-        let fp =
-          match (e.ce_ed, template_base) with
-          | None, _ -> FP_escape "no event definition"
-          | Some ed, _ when ed.Template.ed_kind = Ast.Ev_birth ->
-              FP_escape "birth event"
-          | Some ed, _ when ed.Template.ed_kind = Ast.Ev_death ->
-              FP_escape "death event"
-          | Some _, _ when e.ce_callings <> [] -> FP_escape "calling rules"
-          | Some _, Error reason -> FP_escape reason
-          | Some _, Ok (base_reads, base_exts) -> (
-              reads := base_reads;
-              exts := base_exts;
-              let writes = ref [] in
-              try
-                List.iter
-                  (fun (cv : cvrule) ->
-                    if cv.cv_slot < 0 then
-                      raise
-                        (Fp_escape
-                           ("valuation writes unresolved attribute "
-                          ^ cv.cv_attr));
-                    if cv.cv_rule.Ast.v_attr_args <> [] then
-                      raise (Fp_escape "parameterized attribute write");
-                    writes := cv.cv_slot :: !writes;
-                    List.iter ex cv.cv_rule.Ast.v_event.Ast.ev_args;
-                    Option.iter fo cv.cv_rule.Ast.v_guard;
-                    ex cv.cv_rule.Ast.v_rhs)
-                  e.ce_vrules;
-                List.iter
-                  (fun (cp : cperm) ->
-                    List.iter ex cp.cp_pm.Template.pm_args;
-                    match cp.cp_pm.Template.pm_guard with
-                    | Template.PG_state f -> fo f
-                    | Template.PG_closed _ | Template.PG_indexed _
-                    | Template.PG_quant _ ->
-                        ())
-                  e.ce_perms;
-                FP_local
-                  {
-                    fp_reads =
-                      Array.of_list (List.sort_uniq compare !reads);
-                    fp_writes =
-                      Array.of_list (List.sort_uniq compare !writes);
-                    fp_extensions = !exts;
-                  }
-              with Fp_escape reason -> FP_escape reason)
-        in
-        Hashtbl.replace out name fp)
-      by_event;
-    out
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Index construction                                                  *)
@@ -789,10 +543,8 @@ let build_tpl (c : Community.t) (tpl : Template.t) : tpl_index =
            (ed.Template.ed_name, ed.Template.ed_params))
          non_birth)
   in
-  let ti_footprints = event_footprints c tpl by_event in
   { ti_generation = generation; ti_by_event = by_event; ti_atoms; ti_spawns;
-    ti_statics; ti_perm_mons; ti_temp_mons; ti_nullary; ti_candidates;
-    ti_footprints }
+    ti_statics; ti_perm_mons; ti_temp_mons; ti_nullary; ti_candidates }
 
 let template_index (c : Community.t) (tpl : Template.t) : tpl_index =
   match tpl.Template.t_staged with
@@ -896,11 +648,6 @@ let slice_keys (pats : slice_pat list) (occurred : Event.t list) :
           else None)
         pats)
     occurred
-
-let footprint (ti : tpl_index) (event_name : string) : footprint =
-  Option.value
-    (Hashtbl.find_opt ti.ti_footprints event_name)
-    ~default:(FP_escape "unknown event")
 
 (** Warm every cache of a community at load time, so the first event
     pays no staging cost. *)

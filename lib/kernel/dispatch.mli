@@ -111,30 +111,6 @@ type cstatic = {
   cs_slots : int array;
 }
 
-(** Full read/write footprint of one event of one template, for the
-    speculative parallel commit path ({!Engine.step_batch_par}).
-
-    [FP_local]: a single occurrence on an existing object reads and
-    writes only that object — the listed attribute slots plus the
-    per-step state every step touches on its own target anyway
-    (life-cycle stage, step counter, monitor states).  [fp_extensions]
-    flags class-extension reads (quantified guards); extensions change
-    only through births and deaths, which escape, so the flag never
-    blocks grouping.
-
-    [FP_escape]: the footprint cannot be bounded to the target object
-    (cross-object access, queries, quantifiers, dynamic aspects,
-    calling rules, birth/death, derived attributes, …) — the event
-    takes the sequential engine.  Over-approximation is sound; an
-    escape only costs parallelism. *)
-type footprint =
-  | FP_escape of string  (** why the event must run sequentially *)
-  | FP_local of {
-      fp_reads : int array;  (** own slots read, sorted ascending *)
-      fp_writes : int array;  (** own slots written, sorted ascending *)
-      fp_extensions : bool;  (** reads class extensions *)
-    }
-
 type tpl_index = {
   ti_generation : int;
   ti_by_event : (string, centry) Hashtbl.t;
@@ -151,8 +127,6 @@ type tpl_index = {
   ti_candidates : (string * Vtype.t list) array;
       (** all non-birth events with their parameter types, in
           declaration order ([Engine.candidate_events]) *)
-  ti_footprints : (string, footprint) Hashtbl.t;
-      (** per event name: full read/write footprint ({!footprint}) *)
 }
 
 type Template.staged += T_staged of tpl_index
@@ -201,10 +175,6 @@ val slice_keys : slice_pat list -> Event.t list -> Value.t list list
 val spawn_patterns : tpl_index -> int -> Eval.compiled_pattern list option
 (** Occurrence patterns of a [PG_indexed] permission's body, compiled
     with the guard's pattern variables. *)
-
-val footprint : tpl_index -> string -> footprint
-(** The event's read/write footprint; [FP_escape] for names the
-    template does not index. *)
 
 val stage_community : Community.t -> unit
 (** Warm every cache at load time, so the first event pays no staging

@@ -1365,304 +1365,19 @@ let candidate_events c (id : Ident.t) : (string * Vtype.t list) list =
 (* Batched parallel probes over a frozen view                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Every worker (and the submitting domain) probes its own
-   domain-private thaw of the view, so the probes are data-race free by
-   construction; at [jobs = 1] the pool runs the same loop on the
-   caller and the answers are bit-identical to the sequential
-   queries. *)
-
-let resolve_pool = function Some p -> p | None -> Pool.default ()
-
 (** Enabledness of an arbitrary batch of events against one frozen
     view — the unit of work of the society server's coalesced probe
-    dispatch. *)
-let enabled_batch_par ?pool (v : View.t) (evs : Event.t array) : bool array =
-  let pool = resolve_pool pool in
+    dispatch.  Every pool participant probes its own domain-private
+    thaw of the view, so the probes are data-race free by
+    construction; at [jobs = 1] the pool runs the same loop on the
+    caller and the answers equal {!enabled} on the source. *)
+let enabled_batch_par ~pool (v : View.t) (evs : Event.t array) : bool array =
   let n = Array.length evs in
   let out = Array.make n false in
   Pool.run pool ~n (fun i ->
       let c = View.thaw_cached v in
       out.(i) <- enabled c evs.(i));
   out
-
-(** [enabled_events] answered from a frozen view, probing the
-    parameterless events in parallel.  Same names in the same
-    (declaration) order as the sequential query. *)
-let enabled_events_par ?pool (v : View.t) (id : Ident.t) : string list =
-  let pool = resolve_pool pool in
-  let c0 = View.thaw_cached v in
-  match Community.living c0 id with
-  | None -> []
-  | Some o ->
-      let descs = nullary_descriptors c0 o.Obj_state.template in
-      let evs =
-        Array.map (fun ed -> Event.make id ed.Template.ed_name []) descs
-      in
-      let ok = enabled_batch_par ~pool v evs in
-      let acc = ref [] in
-      for i = Array.length descs - 1 downto 0 do
-        if ok.(i) then acc := descs.(i).Template.ed_name :: !acc
-      done;
-      !acc
-
-(** [candidate_events] answered from a frozen view, with enabledness
-    decided in parallel for the parameterless candidates.  [None] marks
-    events whose enabledness depends on arguments (or a dead object) —
-    the candidate is still offered, just undecided. *)
-let candidate_events_par ?pool (v : View.t) (id : Ident.t) :
-    (string * Vtype.t list * bool option) list =
-  let pool = resolve_pool pool in
-  let c0 = View.thaw_cached v in
-  match Community.find_template c0 id.Ident.cls with
-  | None -> []
-  | Some tpl ->
-      let cands = candidate_descriptors c0 tpl in
-      let alive = Community.living c0 id <> None in
-      let probe_idx =
-        if alive then
-          Array.of_list
-            (List.filter
-               (fun i -> snd cands.(i) = [])
-               (List.init (Array.length cands) (fun i -> i)))
-        else [||]
-      in
-      let evs =
-        Array.map (fun i -> Event.make id (fst cands.(i)) []) probe_idx
-      in
-      let ok = enabled_batch_par ~pool v evs in
-      let verdicts = Array.make (Array.length cands) None in
-      Array.iteri (fun k i -> verdicts.(i) <- Some ok.(k)) probe_idx;
-      List.init (Array.length cands) (fun i ->
-          let name, params = cands.(i) in
-          (name, params, verdicts.(i)))
-
-(* ------------------------------------------------------------------ *)
-(* Speculative parallel commit (footprint-disjoint batches)            *)
-(* ------------------------------------------------------------------ *)
-
-(* STM-style write path: contiguous runs of steps whose static
-   footprints ({!Dispatch.footprint}) are bounded to pairwise-distinct
-   target objects execute concurrently, each against a private [Txn]
-   journal on a thawed {!View}; a sequencer then merges the clean
-   journals into the master community in batch order.  Anything the
-   analysis cannot bound — births, deaths, calling rules, cross-object
-   reads, dynamic aspects — runs on the ordinary sequential engine at
-   its batch position, so the result is always bit-identical to
-   executing the batch sequentially.
-
-   Why pre-state speculation is sound: group members have
-   pairwise-distinct located targets and [FP_local] footprints, so no
-   member reads or writes another member's target; class extensions
-   and the object registry only change through births and deaths,
-   which escape the group.  Hence each member's verdict and effects
-   computed against the pre-group state coincide with what the
-   sequential engine would compute at the member's batch position.  A
-   runtime footprint check at merge time (the member's journal must
-   contain nothing but snapshots of its own target) backstops the
-   static analysis: an escaping journal discards that member's
-   speculation and everything after it in the group. *)
-
-let n_spec_batches = Atomic.make 0
-and n_spec_groups = Atomic.make 0
-and n_spec_commits = Atomic.make 0
-and n_spec_rejects = Atomic.make 0
-and n_spec_fallbacks = Atomic.make 0
-and n_spec_seq_steps = Atomic.make 0
-
-(** Speculation counters as labelled rows — appended to the "probe
-    statistics" block ({!Trace.probe_stats_rows}). *)
-let spec_stats_rows () =
-  [
-    ("speculative batches", Atomic.get n_spec_batches);
-    ("speculative groups", Atomic.get n_spec_groups);
-    ("speculative commits", Atomic.get n_spec_commits);
-    ("speculative rejects", Atomic.get n_spec_rejects);
-    ("speculative fallbacks", Atomic.get n_spec_fallbacks);
-    ("batch sequential steps", Atomic.get n_spec_seq_steps);
-  ]
-
-let reset_spec_stats () =
-  Atomic.set n_spec_batches 0;
-  Atomic.set n_spec_groups 0;
-  Atomic.set n_spec_commits 0;
-  Atomic.set n_spec_rejects 0;
-  Atomic.set n_spec_fallbacks 0;
-  Atomic.set n_spec_seq_steps 0
-
-(** A worker's verdict on one group member, executed against the
-    pre-group view. *)
-type speculation =
-  | Spec_ok of outcome * Obj_state.snapshot
-      (** accepted; the target's post-state, captured before the
-          worker's journal was rolled back *)
-  | Spec_err of Runtime_error.reason
-      (** rejected with a footprint-local verdict — final *)
-  | Spec_escape
-      (** the journal recorded effects beyond the member's own target:
-          the static footprint under-approximated (or a worker died
-          before classifying); re-execute sequentially *)
-
-(** A step is speculation-eligible when it denotes a single normal
-    event on an existing object whose singleton closure is itself
-    ([expand_sync_singleton]) and whose static footprint is
-    [FP_local]. *)
-let speculation_candidate (c : Community.t) (s : Step.t) :
-    (Event.t * Obj_state.t) option =
-  match normalise c s with
-  | Ok [ [ ev0 ] ] -> (
-      (* resolution raises on unknown events / targets; such a step is
-         merely ineligible here — the sequential path will produce the
-         proper error result *)
-      match expand_sync_singleton c [ ev0 ] with
-      | Some (ev, Some o, entry)
-        when (match entry.Dispatch.ce_ed with
-             | Some ed -> ed.Template.ed_kind = Ast.Ev_normal
-             | None -> false) -> (
-          let ti = Dispatch.template_index c o.Obj_state.template in
-          match Dispatch.footprint ti ev.Event.name with
-          | Dispatch.FP_local _ -> Some (ev, o)
-          | Dispatch.FP_escape _ -> None)
-      | Some _ | None -> None
-      | exception Error _ -> None)
-  | Ok _ | Error _ -> None
-
-(** Execute one group of footprint-disjoint members speculatively and
-    merge, in batch order, into [c].  [members] pairs each batch index
-    with its located event; results land in [results] at those
-    indexes. *)
-let run_spec_group (c : Community.t) (pool : Pool.t)
-    (members : (int * Event.t) array) (steps : Step.t array)
-    (results : step_result array) : unit =
-  let m = Array.length members in
-  Atomic.incr n_spec_groups;
-  let v = View.freeze c in
-  let verdicts = Array.make m Spec_escape in
-  Pool.run pool ~n:m (fun k ->
-      let _, ev = members.(k) in
-      let tc = View.thaw_cached v in
-      let txn = Txn.begin_ tc in
-      let verdict =
-        match step tc (Step.Fire ev) with
-        | Ok outcome -> (
-            (* runtime footprint check: every journal entry must be a
-               snapshot of the member's own target *)
-            let clean =
-              match tc.Community.journal with
-              | Some j ->
-                  List.for_all
-                    (function
-                      | Community.J_obj (o, _) ->
-                          Ident.equal o.Obj_state.id ev.Event.target
-                      | Community.J_register _ | Community.J_remove _
-                      | Community.J_extensions _ ->
-                          false)
-                    j.Community.entries
-              | None -> false
-            in
-            if clean then
-              match Community.find_object tc ev.Event.target with
-              | Some o -> Spec_ok (outcome, Obj_state.snapshot o)
-              | None -> Spec_escape
-            else Spec_escape)
-        | Error reason -> Spec_err reason
-        | exception e ->
-            Txn.rollback txn;
-            raise e
-      in
-      (* roll the private thaw back to pristine (it is domain-cached) *)
-      Txn.rollback txn;
-      verdicts.(k) <- verdict);
-  (* merge sequencer: apply clean journals in batch order; a runtime
-     escape invalidates the speculation of everything after it *)
-  let escaped = ref false in
-  Array.iteri
-    (fun k (i, ev) ->
-      if !escaped then begin
-        Atomic.incr n_spec_fallbacks;
-        results.(i) <- step c steps.(i)
-      end
-      else
-        match verdicts.(k) with
-        | Spec_ok (outcome, snap) -> (
-            match Community.find_object c ev.Event.target with
-            | Some o ->
-                Atomic.incr n_spec_commits;
-                let txn = Txn.begin_ c in
-                Txn.touch txn o;
-                Obj_state.restore o snap;
-                Txn.commit txn;
-                results.(i) <- Ok outcome
-            | None ->
-                (* unreachable: group members cannot unregister *)
-                escaped := true;
-                Atomic.incr n_spec_fallbacks;
-                results.(i) <- step c steps.(i))
-        | Spec_err reason ->
-            Atomic.incr n_spec_rejects;
-            results.(i) <- Error reason
-        | Spec_escape ->
-            escaped := true;
-            Atomic.incr n_spec_fallbacks;
-            results.(i) <- step c steps.(i))
-    members
-
-(** Execute a batch of steps with speculative parallel commit.  The
-    result array is bit-identical to [Array.map (step c) steps] — at
-    [jobs = 1] (or staging off, or a batch below the pool's small-batch
-    cutoff) it literally is that loop.  Must be called at a quiescent
-    point: no open journal on [c] (the group path freezes views). *)
-let step_batch_par ?pool (c : Community.t) (steps : Step.t array) :
-    step_result array =
-  let pool = resolve_pool pool in
-  let n = Array.length steps in
-  if
-    Pool.jobs pool <= 1
-    || n < Pool.small_batch_cutoff
-    || not (Dispatch.enabled c)
-  then Array.map (step c) steps
-  else begin
-    Atomic.incr n_spec_batches;
-    let results : step_result array =
-      Array.make n (Result.Error (Unsupported "unreached"))
-    in
-    let group : (int * Event.t) list ref = ref [] in
-    let group_targets : (Ident.t, unit) Hashtbl.t = Hashtbl.create 16 in
-    let flush () =
-      let members = Array.of_list (List.rev !group) in
-      group := [];
-      Hashtbl.reset group_targets;
-      let m = Array.length members in
-      if m > 0 then
-        if m < Pool.small_batch_cutoff then
-          (* pool dispatch and an O(society) freeze would dominate a
-             small group — run its members sequentially instead *)
-          Array.iter
-            (fun (i, _) ->
-              Atomic.incr n_spec_seq_steps;
-              results.(i) <- step c steps.(i))
-            members
-        else run_spec_group c pool members steps results
-    in
-    Array.iteri
-      (fun i s ->
-        match speculation_candidate c s with
-        | Some (ev, _) when not (Hashtbl.mem group_targets ev.Event.target)
-          ->
-            Hashtbl.replace group_targets ev.Event.target ();
-            group := (i, ev) :: !group
-        | Some (ev, _) ->
-            (* same-target conflict: seal the group, open a new one *)
-            flush ();
-            Hashtbl.replace group_targets ev.Event.target ();
-            group := (i, ev) :: !group
-        | None ->
-            flush ();
-            Atomic.incr n_spec_seq_steps;
-            results.(i) <- step c s)
-      steps;
-    flush ();
-    results
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Naive (trace-based) permission checking — the E4 ablation baseline  *)

@@ -110,11 +110,10 @@ val candidate_events : Community.t -> Ident.t -> (string * Vtype.t list) list
 
 (** {1 Batched parallel probes}
 
-    The same questions answered from a frozen {!View}: every pool
-    participant probes a domain-private thaw of the view, so nothing is
-    shared mutable.  With a [jobs = 1] pool the loop runs sequentially
-    on the caller and the answers are bit-identical to the queries
-    above.  [pool] defaults to {!Pool.default}. *)
+    Enabledness answered from a frozen {!View}: every pool participant
+    probes a domain-private thaw of the view, so nothing is shared
+    mutable.  With a [jobs = 1] pool the loop runs sequentially on the
+    caller and the answers equal {!enabled} on the source. *)
 
 val nullary_descriptors :
   Community.t -> Template.t -> Template.event_def array
@@ -128,50 +127,9 @@ val candidate_descriptors :
 (** Non-birth events with parameter types, in declaration order — the
     answer set of {!candidate_events}, likewise staged. *)
 
-val enabled_batch_par : ?pool:Pool.t -> View.t -> Event.t array -> bool array
+val enabled_batch_par : pool:Pool.t -> View.t -> Event.t array -> bool array
 (** Enabledness of an arbitrary batch of events — the unit of work of
-    the society server's coalesced probe dispatch. *)
-
-val enabled_events_par : ?pool:Pool.t -> View.t -> Ident.t -> string list
-(** {!enabled_events} against the view, parameterless events probed in
-    parallel; same names, same (declaration) order. *)
-
-val candidate_events_par :
-  ?pool:Pool.t -> View.t -> Ident.t ->
-  (string * Vtype.t list * bool option) list
-(** {!candidate_events} against the view, with enabledness decided in
-    parallel for parameterless candidates; [None] when enabledness
-    depends on arguments or the object is not alive. *)
-
-(** {1 Speculative parallel commit}
-
-    The mutating counterpart of the batched probes: contiguous runs of
-    steps whose static footprints ({!Dispatch.footprint}) are bounded
-    to pairwise-distinct existing target objects execute concurrently,
-    each against a private [Txn] journal on a thawed {!View}, and a
-    sequencer merges the clean journals into the community in batch
-    order (one committed transaction — version bump, WAL record — per
-    accepted member, exactly as the sequential engine).  Steps the
-    analysis cannot bound (births, deaths, calling rules, cross-object
-    access, dynamic aspects) run sequentially at their batch position,
-    as does any member whose runtime journal escapes its own target.
-    The observable result is always bit-identical to executing the
-    batch sequentially, left to right. *)
-
-val step_batch_par :
-  ?pool:Pool.t -> Community.t -> Step.t array -> step_result array
-(** Execute a batch of steps; the result array equals
-    [Array.map (step c) steps] bit for bit.  With a [jobs = 1] pool, a
-    batch below {!Pool.small_batch_cutoff}, or compiled dispatch off,
-    it literally is that loop.  Precondition: no open journal on the
-    community (speculative groups freeze {!View}s). *)
-
-val spec_stats_rows : unit -> (string * int) list
-(** Speculation counters as labelled rows (batches, groups, commits,
-    rejects, fallbacks, sequential batch steps) — appended to the
-    "probe statistics" block. *)
-
-val reset_spec_stats : unit -> unit
+    the society server's coalesced probe dispatch when it fans out. *)
 
 (** {1 Pieces exposed to the interface layer and the benchmarks} *)
 

@@ -87,23 +87,6 @@ let achieves (c : Community.t) (o : Obj_state.t) (ev : Event.t)
       | Ok _ -> Some (evaluate_at c o o.Obj_state.attrs goal)
       | Error _ -> None)
 
-(** {!achieves} for a batch of candidate events, answered from a frozen
-    view: each pool participant fires against its own domain-private
-    thaw, so the source community is never touched at all.  Order of
-    answers matches [evs]; entries are [None] when the event is
-    rejected, and also when the object is not alive in the view. *)
-let achieves_batch_par ?pool (v : View.t) (id : Ident.t)
-    (evs : Event.t array) (goal : Ast.formula) : bool option array =
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  let n = Array.length evs in
-  let out = Array.make n None in
-  Pool.run pool ~n (fun i ->
-      let c = View.thaw_cached v in
-      match Community.living c id with
-      | None -> ()
-      | Some o -> out.(i) <- achieves c o evs.(i) goal);
-  out
-
 let pp_verdict ppf v =
   Format.fprintf ppf "goal %s: %s (now %B, %d state(s) checked)"
     (Pretty.formula_to_string v.goal)

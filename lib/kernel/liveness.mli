@@ -33,13 +33,4 @@ val achieves :
     goal?  Probed via {!Txn.probe} (always rolled back); [None] when the
     event is rejected. *)
 
-val achieves_batch_par :
-  ?pool:Pool.t -> View.t -> Ident.t -> Event.t array -> Ast.formula ->
-  bool option array
-(** {!achieves} for a batch of candidate events, answered from a frozen
-    view with each pool participant firing against its own
-    domain-private thaw.  Answers follow [evs] order; [None] for
-    rejected events and for objects not alive in the view.  [pool]
-    defaults to {!Pool.default}. *)
-
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -206,18 +206,8 @@ let run t ~n f =
       | None -> ()
     end
 
-let map_array t f xs =
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n (f xs.(0)) in
-    (* index 0 already computed to seed the result array *)
-    run t ~n:(n - 1) (fun i -> out.(i + 1) <- f xs.(i + 1));
-    out
-  end
-
 (* ------------------------------------------------------------------ *)
-(* Default pool                                                        *)
+(* Default job count                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let jobs_override = ref None
@@ -231,30 +221,6 @@ let default_jobs () =
           match int_of_string_opt (String.trim s) with
           | Some n when n >= 1 -> n
           | _ -> 1)
-      | None -> max 1 (Domain.recommended_domain_count () - 1))
+      | None -> 1)
 
-let default_pool = ref None
-
-let set_default_jobs n =
-  let n = max 1 n in
-  jobs_override := Some n;
-  match !default_pool with
-  | Some p when p.jobs <> n ->
-      shutdown p;
-      default_pool := None
-  | _ -> ()
-
-let default () =
-  match !default_pool with
-  | Some p -> p
-  | None ->
-      let p = create ~jobs:(default_jobs ()) in
-      default_pool := Some p;
-      p
-
-let shutdown_default () =
-  match !default_pool with
-  | Some p ->
-      shutdown p;
-      default_pool := None
-  | None -> ()
+let set_default_jobs n = jobs_override := Some (max 1 n)

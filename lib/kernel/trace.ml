@@ -92,16 +92,14 @@ let pp_dispatch_stats = Dispatch.pp_stats
 (* Parallel-probe statistics                                           *)
 (* ------------------------------------------------------------------ *)
 
-(** View freezes/thaws, pool dispatch and speculative-commit counters
-    as labelled rows — the "probe statistics" block of [trollc run
-    --stats] and the server's stats frame. *)
-let probe_stats_rows () =
-  View.stats_rows () @ Pool.stats_rows () @ Engine.spec_stats_rows ()
+(** View freezes/thaws and pool dispatch counters as labelled rows —
+    the "probe statistics" block of [trollc run --stats] and the
+    server's stats frame. *)
+let probe_stats_rows () = View.stats_rows () @ Pool.stats_rows ()
 
 let reset_probe_stats () =
   View.reset_stats ();
-  Pool.reset_stats ();
-  Engine.reset_spec_stats ()
+  Pool.reset_stats ()
 
 (* ------------------------------------------------------------------ *)
 (* WAL statistics                                                      *)

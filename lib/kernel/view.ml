@@ -140,10 +140,10 @@ let thaw (v : t) : Community.t =
     commit_hook = None;
   }
 
-(* Per-domain cache of recent thaws, keyed by [vid].  Refinement checks
-   alternate between two views (abstract and concrete side) on every
-   branch task, so a one-slot cache would thrash; four slots cover the
-   realistic working set. *)
+(* Per-domain cache of recent thaws, keyed by [vid].  Four slots; the
+   digest memo below shares the bound, and a refinement check digests
+   two communities (abstract and concrete side) alternately, so one
+   slot would thrash. *)
 let max_cached = 4
 
 let thaw_cache : (int * Community.t) list ref Domain.DLS.key =

@@ -389,20 +389,8 @@ let decode (s : string) : (t, string) result =
   with Bad m -> Error m
 
 (* ------------------------------------------------------------------ *)
-(* Builder: recording sink + memo table                                *)
+(* Builder: recording tables + memo                                   *)
 (* ------------------------------------------------------------------ *)
-
-(** One node/edge table set.  The builder owns the shared one
-    (sequential exploration); each parallel branch task writes a private
-    copy that is merged back in alphabet order. *)
-type sink = {
-  s_nodes : (string, pair * int) Hashtbl.t;  (* node_key -> (pair, max depth) *)
-  s_edges : (string, edge) Hashtbl.t;  (* edge_key -> edge *)
-  mutable s_skips : int;
-}
-
-let new_sink () =
-  { s_nodes = Hashtbl.create 64; s_edges = Hashtbl.create 64; s_skips = 0 }
 
 type builder = {
   b_abs_src : string;
@@ -414,7 +402,9 @@ type builder = {
   b_conc_args : Value.t list;
   b_alphabet : (string * Value.t list) list;
   b_depth : int;
-  b_sink : sink;
+  b_nodes : (string, pair * int) Hashtbl.t;  (* node_key -> (pair, max depth) *)
+  b_edges : (string, edge) Hashtbl.t;  (* edge_key -> edge *)
+  mutable b_skips : int;
   mutable b_root : pair option;
   mutable b_fail : string option;
   mutable b_loaded : int;  (* pairs seeded from a persisted memo *)
@@ -432,67 +422,40 @@ let builder ~abs_src ~conc_src ~(impl : Implementation.t) ~abs_key ~conc_key
     b_conc_args = conc_args;
     b_alphabet = alphabet;
     b_depth = depth;
-    b_sink = new_sink ();
+    b_nodes = Hashtbl.create 64;
+    b_edges = Hashtbl.create 64;
+    b_skips = 0;
     b_root = None;
     b_fail = None;
     b_loaded = 0;
   }
 
-let sink b = b.b_sink
-
-let branch_sink b =
-  (* a private copy of the shared tables as they stand (root node plus
-     any memo-loaded pairs): branch tasks on pool domains never touch
-     the shared sink, so recording is race-free and the merged result is
-     the deterministic union *)
-  {
-    s_nodes = Hashtbl.copy b.b_sink.s_nodes;
-    s_edges = Hashtbl.copy b.b_sink.s_edges;
-    s_skips = 0;
-  }
-
-let merge b (frag : sink) =
-  Hashtbl.iter
-    (fun k (p, d) ->
-      match Hashtbl.find_opt b.b_sink.s_nodes k with
-      | Some (_, d0) when d0 >= d -> ()
-      | _ -> Hashtbl.replace b.b_sink.s_nodes k (p, d))
-    frag.s_nodes;
-  Hashtbl.iter
-    (fun k e ->
-      if not (Hashtbl.mem b.b_sink.s_edges k) then
-        Hashtbl.replace b.b_sink.s_edges k e)
-    frag.s_edges;
-  b.b_sink.s_skips <- b.b_sink.s_skips + frag.s_skips
-
-let enter (s : sink) (p : pair) ~(depth : int) : bool =
+let enter b (p : pair) ~(depth : int) : bool =
   let k = node_key p in
-  match Hashtbl.find_opt s.s_nodes k with
+  match Hashtbl.find_opt b.b_nodes k with
   | Some (_, d) when d >= depth ->
-      s.s_skips <- s.s_skips + 1;
+      b.b_skips <- b.b_skips + 1;
       false
   | _ ->
       (* record before exploring: a cycle back to [p] at lower remaining
          depth must skip, or the search would not terminate *)
-      Hashtbl.replace s.s_nodes k (p, depth);
+      Hashtbl.replace b.b_nodes k (p, depth);
       true
 
-let note_frontier (s : sink) (p : pair) =
+let note_frontier b (p : pair) =
   let k = node_key p in
-  if not (Hashtbl.mem s.s_nodes k) then Hashtbl.replace s.s_nodes k (p, 0)
+  if not (Hashtbl.mem b.b_nodes k) then Hashtbl.replace b.b_nodes k (p, 0)
 
-let add_edge (s : sink) (e : edge) =
+let add_edge b (e : edge) =
   let k = edge_key e in
-  if not (Hashtbl.mem s.s_edges k) then Hashtbl.replace s.s_edges k e
+  if not (Hashtbl.mem b.b_edges k) then Hashtbl.replace b.b_edges k e
 
-let skips (s : sink) = s.s_skips
+let skips b = b.b_skips
 
 let note_root b p =
   b.b_root <- Some p;
   (* the root pair is a node even when depth = 0 *)
-  let k = node_key p in
-  if not (Hashtbl.mem b.b_sink.s_nodes k) then
-    Hashtbl.replace b.b_sink.s_nodes k (p, 0)
+  note_frontier b p
 
 let note_failed b reason = b.b_fail <- Some reason
 let loaded_pairs b = b.b_loaded
@@ -518,8 +481,8 @@ let finish (b : builder) : t =
     depth = b.b_depth;
     alphabet = b.b_alphabet;
     root;
-    nodes = sorted_table b.b_sink.s_nodes;
-    edges = sorted_table b.b_sink.s_edges;
+    nodes = sorted_table b.b_nodes;
+    edges = sorted_table b.b_edges;
     holds = b.b_fail = None;
     fail_reason = b.b_fail;
   }
@@ -579,10 +542,10 @@ let save_memo (b : builder) ~(dir : string) : (unit, string) result =
     Buffer.add_string buf key;
     Buffer.add_char buf '\n';
     emit_graph buf
-      (sorted_table b.b_sink.s_nodes)
+      (sorted_table b.b_nodes)
       (List.map
          (fun (e : edge) -> (enc_args e.e_args, e))
-         (sorted_table b.b_sink.s_edges));
+         (sorted_table b.b_edges));
     try
       if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
       Persist.write_file_atomic (memo_path ~dir ~key)
@@ -609,10 +572,10 @@ let load_memo (b : builder) ~(dir : string) : (int, string) result =
           | [ "node"; da; dc; d ] ->
               let p = parse_pair da dc in
               incr count;
-              Hashtbl.replace b.b_sink.s_nodes (node_key p) (p, int_of d)
+              Hashtbl.replace b.b_nodes (node_key p) (p, int_of d)
           | "edge" :: rest ->
               let e = parse_edge_fields rest in
-              Hashtbl.replace b.b_sink.s_edges (edge_key e) e
+              Hashtbl.replace b.b_edges (edge_key e) e
           | _ -> fail "malformed memo line"
         done;
         b.b_loaded <- !count;

@@ -85,16 +85,10 @@ val event_key : string -> Value.t list -> string
 
 (** {1 Recording}
 
-    A [builder] accumulates the graph while {!Refinement.check} runs.
-    The sequential path records through the builder's shared {!sink};
-    each parallel branch task records into a private {!branch_sink}
-    (seeded with the tables as they stood at dispatch) and is
-    {!merge}d back — the union is deterministic, so parallel and
-    sequential runs emit bit-identical certificates on successful
-    checks. *)
+    A [builder] accumulates the graph while {!Refinement.check}'s
+    depth-first search runs; its node table is also the search's memo. *)
 
 type builder
-type sink
 
 val builder :
   abs_src:string ->
@@ -109,23 +103,19 @@ val builder :
   unit ->
   builder
 
-val sink : builder -> sink
-val branch_sink : builder -> sink
-val merge : builder -> sink -> unit
-
-val enter : sink -> pair -> depth:int -> bool
+val enter : builder -> pair -> depth:int -> bool
 (** [true]: first visit at this remaining depth budget (or a deeper
     budget than any before) — explore, the node is recorded.  [false]:
     the pair was already explored at an equal or greater remaining
     depth — skip the whole subtree.  Recording happens on entry, so
     state-graph cycles terminate. *)
 
-val note_frontier : sink -> pair -> unit
+val note_frontier : builder -> pair -> unit
 (** Record a pair reached with no remaining depth budget (at depth 0,
     if absent) so accepted edges never reference a missing node. *)
 
-val add_edge : sink -> edge -> unit
-val skips : sink -> int
+val add_edge : builder -> edge -> unit
+val skips : builder -> int
 (** Subtrees skipped by {!enter} (memo hits). *)
 
 val note_root : builder -> pair -> unit

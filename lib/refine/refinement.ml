@@ -125,51 +125,23 @@ type side = { community : Community.t; id : Ident.t }
 let fire_candidate (s : side) ~(name : string) (c : candidate) =
   Engine.fire s.community (Event.make s.id name c.ev_args)
 
-(** What one top-level branch of the exploration did, recorded privately
-    so branches can run on separate domains and be merged back in
-    alphabet order — the merged report is bit-identical to the
-    sequential DFS (branch [i]'s whole subtree precedes branch [i+1]'s
-    in DFS order, so the first counterexample in branch order is the
-    first in DFS order, and everything after it is discarded exactly as
-    the sequential run never would have executed it). *)
-type mark = M_exercised of string | M_violated of string * string
-
-type branch_log = {
-  mutable bo_cases : int;
-  mutable bo_accepted : int;
-  mutable bo_marks : mark list;  (** newest first *)
-  mutable bo_cex : counterexample option;
-}
-
-let new_log () =
-  { bo_cases = 0; bo_accepted = 0; bo_marks = []; bo_cex = None }
-
 (** Check the implementation [impl] by bounded lock-step simulation.
 
     [abs]/[conc] give the communities and instance identities of the two
     sides (the instances must already be alive and in corresponding
     states).  [alphabet] lists the candidate events in abstract terms;
     each is mapped through [impl] for the concrete side.  [depth] bounds
-    the trace length.
-
-    With a [pool] of more than one domain, the top-level alphabet
-    branches are explored in parallel, each against domain-private
-    thaws of frozen views of the two communities ({!View}); the source
-    communities are never touched.  The report is the same either
-    way.
+    the trace length.  The exploration is one depth-first search in
+    alphabet order; the first counterexample ends it.
 
     With [record], every visited (abstract, concrete) state pair and
     every examined case is recorded into the certificate builder, whose
     node table doubles as a memo: a pair already explored at an equal or
     greater remaining depth (in this run, or loaded from a persisted
-    memo) is skipped, so converging traces are examined once.  Parallel
-    branches record into private sinks merged back in alphabet order —
-    the certificate is the same as the sequential one on successful
-    checks (branches cannot see each other's memo entries, so [cases]
-    may be higher than the sequential count). *)
-let check ?(pool : Pool.t option) ?(record : Certificate.builder option)
-    ~(impl : Implementation.t) ~(abs : side) ~(conc : side)
-    ~(alphabet : candidate list) ~(depth : int) () : report =
+    memo) is skipped, so converging traces are examined once. *)
+let check ?(record : Certificate.builder option) ~(impl : Implementation.t)
+    ~(abs : side) ~(conc : side) ~(alphabet : candidate list) ~(depth : int)
+    () : report =
   let abs_tpl =
     Community.template_exn abs.community impl.Implementation.abs_class
   in
@@ -213,22 +185,21 @@ let check ?(pool : Pool.t option) ?(record : Certificate.builder option)
                abs_a (Value.to_string va) (Value.to_string vc)))
       (Implementation.observed_attrs impl abs_tpl)
   in
-  let mark_ex log id = log.bo_marks <- M_exercised id :: log.bo_marks in
-  let mark_vi log id reason =
-    log.bo_marks <- M_violated (id, reason) :: log.bo_marks
-  in
-  let digest_pair abs_c conc_c =
+  let cases = ref 0 and accepted = ref 0 in
+  let mark_ex id = Obligation.mark_exercised obligations ~id in
+  let mark_vi id reason = Obligation.mark_violated obligations ~id ~reason in
+  let digest_pair () =
     {
-      Certificate.p_abs = View.state_digest abs_c;
-      p_conc = View.state_digest conc_c;
+      Certificate.p_abs = View.state_digest abs.community;
+      p_conc = View.state_digest conc.community;
     }
   in
-  (* [snk]/[pre] are [Some] exactly when recording: the certificate sink
-     and the digest pair of the state the exploration currently sits in *)
-  let record_edge snk pre (cand : candidate) verdict =
-    match (snk, pre) with
-    | Some s, Some p ->
-        Certificate.add_edge s
+  (* [pre] is [Some] exactly when recording: the digest pair of the
+     state the exploration currently sits in *)
+  let record_edge pre (cand : candidate) verdict =
+    match (record, pre) with
+    | Some b, Some p ->
+        Certificate.add_edge b
           {
             Certificate.e_pre = p;
             e_event = cand.ev_name;
@@ -238,55 +209,46 @@ let check ?(pool : Pool.t option) ?(record : Certificate.builder option)
           }
     | _ -> ()
   in
-  let rec explore_cand log snk pre (abs_c : Community.t)
-      (conc_c : Community.t) trace d (cand : candidate) =
-    log.bo_cases <- log.bo_cases + 1;
+  let rec explore_cand pre trace d (cand : candidate) =
+    incr cases;
     (* each branch — the two speculative firings plus the whole subtree
        below them — runs under nested probe scopes and is
        journal-rolled back in place before the next candidate; a
        counterexample propagates out through the rollbacks *)
-    Txn.probe abs_c (fun () ->
-        Txn.probe conc_c (fun () ->
-            let abs_r =
-              fire_candidate { community = abs_c; id = abs.id }
-                ~name:cand.ev_name cand
-            in
+    Txn.probe abs.community (fun () ->
+        Txn.probe conc.community (fun () ->
+            let abs_r = fire_candidate abs ~name:cand.ev_name cand in
             let conc_name = Implementation.map_event impl cand.ev_name in
-            let conc_r =
-              fire_candidate { community = conc_c; id = conc.id }
-                ~name:conc_name cand
-            in
+            let conc_r = fire_candidate conc ~name:conc_name cand in
             match (abs_r, conc_r) with
             | Ok _, Ok _ -> (
-                log.bo_accepted <- log.bo_accepted + 1;
-                mark_ex log (Printf.sprintf "enabled-%s" cand.ev_name);
-                match observe_mismatch abs_c conc_c with
+                incr accepted;
+                mark_ex (Printf.sprintf "enabled-%s" cand.ev_name);
+                match observe_mismatch abs.community conc.community with
                 | Some reason ->
-                    record_edge snk pre cand (Certificate.E_obs reason);
-                    mark_vi log
-                      (Printf.sprintf "effect-%s" cand.ev_name)
-                      reason;
+                    record_edge pre cand (Certificate.E_obs reason);
+                    mark_vi (Printf.sprintf "effect-%s" cand.ev_name) reason;
                     raise
                       (Cex { trace = List.rev trace; failing = cand; reason })
                 | None ->
                     let post =
-                      match (snk, pre) with
-                      | Some _, Some _ ->
-                          let post = digest_pair abs_c conc_c in
-                          record_edge snk pre cand (Certificate.E_ok post);
+                      match pre with
+                      | Some _ ->
+                          let post = digest_pair () in
+                          record_edge pre cand (Certificate.E_ok post);
                           Some post
-                      | _ -> None
+                      | None -> None
                     in
-                    mark_ex log (Printf.sprintf "effect-%s" cand.ev_name);
-                    explore log snk post abs_c conc_c (cand :: trace) (d - 1))
+                    mark_ex (Printf.sprintf "effect-%s" cand.ev_name);
+                    explore post (cand :: trace) (d - 1))
             | Ok _, Error r ->
                 let reason =
                   Printf.sprintf
                     "abstract side accepts but implementation rejects (%s)"
                     (Runtime_error.reason_to_string r)
                 in
-                record_edge snk pre cand (Certificate.E_missing reason);
-                mark_vi log (Printf.sprintf "enabled-%s" cand.ev_name) reason;
+                record_edge pre cand (Certificate.E_missing reason);
+                mark_vi (Printf.sprintf "enabled-%s" cand.ev_name) reason;
                 raise (Cex { trace = List.rev trace; failing = cand; reason })
             | Error r, Ok _ ->
                 let reason =
@@ -295,141 +257,44 @@ let check ?(pool : Pool.t option) ?(record : Certificate.builder option)
                      forbids (abstract rejection: %s)"
                     (Runtime_error.reason_to_string r)
                 in
-                record_edge snk pre cand (Certificate.E_escape reason);
-                mark_vi log (Printf.sprintf "perm-%s" cand.ev_name) reason;
+                record_edge pre cand (Certificate.E_escape reason);
+                mark_vi (Printf.sprintf "perm-%s" cand.ev_name) reason;
                 raise (Cex { trace = List.rev trace; failing = cand; reason })
             | Error _, Error _ ->
                 (* both reject: permission preserved on this case *)
-                record_edge snk pre cand Certificate.E_stuck;
-                mark_ex log (Printf.sprintf "perm-%s" cand.ev_name)))
-  and explore log snk pre abs_c conc_c trace d =
-    if d <= 0 then
-      (* frontier pair: still a certificate node, or accepted edges at
-         the last level would reference a node that was never recorded *)
-      match (snk, pre) with
-      | Some s, Some p -> Certificate.note_frontier s p
-      | _ -> ()
-    else
-      let proceed =
-        match (snk, pre) with
-        | Some s, Some p -> Certificate.enter s p ~depth:d
-        | _ -> true
-      in
-      if proceed then
-        List.iter
-          (fun cand -> explore_cand log snk pre abs_c conc_c trace d cand)
-          alphabet
-  in
-  let quiescent =
-    abs.community.Community.journal = None
-    && conc.community.Community.journal = None
+                record_edge pre cand Certificate.E_stuck;
+                mark_ex (Printf.sprintf "perm-%s" cand.ev_name)))
+  and explore pre trace d =
+    match (record, pre) with
+    | Some b, Some p when d <= 0 ->
+        (* frontier pair: still a certificate node, or accepted edges at
+           the last level would reference a node that was never
+           recorded *)
+        Certificate.note_frontier b p
+    | _ when d <= 0 -> ()
+    | Some b, Some p when not (Certificate.enter b p ~depth:d) -> ()
+    | _ -> List.iter (explore_cand pre trace d) alphabet
   in
   let root_pair =
-    match record with
-    | Some b ->
-        let p = digest_pair abs.community conc.community in
+    Option.map
+      (fun b ->
+        let p = digest_pair () in
         Certificate.note_root b p;
-        Some p
-    | None -> None
+        p)
+      record
   in
-  let logs =
-    match pool with
-    | Some p
-      when Pool.jobs p > 1 && depth > 0
-           && List.length alphabet > 1
-           && quiescent ->
-        (* one task per top-level alphabet branch, each on domain-private
-           thaws; when both sides share one community the view (and thus
-           the thaw) is shared too, preserving the aliasing *)
-        let proceed =
-          match (record, root_pair) with
-          | Some b, Some rp ->
-              Certificate.enter (Certificate.sink b) rp ~depth
-          | _ -> true
-        in
-        if not proceed then [ new_log () ]
-        else begin
-          let abs_view = View.freeze abs.community in
-          let conc_view =
-            if conc.community == abs.community then abs_view
-            else View.freeze conc.community
-          in
-          let cands = Array.of_list alphabet in
-          let logs = Array.init (Array.length cands) (fun _ -> new_log ()) in
-          let snks =
-            match record with
-            | Some b ->
-                Some
-                  (Array.init (Array.length cands) (fun _ ->
-                       Certificate.branch_sink b))
-            | None -> None
-          in
-          Pool.run p ~n:(Array.length cands) (fun i ->
-              let abs_c = View.thaw_cached abs_view in
-              let conc_c =
-                if conc_view == abs_view then abs_c
-                else View.thaw_cached conc_view
-              in
-              let log = logs.(i) in
-              let snk = Option.map (fun a -> a.(i)) snks in
-              match
-                explore_cand log snk root_pair abs_c conc_c [] depth
-                  cands.(i)
-              with
-              | () -> ()
-              | exception Cex cx -> log.bo_cex <- Some cx);
-          (* merge branch certificates in alphabet order, stopping where
-             the report merge below stops — at the first branch with a
-             counterexample *)
-          (match (record, snks) with
-          | Some b, Some a ->
-              (try
-                 Array.iteri
-                   (fun i s ->
-                     Certificate.merge b s;
-                     if logs.(i).bo_cex <> None then raise Exit)
-                   a
-               with Exit -> ())
-          | _ -> ());
-          Array.to_list logs
-        end
-    | _ ->
-        let log = new_log () in
-        let snk = Option.map Certificate.sink record in
-        (match explore log snk root_pair abs.community conc.community [] depth with
-        | () -> ()
-        | exception Cex cx -> log.bo_cex <- Some cx);
-        [ log ]
+  let verdict =
+    match explore root_pair [] depth with
+    | () -> Ok ()
+    | exception Cex cx ->
+        Option.iter
+          (fun b ->
+            Certificate.note_failed b
+              (Format.asprintf "%a" pp_counterexample cx))
+          record;
+        Error cx
   in
-  (* merge strictly in alphabet order, stopping at the first branch that
-     found a counterexample (later branches were never part of the
-     sequential exploration) *)
-  let cases = ref 0 and accepted = ref 0 in
-  let verdict = ref (Ok ()) in
-  (try
-     List.iter
-       (fun log ->
-         cases := !cases + log.bo_cases;
-         accepted := !accepted + log.bo_accepted;
-         List.iter
-           (function
-             | M_exercised id -> Obligation.mark_exercised obligations ~id
-             | M_violated (id, reason) ->
-                 Obligation.mark_violated obligations ~id ~reason)
-           (List.rev log.bo_marks);
-         match log.bo_cex with
-         | Some cx ->
-             verdict := Error cx;
-             raise Exit
-         | None -> ())
-       logs
-   with Exit -> ());
-  (match (record, !verdict) with
-  | Some b, Error cx ->
-      Certificate.note_failed b
-        (Format.asprintf "%a" pp_counterexample cx)
-  | _ -> ());
-  { verdict = !verdict; cases = !cases; accepted = !accepted; obligations }
+  { verdict; cases = !cases; accepted = !accepted; obligations }
 
 let pp_report ppf r =
   (match r.verdict with

@@ -46,7 +46,6 @@ val candidates :
 type side = { community : Community.t; id : Ident.t }
 
 val check :
-  ?pool:Pool.t ->
   ?record:Certificate.builder ->
   impl:Implementation.t ->
   abs:side ->
@@ -56,14 +55,9 @@ val check :
   unit ->
   report
 (** Both instances must be alive and in corresponding states.  The
-    communities are left unchanged: every branch runs speculatively
-    under {!Txn.probe} and is journal-rolled back in place.
-
-    With a [pool] of more than one domain, the top-level alphabet
-    branches run in parallel on domain-private thaws of frozen {!View}s
-    of the two communities, merged back in alphabet order — the report
-    is identical to the sequential one (and the sources untouched
-    either way).
+    communities are left unchanged: the exploration is one depth-first
+    search in alphabet order, every branch running speculatively under
+    {!Txn.probe} and journal-rolled back in place.
 
     With [record], the simulation relation is recorded into the
     certificate builder (finish it with {!Certificate.finish} after the
@@ -71,8 +65,4 @@ val check :
     pair already explored at an equal or greater remaining depth — in
     this run or loaded via {!Certificate.load_memo} — is skipped, which
     both bounds converging state spaces and makes warm re-checks
-    examine strictly fewer cases.  Parallel branches record into
-    private sinks merged in alphabet order; on successful checks the
-    certificate is bit-identical to the sequential one, though [cases]
-    may be higher because branches cannot see each other's memo
-    entries. *)
+    examine strictly fewer cases. *)

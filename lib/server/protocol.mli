@@ -71,11 +71,11 @@ type request =
           capability flags *)
   | Step of Step.t  (** create / destroy / fire / batch / sync / txn *)
   | Steps of Step.t list
-      (** a batch of independent step requests ([{"op": "steps",
+      (** a batch of step requests ([{"op": "steps",
           "steps": [{…}, …]}], each entry step-shaped), answered with a
-          per-step result list; executed through the speculative
-          parallel commit engine ({!Engine.step_batch_par}) — the
-          results are bit-identical to sending the steps one by one *)
+          per-step result list; each entry is its own transaction,
+          executed in order — exactly as sending the steps one by
+          one *)
   | Prepare of Step.t
       (** first phase of a distributed commit: run the step inside a
           transaction but leave it open; the tentative outcome is

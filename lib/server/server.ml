@@ -532,17 +532,7 @@ let execute t (req : Protocol.request) :
       | Ok outcome -> Ok (Protocol.outcome_to_json outcome)
       | Error reason -> Error (Protocol.Wire_error.of_reason reason))
   | Protocol.Steps steps ->
-      (* footprint-disjoint runs commit speculatively in parallel on the
-         probe pool; a sharded session has no single community to
-         speculate on, so it degrades to the coordinator loop *)
-      let results =
-        match Troll.Session.shard_map s with
-        | Some _ -> List.map (Troll.step s) steps
-        | None ->
-            Array.to_list
-              (Engine.step_batch_par ~pool:(probe_pool t) community
-                 (Array.of_list steps))
-      in
+      let results = List.map (Troll.step s) steps in
       Ok
         (Json.Obj
            [
@@ -776,13 +766,11 @@ let process_probe_batch t (jobs : job list) =
       List.iter2 (finish_job t) live
         (answer_probes t (List.map (fun job -> job.request) live))
 
-(** Answer a run of consecutive single-event fires from every session in
-    one speculative-parallel dispatch.  [Engine.step_batch_par] promises
-    results bit-identical to firing the array sequentially, and
-    [Troll.step] on an unsharded session {e is} [Engine.step] — so the
-    responses (and the community) equal per-job {!process}, only
-    cheaper.  Callers guarantee no prepared transaction is open and the
-    session is unsharded. *)
+(** Answer a run of consecutive single-event fires from every session as
+    one batch: deadlines are checked once, up front, then each member
+    executes in order, one {!Engine.step} apiece — so the responses
+    (and the community) equal per-job {!process}.  Callers guarantee no
+    prepared transaction is open and the session is unsharded. *)
 let process_step_batch t (jobs : job list) =
   match drop_expired t jobs with
   | [] -> ()
@@ -791,27 +779,7 @@ let process_step_batch t (jobs : job list) =
       t.stats.step_batches <- t.stats.step_batches + 1;
       t.stats.step_batch_members <-
         t.stats.step_batch_members + List.length live;
-      let steps =
-        Array.of_list
-          (List.map
-             (fun job ->
-               match job.request with
-               | Protocol.Step step -> step
-               | _ -> assert false)
-             live)
-      in
-      let results =
-        Engine.step_batch_par ~pool:(probe_pool t)
-          (Troll.Session.community t.session)
-          steps
-      in
-      List.iteri
-        (fun i job ->
-          finish_job t job
-            (match results.(i) with
-            | Ok outcome -> Ok (Protocol.outcome_to_json outcome)
-            | Error reason -> Error (Protocol.Wire_error.of_reason reason)))
-        live
+      List.iter (fun job -> finish_job t job (execute t job.request)) live
 
 (* ------------------------------------------------------------------ *)
 (* Admission and scheduling                                            *)
@@ -863,9 +831,9 @@ let gather_jobs t : job list =
 
 (** Execute one turn's jobs, coalescing maximal contiguous runs: probes
     answer at one quiescent point in one dispatch, single-event fires
-    batch through the speculative-parallel path (only while no prepared
-    transaction is open and the session is unsharded — checked per run,
-    because a [prepare] executing mid-turn closes the window). *)
+    run as one batch (only while no prepared transaction is open and the
+    session is unsharded — checked per run, because a [prepare]
+    executing mid-turn closes the window). *)
 let run_jobs t (jobs : job list) =
   let span p l =
     let rec go acc = function

@@ -30,13 +30,12 @@
     version or firing the commit hook.  Only a dispatch that fans out
     over the pool's domains freezes a {!View}, once per quiescent
     point, for the domains to thaw.  {!execute} answers single probes
-    through the same path.  Runs of single-event fires go
-    through {!Engine.step_batch_par}, whose results are bit-identical
-    to firing them one at a time — footprint-disjoint prefixes commit
-    speculatively in parallel (only while no prepared transaction is
-    open and the session is unsharded).  The pool is created lazily on
-    the first batch, so a server that never needs it never spawns a
-    domain and stays fork-safe.
+    through the same path.  Runs of single-event fires execute as one
+    batch — deadlines checked once, then one {!Engine.step} per member
+    in order (only while no prepared transaction is open and the
+    session is unsharded).  The pool is created lazily on the first
+    probe batch, so a server that never needs it never spawns a domain
+    and stays fork-safe.
 
     {b Write coalescing and backpressure.}  Responses append to a
     per-connection output buffer; the loop flushes each buffer once per

@@ -7,11 +7,12 @@
 # trajectory is tracked in-tree, plus the E11 socket round-trip
 # benchmark (bench/serve_bench.ml) emitting BENCH_E11.json and the
 # E17 sharded-throughput benchmark (bench/shard_bench.ml) emitting
-# BENCH_E17.json and the E18 speculative parallel-commit benchmark
-# (bench/step_bench.ml) emitting BENCH_E18.json and the E19 memoized
-# refinement-depth benchmark (bench/refine_bench.ml) emitting
-# BENCH_E19.json and the E20 many-connection pipelined-throughput
-# benchmark (bench/serve_many_bench.ml) emitting BENCH_E20.json.
+# BENCH_E17.json and the E19 memoized refinement-depth benchmark
+# (bench/refine_bench.ml) emitting BENCH_E19.json and the E20
+# many-connection pipelined-throughput benchmark
+# (bench/serve_many_bench.ml) emitting BENCH_E20.json.  Every file is
+# stamped with the commit it measured, suffixed -dirty when the
+# working tree differs from it.
 #
 # Usage: scripts/bench_smoke.sh            (from the repo root)
 
@@ -20,9 +21,12 @@ set -eu
 cd "$(dirname "$0")/.."
 
 dune build bench/main.exe bench/serve_bench.exe bench/shard_bench.exe \
-  bench/step_bench.exe bench/refine_bench.exe bench/serve_many_bench.exe
+  bench/refine_bench.exe bench/serve_many_bench.exe
 
 git_rev=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
+if [ "$git_rev" != unknown ] && ! git diff --quiet HEAD 2>/dev/null; then
+  git_rev="$git_rev-dirty"
+fi
 date_utc=$(date -u +%Y-%m-%dT%H:%M:%SZ)
 host=$(hostname 2>/dev/null || echo unknown)
 cores=$(nproc 2>/dev/null || echo 1)
@@ -197,9 +201,6 @@ echo
 echo "== E17 (sharded step throughput) =="
 dune exec bench/shard_bench.exe -- -n 1500 -o BENCH_E17.json
 
-echo
-echo "== E18 (speculative parallel commit) =="
-dune exec bench/step_bench.exe -- -n 150 -o BENCH_E18.json
 
 echo
 echo "== E19 (memoized refinement depth) =="

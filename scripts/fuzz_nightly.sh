@@ -1,8 +1,8 @@
 #!/bin/sh
 # Nightly fuzz run: a large random-seed sweep through the nine
 # differential oracles (compiled-vs-interpreted dispatch, in-process
-# vs server, save/load/replay, journal cleanliness, parallel queries,
-# crash recovery, sharding, linearizability, refinement
+# vs server, save/load/replay, journal cleanliness, fanned-out probes,
+# crash recovery, sharding, steps batches, refinement
 # certificates), plus the fixed deterministic seed that tier-1 CI
 # runs under `dune build @fuzz`.
 #

@@ -294,114 +294,6 @@ let test_sync_and_seq () =
       (fun s -> fire s g "bump" []);
     ]
 
-(* ------------------------------------------------------------------ *)
-(* Static footprints (speculative parallel commit)                     *)
-(* ------------------------------------------------------------------ *)
-
-(** ACCT events stay footprint-local; XACCT's static constraint reads
-    another object, so every one of its events must escape. *)
-let footprint_spec =
-  {|
-object class BANK
-  identification bid: string;
-  template
-    attributes Cap: integer;
-    events birth openbank; death closebank;
-    valuation [openbank] Cap = 1000;
-end object class BANK;
-
-object class ACCT
-  identification aid: string;
-  template
-    attributes bal: integer; lim: integer; flag: bool;
-    events birth mk; death rm;
-      deposit(integer); withdraw(integer); audit; toggle; probe;
-    valuation
-      variables a: integer;
-      [mk] bal = 0;
-      [mk] lim = 100;
-      [mk] flag = false;
-      [deposit(a)] bal = bal + a;
-      [withdraw(a)] bal = bal - a;
-      [toggle] flag = true;
-      [probe] bal = if false then lim else bal fi;
-    permissions
-      variables a: integer;
-      { bal - a >= lim } withdraw(a);
-      { sometime(after(toggle)) } audit;
-end object class ACCT;
-
-object class XACCT
-  identification xid: string;
-  template
-    attributes xbal: integer;
-    events birth xmk; xset(integer);
-    valuation
-      variables a: integer;
-      [xmk] xbal = 0;
-      [xset(a)] xbal = a;
-    constraints
-      static xbal <= BANK("hq").Cap;
-end object class XACCT;
-|}
-
-let footprint_fixture () =
-  match Troll.Session.load footprint_spec with
-  | Error e -> Alcotest.failf "load failed: %s" (Troll.Error.to_string e)
-  | Ok s ->
-      let c = Troll.Session.community s in
-      let fp cls name =
-        match Community.find_template c cls with
-        | None -> Alcotest.failf "no template %s" cls
-        | Some tpl -> (tpl, Dispatch.footprint (Dispatch.template_index c tpl) name)
-      in
-      fp
-
-let slots tpl names =
-  List.map
-    (fun n ->
-      match Template.slot_of tpl n with
-      | Some i -> i
-      | None -> Alcotest.failf "no slot %s" n)
-    names
-  |> List.sort_uniq compare
-
-let check_local name (tpl, fp) ~reads ~writes =
-  match fp with
-  | Dispatch.FP_escape why -> Alcotest.failf "%s escaped: %s" name why
-  | Dispatch.FP_local { fp_reads; fp_writes; fp_extensions } ->
-      check Alcotest.(list int) (name ^ ": reads") (slots tpl reads)
-        (Array.to_list fp_reads);
-      check Alcotest.(list int) (name ^ ": writes") (slots tpl writes)
-        (Array.to_list fp_writes);
-      check Alcotest.bool (name ^ ": extensions") false fp_extensions
-
-let check_escape name (_, fp) =
-  match fp with
-  | Dispatch.FP_escape _ -> ()
-  | Dispatch.FP_local _ -> Alcotest.failf "%s unexpectedly local" name
-
-let test_footprints () =
-  let fp = footprint_fixture () in
-  (* valuation-only: reads and writes its own slot *)
-  check_local "deposit" (fp "ACCT" "deposit") ~reads:[ "bal" ] ~writes:[ "bal" ];
-  (* state-guarded permission joins the guard's reads *)
-  check_local "withdraw" (fp "ACCT" "withdraw") ~reads:[ "bal"; "lim" ]
-    ~writes:[ "bal" ];
-  (* temporal permission rides the per-object monitor: still local *)
-  check_local "audit" (fp "ACCT" "audit") ~reads:[] ~writes:[];
-  check_local "toggle" (fp "ACCT" "toggle") ~reads:[] ~writes:[ "flag" ];
-  (* deliberate over-approximation: the dead [if false] branch still
-     contributes [lim] to the read set *)
-  check_local "probe" (fp "ACCT" "probe") ~reads:[ "bal"; "lim" ]
-    ~writes:[ "bal" ];
-  (* births and deaths always escape *)
-  check_escape "mk" (fp "ACCT" "mk");
-  check_escape "rm" (fp "ACCT" "rm");
-  (* a constraint referencing another object poisons the template *)
-  check_escape "xset" (fp "XACCT" "xset");
-  check_escape "unknown event" (fp "ACCT" "no_such_event")
-
 let () =
   Alcotest.run "dispatch-differential"
     [
@@ -422,6 +314,4 @@ let () =
           Alcotest.test_case "sync sharing and seq rollback" `Quick
             test_sync_and_seq;
         ] );
-      ( "footprints",
-        [ Alcotest.test_case "static event footprints" `Quick test_footprints ] );
     ]

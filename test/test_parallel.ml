@@ -1,13 +1,13 @@
 (** The parallel probe engine: frozen views stay immutable under
     concurrent probes, O(1) invalidation fires exactly on real changes,
-    pool shutdown drains cleanly, jobs=1 is bit-identical to the
-    sequential queries, and a 4-domain pool probing stale views races
-    harmlessly against a mutating main engine. *)
+    pool shutdown drains cleanly, jobs=1 is bit-identical to probing in
+    place, a 4-domain pool probing stale views races harmlessly against
+    a mutating main engine, and the society server's probe runs fan
+    out at jobs > 1. *)
 
 let check = Alcotest.check
 let tbool = Alcotest.bool
 let tint = Alcotest.int
-let tstrings = Alcotest.(list string)
 
 let load src =
   match Compile.load src with
@@ -129,9 +129,6 @@ let test_pool_shutdown () =
   let hits = Atomic.make 0 in
   Pool.run pool ~n:1000 (fun _ -> Atomic.incr hits);
   check tint "every index ran exactly once" 1000 (Atomic.get hits);
-  let doubled = Pool.map_array pool (fun x -> 2 * x) (Array.init 257 Fun.id) in
-  check tbool "map_array preserves order" true
-    (doubled = Array.init 257 (fun i -> 2 * i));
   Pool.shutdown pool;
   Pool.shutdown pool;
   (* a drained pool still answers, sequentially *)
@@ -160,74 +157,17 @@ let test_pool_exception () =
 
 let test_jobs1_identity () =
   let c, ids = society 6 in
+  let batch = probe_batch ids in
   let pool = Pool.create ~jobs:1 in
   let view = View.freeze c in
-  Array.iter
-    (fun id ->
-      check tstrings "enabled_events identical"
-        (Engine.enabled_events c id)
-        (Engine.enabled_events_par ~pool view id);
-      let seq = Engine.candidate_events c id in
-      let par = Engine.candidate_events_par ~pool view id in
-      check tbool "candidate names and types identical" true
-        (seq = List.map (fun (n, p, _) -> (n, p)) par);
-      List.iter
-        (fun (n, params, verdict) ->
-          match (params, verdict) with
-          | [], Some b ->
-              check tbool
-                (Printf.sprintf "verdict of %s" n)
-                (List.mem n (Engine.enabled_events c id))
-                b
-          | [], None -> Alcotest.failf "nullary %s undecided" n
-          | _ :: _, None -> ()
-          | _ :: _, Some _ -> Alcotest.failf "parameterized %s decided" n)
-        par)
-    ids;
+  let got = Engine.enabled_batch_par ~pool view batch in
+  Array.iteri
+    (fun i ev ->
+      check tbool
+        (Printf.sprintf "verdict of %s" (Event.to_string ev))
+        (Engine.enabled c ev) got.(i))
+    batch;
   Pool.shutdown pool
-
-(* The refinement checker must produce the same report with a pool as
-   without — at jobs=1 trivially (same code path shape), and at jobs=4
-   by the ordered branch-log merge. *)
-let refinement_report pool =
-  let mk () =
-    let c = load counter_spec in
-    (match Engine.create c ~cls:"COUNTER" ~key:(Value.String "probe") () with
-    | Ok _ -> ()
-    | Error r ->
-        Alcotest.failf "create failed: %s" (Runtime_error.reason_to_string r));
-    { Refinement.community = c; id = ident "probe" }
-  in
-  let tpl =
-    match Community.find_template (mk ()).Refinement.community "COUNTER" with
-    | Some t -> t
-    | None -> Alcotest.fail "no COUNTER template"
-  in
-  Refinement.check ?pool
-    ~impl:(Implementation.make ~abs_class:"COUNTER" ~conc_class:"COUNTER" ())
-    ~abs:(mk ()) ~conc:(mk ())
-    ~alphabet:(Refinement.candidates tpl)
-    ~depth:3 ()
-
-let test_refinement_identity () =
-  let base = refinement_report None in
-  let p1 = Pool.create ~jobs:1 in
-  let p4 = Pool.create ~jobs:4 in
-  Fun.protect
-    ~finally:(fun () ->
-      Pool.shutdown p1;
-      Pool.shutdown p4)
-    (fun () ->
-      List.iter
-        (fun (label, pool) ->
-          let r = refinement_report (Some pool) in
-          check tbool (label ^ ": verdict") true
-            (r.Refinement.verdict = base.Refinement.verdict);
-          check tint (label ^ ": cases") base.Refinement.cases
-            r.Refinement.cases;
-          check tint (label ^ ": accepted") base.Refinement.accepted
-            r.Refinement.accepted)
-        [ ("jobs1", p1); ("jobs4", p4) ])
 
 (* ------------------------------------------------------------------ *)
 (* 4-domain stress against a mutating main engine                      *)
@@ -269,80 +209,6 @@ let test_stress () =
       let got = Engine.enabled_batch_par ~pool:pool' view' batch in
       let expected' = Array.map (Engine.enabled c) batch in
       check tbool "fresh view matches fresh truth" true (got = expected'))
-
-(* ------------------------------------------------------------------ *)
-(* Speculative parallel commit                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* [step_batch_par] promises bit-identity with the sequential loop:
-   per-step results AND the final persisted image, for any batch and
-   any pool size.  The reference runs on a clone of the same
-   community. *)
-let run_batch_identity name ~jobs steps_of =
-  let c, ids = society 16 in
-  let cref = Community.clone c in
-  let steps = steps_of ids in
-  let seq = Array.map (Engine.step cref) steps in
-  let pool = Pool.create ~jobs in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      let par = Engine.step_batch_par ~pool c steps in
-      check tint (name ^ ": result count") (Array.length seq)
-        (Array.length par);
-      Array.iteri
-        (fun i r ->
-          check tbool (Printf.sprintf "%s: step %d identical" name i) true
-            (r = par.(i)))
-        seq;
-      check tbool (name ^ ": final images identical") true
-        (Persist.save c = Persist.save cref))
-
-(* counter 0 holds n=0, so its decr is rejected inside the group *)
-let disjoint_steps ids =
-  Array.init 16 (fun i ->
-      if i = 0 then Step.Fire (Event.make ids.(i) "decr" [])
-      else Step.Fire (Event.make ids.(i) "add" [ Value.Int i ]))
-
-let conflicting_steps ids =
-  Array.init 16 (fun _ -> Step.Fire (Event.make ids.(1) "incr" []))
-
-let mixed_steps ids =
-  Array.concat
-    [
-      Array.init 9 (fun i -> Step.Fire (Event.make ids.(i + 1) "incr" []));
-      [|
-        Step.Create
-          { cls = "COUNTER"; key = Value.String "fresh"; event = None; args = [] };
-        Step.Fire (Event.make (ident "fresh") "incr" []);
-        Step.Destroy { id = ids.(2); event = None; args = [] };
-        Step.Fire (Event.make ids.(2) "incr" []);
-      |];
-      Array.init 9 (fun i -> Step.Fire (Event.make ids.(i + 3) "add" [ Value.Int 2 ]));
-    ]
-
-let test_commit_disjoint () =
-  Engine.reset_spec_stats ();
-  run_batch_identity "disjoint jobs=4" ~jobs:4 disjoint_steps;
-  let stat name =
-    match List.assoc_opt name (Engine.spec_stats_rows ()) with
-    | Some n -> n
-    | None -> Alcotest.failf "no stats row %s" name
-  in
-  check tint "one speculative batch" 1 (stat "speculative batches");
-  check tint "one group" 1 (stat "speculative groups");
-  check tint "fifteen commits" 15 (stat "speculative commits");
-  check tint "one reject" 1 (stat "speculative rejects")
-
-let test_commit_conflicting () =
-  run_batch_identity "conflicting jobs=4" ~jobs:4 conflicting_steps
-
-let test_commit_mixed () =
-  run_batch_identity "mixed jobs=4" ~jobs:4 mixed_steps
-
-let test_commit_jobs1 () =
-  run_batch_identity "disjoint jobs=1" ~jobs:1 disjoint_steps;
-  run_batch_identity "mixed jobs=1" ~jobs:1 mixed_steps
 
 (* ------------------------------------------------------------------ *)
 (* The society server's probe runs                                     *)
@@ -422,8 +288,6 @@ let () =
         [
           Alcotest.test_case "jobs=1 bit-identical" `Quick
             test_jobs1_identity;
-          Alcotest.test_case "refinement report identical" `Quick
-            test_refinement_identity;
         ] );
       ( "stress",
         [ Alcotest.test_case "4-domain stress" `Quick test_stress ] );
@@ -431,16 +295,5 @@ let () =
         [
           Alcotest.test_case "probe runs fan out at jobs > 1" `Quick
             test_server_probe_fan_out;
-        ] );
-      ( "commit",
-        [
-          Alcotest.test_case "disjoint batch speculates" `Quick
-            test_commit_disjoint;
-          Alcotest.test_case "conflicting batch falls back" `Quick
-            test_commit_conflicting;
-          Alcotest.test_case "mixed batch stays ordered" `Quick
-            test_commit_mixed;
-          Alcotest.test_case "jobs=1 is the sequential loop" `Quick
-            test_commit_jobs1;
         ] );
     ]

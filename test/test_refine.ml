@@ -372,11 +372,11 @@ let spec_pairs =
      missing_death_effect, "EMPLOYEE_UNDEAD");
   ]
 
-let run_pair ?pool ?record (_, abs_src, abs_cls, conc_src, conc_cls) ~depth =
+let run_pair ?record (_, abs_src, abs_cls, conc_src, conc_cls) ~depth =
   let abs = load abs_src and conc = load conc_src in
   ignore (Engine.create abs ~cls:abs_cls ~key:(key "eve") ());
   ignore (Engine.create conc ~cls:conc_cls ~key:(key "eve") ());
-  Refinement.check ?pool ?record
+  Refinement.check ?record
     ~impl:(Implementation.make ~abs_class:abs_cls ~conc_class:conc_cls ())
     ~abs:{ Refinement.community = abs; id = Ident.make abs_cls (key "eve") }
     ~conc:{ Refinement.community = conc; id = Ident.make conc_cls (key "eve") }
@@ -426,20 +426,6 @@ let test_recorded_report_identical () =
         (Format.asprintf "%a" Refinement.pp_report plain)
         (Format.asprintf "%a" Refinement.pp_report recorded))
     spec_pairs
-
-let test_parallel_cert_identical () =
-  let seq = Certificate.encode (employee_cert ~depth:4) in
-  let pool = Pool.create ~jobs:4 in
-  let par =
-    Fun.protect
-      ~finally:(fun () -> Pool.shutdown pool)
-      (fun () ->
-        let b = make_builder ~depth:4 employee in
-        ignore (run_pair ~pool ~record:b employee ~depth:4);
-        Certificate.encode (Certificate.finish b))
-  in
-  check tbool "parallel certificate bit-identical to sequential" true
-    (String.equal seq par)
 
 let with_memo_dir k =
   let dir =
@@ -684,8 +670,6 @@ let () =
             test_cert_roundtrip;
           Alcotest.test_case "recording leaves the report unchanged" `Quick
             test_recorded_report_identical;
-          Alcotest.test_case "parallel emits the sequential certificate"
-            `Quick test_parallel_cert_identical;
           Alcotest.test_case "warm memo re-check" `Quick
             test_memo_warm_recheck;
           Alcotest.test_case "frame corruption rejected" `Quick

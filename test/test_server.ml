@@ -636,6 +636,66 @@ let result_of responses id = Json.member "result" (by_id responses id)
 let state_of responses id =
   Json.to_string_opt (Json.member "state" (result_of responses id))
 
+(* A [steps] request answers every member exactly as the same requests
+   sent one frame at a time do, and leaves the same state behind: an
+   accepted fire, a permission rejection, a create and a fire at an
+   object that does not exist. *)
+let test_serve_steps_batch () =
+  let members =
+    [
+      {|{"op":"fire","cls":"DEPT","key":"d","event":"hire","args":[{"$id":{"cls":"PERSON","key":"ada"}}]}|};
+      {|{"op":"fire","cls":"DEPT","key":"d","event":"hire","args":[{"$id":{"cls":"PERSON","key":"ada"}}]}|};
+      {|{"op":"create","cls":"PERSON","key":"bob"}|};
+      {|{"op":"fire","cls":"DEPT","key":"nope","event":"hire","args":[{"$id":{"cls":"PERSON","key":"bob"}}]}|};
+    ]
+  in
+  let n = List.length members in
+  let save_id = 3 + n in
+  let save = Printf.sprintf {|{"id":%d,"op":"save"}|} save_id in
+  let _, _, batched =
+    serve_script
+      (setup_frames
+      @ [
+          Printf.sprintf {|{"id":3,"op":"steps","steps":[%s]}|}
+            (String.concat "," members);
+          save;
+        ])
+  in
+  let _, _, single =
+    serve_script
+      (setup_frames
+      @ List.mapi
+          (fun i m ->
+            (* a member plus an id is the standalone request *)
+            Printf.sprintf {|{"id":%d,%s|} (3 + i)
+              (String.sub m 1 (String.length m - 1)))
+          members
+      @ [ save ])
+  in
+  check_ok "steps request" (by_id batched 3);
+  let entries =
+    match Json.member "results" (result_of batched 3) with
+    | Json.List l -> l
+    | _ -> Alcotest.fail "steps result carries no results list"
+  in
+  Alcotest.(check int) "one result per member" n (List.length entries);
+  List.iteri
+    (fun i entry ->
+      let frame = by_id single (3 + i) in
+      List.iter
+        (fun field ->
+          Alcotest.check json
+            (Printf.sprintf "member %d: %s" i field)
+            (Json.member field frame) (Json.member field entry))
+        [ "ok"; "result"; "error" ])
+    entries;
+  List.iter2
+    (fun i code -> check_code (Printf.sprintf "member %d" i) code (List.nth entries i))
+    [ 1; 3 ] [ "permission_denied"; "unknown_object" ];
+  List.iter (fun i -> check_ok (Printf.sprintf "member %d" i) (List.nth entries i)) [ 0; 2 ];
+  Alcotest.(check (option string)) "same dump as single frames"
+    (state_of single save_id) (state_of batched save_id)
+
 (* Probes observe state, so while a two-phase prepare holds the journal
    open they must be refused like any other request — on the coalesced
    probe path as well as in [Server.execute] — and the daemon must keep
@@ -1037,6 +1097,8 @@ let () =
             test_serve_pipelined_fifo;
           Alcotest.test_case "probes answer txn_pending while prepared"
             `Quick test_serve_probe_while_prepared;
+          Alcotest.test_case "steps batch answers like single frames" `Quick
+            test_serve_steps_batch;
           Alcotest.test_case "probes run in place at jobs 1" `Quick
             test_serve_probes_in_place;
           Alcotest.test_case "slow reader pauses and resumes" `Quick
