@@ -188,3 +188,7 @@ let decode (s : string) : (Value.t, string) result =
       if c.pos = String.length s then Ok v
       else Error (Printf.sprintf "trailing input at %d" c.pos)
   | exception Bad m -> Error m
+
+let decode_at (s : string) pos : (Value.t * int, string) result =
+  let c = { s; pos } in
+  match decode_cursor c with v -> Ok (v, c.pos) | exception Bad m -> Error m

@@ -10,7 +10,15 @@ val encode_buf : Buffer.t -> Value.t -> unit
 
 val add_int : Buffer.t -> int -> unit
 (** Append an integer's decimal digits without the [string_of_int]
-    allocation (shared by the effect-log and WAL framers). *)
+    allocation (shared by the effect-log and WAL framers and the JSON
+    printer). *)
 
 val decode : string -> (Value.t, string) result
 (** Rejects malformed and trailing input. *)
+
+val decode_at : string -> int -> (Value.t * int, string) result
+(** Decode the value that starts at the given position: [Ok (v, next)],
+    [next] one past its last byte.  What follows is the caller's — the
+    value is read by its length prefixes, so a string in it may hold any
+    byte, the record separators of {!Persist} and the effect log
+    included. *)

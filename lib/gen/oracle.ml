@@ -253,10 +253,13 @@ let server src trace =
   with_session "server" src @@ fun local ->
   with_session "server" src @@ fun remote ->
   with_session "server" src @@ fun remote_lockstep ->
-  (* every step is followed by an [enabled] and a [candidates] probe of
-     its target, so pipelined runs interleave step runs with probe runs;
+  (* a seeded third of the steps is followed by an [enabled] and a
+     [candidates] probe of its target, so pipelined runs interleave
+     probe runs with step runs, runs of three and more fires among them;
      each request is paired with the engine's answer at the same prefix
-     (Ok result document, or Error code) *)
+     (Ok result document, or Error code).  The subset is a pure function
+     of (src, trace), so failures replay exactly. *)
+  let probe_after = Rng.make2 (Hashtbl.hash src) (List.length trace) in
   let c = Troll.Session.community local in
   let next_id = ref 0 in
   let fresh () =
@@ -278,15 +281,15 @@ let server src trace =
            (label, step_req, answer)
            ::
            (match step_target st with
-           | None -> []
-           | Some target ->
+           | Some target when Rng.chance probe_after 1 3 ->
                List.map
                  (fun (op, answer) ->
                    let what =
                      Printf.sprintf "%s, then %s %s" label op (Ident.to_string target)
                    in
                    (what, probe_request ~id:(fresh ()) op target, answer))
-                 (probe_answers c target)))
+                 (probe_answers c target)
+           | _ -> []))
          trace)
   in
   let requests =

@@ -7,12 +7,14 @@
     - ["server"]: {!Engine.step} in-process vs the NDJSON society
       server over a pipe (a forked child runs [Server.serve_fds]) —
       frame-by-frame agreement on outcome and error code, plus a final
-      inline [save] compared against the in-process image.  Every step
-      is followed by an [enabled] and a [candidates] probe of its
-      target, answered in-process by {!Engine.enabled_events} and
+      inline [save] compared against the in-process image.  A seeded
+      third of the steps (a pure function of (src, trace)) is followed
+      by an [enabled] and a [candidates] probe of its target, answered
+      in-process by {!Engine.enabled_events} and
       {!Engine.candidate_events} (with {!Engine.enabled} deciding the
       parameterless candidates) at the same prefix, so the server's
-      coalesced probe runs are checked too.
+      coalesced probe runs are checked, and so are its coalesced runs
+      of consecutive fires.
     - ["replay"]: save at the trace midpoint, load into a fresh
       community, replay the suffix on both — identical codes and final
       images.

@@ -16,8 +16,9 @@
     ({!Monitor.state_to_bools}), exactly like {!Persist}.
 
     The codec is line-based NDJSON-style text (one effect per line,
-    [|]-separated, values via {!Value_codec}), grouped under [obj]
-    context lines; see [docs/PERSISTENCE.md]. *)
+    [|]-separated, values via {!Value_codec}, read back by their length
+    prefixes), grouped under [obj] context lines; see
+    [docs/PERSISTENCE.md]. *)
 
 (** One committed, replayable mutation.  Identities carry their class,
     so a record is self-contained. *)
@@ -333,9 +334,6 @@ exception Bad of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
 
-let decode_value s =
-  match Value_codec.decode s with Ok v -> v | Error m -> fail "bad value: %s" m
-
 let bits_of_string s =
   Array.init (String.length s) (fun i ->
       match s.[i] with
@@ -344,9 +342,7 @@ let bits_of_string s =
       | c -> fail "bad bit %c" c)
 
 let decode (payload : string) : (eff list, string) result =
-  let lines =
-    List.filter (fun l -> l <> "") (String.split_on_char '\n' payload)
-  in
+  let r = Record.create payload in
   try
     let current = ref None in
     let id () =
@@ -368,41 +364,53 @@ let decode (payload : string) : (eff list, string) result =
       if n = 0 then acc := make (id (), idx, []) :: !acc
       else pending_inst := Some (make, idx, n, [])
     in
-    List.iter
-      (fun line ->
-        match String.split_on_char '|' line with
-        | [ "inst"; key; bits ] -> (
-            match !pending_inst with
-            | Some (make, idx, n, insts) when n > 0 ->
-                let key =
-                  match decode_value key with
-                  | Value.List l -> l
-                  | _ -> fail "instance key is not a list"
-                in
-                let p =
-                  Some (make, idx, n - 1, (key, bits_of_string bits) :: insts)
-                in
-                pending_inst := p;
-                if n - 1 = 0 then flush_inst ()
-            | _ -> fail "inst line outside an indexed block")
-        | fields -> (
-            flush_inst ();
-            match fields with
-            | [ "obj"; cls; key ] ->
-                current := Some (Ident.make cls (decode_value key))
-            | [ "obj"; cls; key; n ] ->
-                (* context line with the object's folded step counter *)
-                let id = Ident.make cls (decode_value key) in
-                current := Some id;
-                acc := E_steps (id, int_of_string n) :: !acc
+    (* a value field is read by its length prefixes (it may hold '|' or
+       a newline), the raw fields after it as a list *)
+    let record = function
+      | "inst" -> (
+          let key = Record.value r in
+          match Record.rest r with
+          | [ bits ] -> (
+              match !pending_inst with
+              | Some (make, idx, n, insts) when n > 0 ->
+                  let key =
+                    match key with
+                    | Value.List l -> l
+                    | _ -> fail "instance key is not a list"
+                  in
+                  let p =
+                    Some (make, idx, n - 1, (key, bits_of_string bits) :: insts)
+                  in
+                  pending_inst := p;
+                  if n - 1 = 0 then flush_inst ()
+              | _ -> fail "inst line outside an indexed block")
+          | _ -> raise Record.Malformed)
+      | tag -> (
+          flush_inst ();
+          match tag with
+          | "obj" -> (
+              let cls = Record.field r in
+              let id = Ident.make cls (Record.value r) in
+              current := Some id;
+              match Record.rest r with
+              | [] -> ()
+              | [ n ] ->
+                  (* context line with the object's folded step counter *)
+                  acc := E_steps (id, int_of_string n) :: !acc
+              | _ -> raise Record.Malformed)
+          | "attr" ->
+              let name = Record.field r in
+              let v = Record.value r in
+              if Record.rest r <> [] then raise Record.Malformed;
+              acc := E_attr (id (), name, v) :: !acc
+          | tag -> (
+            match tag :: Record.rest r with
             | [ "reg" ] -> acc := E_register (id ()) :: !acc
             | [ "unreg" ] -> acc := E_unregister (id ()) :: !acc
             | [ "life"; alive; dead ] ->
                 acc :=
                   E_life (id (), bool_of_string alive, bool_of_string dead)
                   :: !acc
-            | [ "attr"; name; v ] ->
-                acc := E_attr (id (), name, decode_value v) :: !acc
             | [ "perm"; idx; "none" ] ->
                 acc := E_perm_closed (id (), int_of_string idx, None) :: !acc
             | [ "perm"; idx; "closed"; bits ] ->
@@ -425,12 +433,18 @@ let decode (payload : string) : (eff list, string) result =
                   E_constr (id (), int_of_string idx, Some (bits_of_string bits))
                   :: !acc
             | [ "steps"; n ] -> acc := E_steps (id (), int_of_string n) :: !acc
-            | _ -> fail "malformed effect line: %s" line))
-      lines;
+            | _ -> raise Record.Malformed))
+    in
+    while Record.next r do
+      record (Record.tag r)
+    done;
     flush_inst ();
     Ok (List.rev !acc)
   with
   | Bad m -> Error m
+  | Record.Malformed ->
+      Error (Printf.sprintf "malformed effect line: %s" (Record.line r))
+  | Record.Bad_value m -> Error (Printf.sprintf "bad value: %s" m)
   | Failure m -> Error m
 
 (* ------------------------------------------------------------------ *)

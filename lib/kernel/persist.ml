@@ -14,7 +14,8 @@
     regardless, because they live in the monitor states.
 
     Format (one record per line, [|]-separated, values via
-    {!Value_codec}):
+    {!Value_codec}; {!load} reads a value by its length prefixes, so a
+    string in a key or an attribute may contain [|] or a newline):
 
     {v
       troll-state 1
@@ -163,9 +164,6 @@ exception Bad of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
 
-let decode_value s =
-  match Value_codec.decode s with Ok v -> v | Error m -> fail "bad value: %s" m
-
 let bits_to_array s =
   Array.init (String.length s) (fun i ->
       match s.[i] with
@@ -184,13 +182,14 @@ let monitor_state_for compiled bits =
     the shard layer unions disjoint per-shard dumps this way. *)
 let load ?(reset = true) (c : Community.t) (dump : string) :
     (unit, string) result =
-  let lines =
-    List.filter (fun l -> l <> "") (String.split_on_char '\n' dump)
-  in
-  match lines with
-  | [] -> Error "empty dump"
-  | h :: rest when String.equal h header -> (
+  let r = Record.create dump in
+  if not (Record.next r) then Error "empty dump"
+  else if not (String.equal (Record.line r) header) then
+    Error (Printf.sprintf "unknown header %S" (Record.line r))
+  else (
       try
+        ignore (Record.tag r);
+        ignore (Record.rest r);
         if reset then Community.reset_instance_state c;
         let current : Obj_state.t option ref = ref None in
         let pending_indexed :
@@ -218,24 +217,55 @@ let load ?(reset = true) (c : Community.t) (dump : string) :
               | Template.PG_state _ -> fail "monitor for a state guard")
           | None -> fail "permission index out of range"
         in
-        List.iter
-          (fun line ->
-            match String.split_on_char '|' line with
-            | "object" :: cls :: key :: alive :: dead :: steps :: [] ->
-                flush_indexed ();
-                let tpl = Community.template_exn c cls in
-                let id = Ident.make cls (decode_value key) in
-                let o = Obj_state.create id tpl in
-                o.Obj_state.alive <- bool_of_string alive;
-                o.Obj_state.dead <- bool_of_string dead;
-                o.Obj_state.steps <- int_of_string steps;
-                Community.register_object c o;
-                if o.Obj_state.alive then Community.extension_add c id;
-                current := Some o
-            | [ "attr"; name; value ] -> (
-                match !current with
-                | Some o -> Obj_state.set_attr o name (decode_value value)
-                | None -> fail "attr line outside an object")
+        (* a value field is read by its length prefixes (it may hold
+           '|' or a newline), the raw fields after it as a list *)
+        let record = function
+          | "object" -> (
+              let cls = Record.field r in
+              let key = Record.value r in
+              match Record.rest r with
+              | [ alive; dead; steps ] ->
+                  flush_indexed ();
+                  let tpl = Community.template_exn c cls in
+                  let id = Ident.make cls key in
+                  let o = Obj_state.create id tpl in
+                  o.Obj_state.alive <- bool_of_string alive;
+                  o.Obj_state.dead <- bool_of_string dead;
+                  o.Obj_state.steps <- int_of_string steps;
+                  Community.register_object c o;
+                  if o.Obj_state.alive then Community.extension_add c id;
+                  current := Some o
+              | _ -> raise Record.Malformed)
+          | "attr" -> (
+              let name = Record.field r in
+              let value = Record.value r in
+              if Record.rest r <> [] then raise Record.Malformed;
+              match !current with
+              | Some o -> Obj_state.set_attr o name value
+              | None -> fail "attr line outside an object")
+          | "inst" -> (
+              let key = Record.value r in
+              match Record.rest r with
+              | [ bits ] -> (
+                  match (!pending_indexed, !current) with
+                  | Some (idx, n, insts), Some o ->
+                      let compiled =
+                        match perm_compiled o idx with
+                        | `Indexed compiled -> compiled
+                        | `Closed _ -> fail "instance for closed guard"
+                      in
+                      let key =
+                        match key with
+                        | Value.List l -> l
+                        | _ -> fail "instance key is not a list"
+                      in
+                      pending_indexed :=
+                        Some
+                          (idx, n, (key, monitor_state_for compiled bits) :: insts)
+                  | _ -> fail "inst line outside an indexed block")
+              | _ -> raise Record.Malformed)
+          | tag -> (
+            match tag :: Record.rest r with
             | [ "perm"; idx; "closed"; bits ] -> (
                 flush_indexed ();
                 match !current with
@@ -252,23 +282,6 @@ let load ?(reset = true) (c : Community.t) (dump : string) :
                 flush_indexed ();
                 pending_indexed :=
                   Some (int_of_string idx, int_of_string n, [])
-            | [ "inst"; key; bits ] -> (
-                match (!pending_indexed, !current) with
-                | Some (idx, n, insts), Some o ->
-                    let compiled =
-                      match perm_compiled o idx with
-                      | `Indexed compiled -> compiled
-                      | `Closed _ -> fail "instance for closed guard"
-                    in
-                    let key =
-                      match decode_value key with
-                      | Value.List l -> l
-                      | _ -> fail "instance key is not a list"
-                    in
-                    pending_indexed :=
-                      Some
-                        (idx, n, (key, monitor_state_for compiled bits) :: insts)
-                | _ -> fail "inst line outside an indexed block")
             | [ "constr"; idx; bits ] -> (
                 flush_indexed ();
                 match !current with
@@ -290,15 +303,20 @@ let load ?(reset = true) (c : Community.t) (dump : string) :
                     o.Obj_state.constr_states.(idx) <-
                       Some (monitor_state_for compiled bits)
                 | None -> fail "constr line outside an object")
-            | _ -> fail "malformed line: %s" line)
-          rest;
+            | _ -> raise Record.Malformed)
+        in
+        while Record.next r do
+          record (Record.tag r)
+        done;
         flush_indexed ();
         Ok ()
       with
       | Bad m -> Error m
+      | Record.Malformed ->
+          Error (Printf.sprintf "malformed line: %s" (Record.line r))
+      | Record.Bad_value m -> Error (Printf.sprintf "bad value: %s" m)
       | Failure m -> Error m
       | Runtime_error.Error r -> Error (Runtime_error.reason_to_string r))
-  | h :: _ -> Error (Printf.sprintf "unknown header %S" h)
 
 let load_file (c : Community.t) (path : string) : (unit, string) result =
   let ic = open_in_bin path in

@@ -4,20 +4,19 @@ let max_frame_bytes = 4 * 1024 * 1024
 
 type read = Frame of Json.t | Malformed of string | Eof
 
-let decode_line line =
-  let line =
-    (* tolerate CRLF clients *)
-    let n = String.length line in
-    if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
-  in
-  if String.length line = 0 then None
-  else if String.length line > max_frame_bytes then
-    Some
-      (Malformed (Printf.sprintf "frame longer than %d bytes" max_frame_bytes))
+let too_long = Printf.sprintf "frame longer than %d bytes" max_frame_bytes
+
+let decode_sub s ~pos ~len =
+  (* tolerate CRLF clients *)
+  let len = if len > 0 && s.[pos + len - 1] = '\r' then len - 1 else len in
+  if len = 0 then None
+  else if len > max_frame_bytes then Some (Malformed too_long)
   else
-    match Json.of_string line with
+    match Json.of_substring s ~pos ~len with
     | Ok doc -> Some (Frame doc)
     | Error msg -> Some (Malformed msg)
+
+let decode_line line = decode_sub line ~pos:0 ~len:(String.length line)
 
 let rec read ic =
   match input_line ic with

@@ -11,9 +11,17 @@ val max_frame_bytes : int
 
 type read = Frame of Json.t | Malformed of string | Eof
 
+val too_long : string
+(** ["frame longer than 4194304 bytes"]: the message of a frame (or an
+    unterminated tail) past {!max_frame_bytes}. *)
+
 val decode_line : string -> read option
 (** Decode one line (without its terminator; a trailing ['\r'] is
     tolerated).  [None] for blank lines. *)
+
+val decode_sub : string -> pos:int -> len:int -> read option
+(** {!decode_line} of the line [String.sub s pos len], decoded where it
+    lies. *)
 
 val read : in_channel -> read
 (** Read the next frame from a channel.  Blank lines are skipped. *)

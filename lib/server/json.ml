@@ -13,51 +13,74 @@ type t =
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+let add_escaped buf = function
+  | '"' -> Buffer.add_string buf "\\\""
+  | '\\' -> Buffer.add_string buf "\\\\"
+  | '\n' -> Buffer.add_string buf "\\n"
+  | '\r' -> Buffer.add_string buf "\\r"
+  | '\t' -> Buffer.add_string buf "\\t"
+  | '\b' -> Buffer.add_string buf "\\b"
+  | '\012' -> Buffer.add_string buf "\\f"
+  | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+
+(* Runs of bytes that need no escape are copied whole, so a typical key
+   or value string is a single blit. *)
+let rec escape_run buf s run i =
+  if i = String.length s then Buffer.add_substring buf s run (i - run)
+  else if needs_escape (String.unsafe_get s i) then begin
+    Buffer.add_substring buf s run (i - run);
+    add_escaped buf (String.unsafe_get s i);
+    escape_run buf s (i + 1) (i + 1)
+  end
+  else escape_run buf s run (i + 1)
+
 let escape_into buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  escape_run buf s 0 0;
   Buffer.add_char buf '"'
 
 let rec print_into buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> Value_codec.add_int buf i
   | Float f ->
       if Float.is_integer f && Float.abs f < 1e15 then
         Buffer.add_string buf (Printf.sprintf "%.1f" f)
       else Buffer.add_string buf (Printf.sprintf "%.17g" f)
   | String s -> escape_into buf s
-  | List l ->
+  | List [] -> Buffer.add_string buf "[]"
+  | List (v :: rest) ->
       Buffer.add_char buf '[';
-      List.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_char buf ',';
-          print_into buf v)
-        l;
+      print_into buf v;
+      print_items buf rest;
       Buffer.add_char buf ']'
-  | Obj fields ->
+  | Obj [] -> Buffer.add_string buf "{}"
+  | Obj (field :: rest) ->
       Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          escape_into buf k;
-          Buffer.add_char buf ':';
-          print_into buf v)
-        fields;
+      print_field buf field;
+      print_fields buf rest;
       Buffer.add_char buf '}'
+
+and print_items buf = function
+  | [] -> ()
+  | v :: rest ->
+      Buffer.add_char buf ',';
+      print_into buf v;
+      print_items buf rest
+
+and print_field buf (k, v) =
+  escape_into buf k;
+  Buffer.add_char buf ':';
+  print_into buf v
+
+and print_fields buf = function
+  | [] -> ()
+  | field :: rest ->
+      Buffer.add_char buf ',';
+      print_field buf field;
+      print_fields buf rest
 
 let add_to_buffer buf v = print_into buf v
 
@@ -72,47 +95,70 @@ let to_string v =
 
 exception Bad of string
 
-type cursor = { src : string; mutable pos : int }
+(* The scanner indexes the source directly: [pos] is the next byte and
+   [stop] is one past the document's last, so a document can be parsed
+   where it lies inside a larger buffer. *)
+type cursor = { src : string; mutable pos : int; stop : int }
 
-let peek cur = if cur.pos < String.length cur.src then Some cur.src.[cur.pos] else None
-
-let advance cur = cur.pos <- cur.pos + 1
+let at cur c = cur.pos < cur.stop && String.unsafe_get cur.src cur.pos = c
 
 let skip_ws cur =
   while
-    match peek cur with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance cur;
-        true
+    cur.pos < cur.stop
+    &&
+    match String.unsafe_get cur.src cur.pos with
+    | ' ' | '\t' | '\n' | '\r' -> true
     | _ -> false
   do
-    ()
+    cur.pos <- cur.pos + 1
   done
 
 let expect cur ch =
-  match peek cur with
-  | Some c when c = ch -> advance cur
-  | Some c -> raise (Bad (Printf.sprintf "expected '%c', found '%c'" ch c))
-  | None -> raise (Bad (Printf.sprintf "expected '%c', found end of input" ch))
+  if cur.pos >= cur.stop then
+    raise (Bad (Printf.sprintf "expected '%c', found end of input" ch))
+  else
+    let c = String.unsafe_get cur.src cur.pos in
+    if c = ch then cur.pos <- cur.pos + 1
+    else raise (Bad (Printf.sprintf "expected '%c', found '%c'" ch c))
+
+let rec same_bytes src pos word i =
+  i = String.length word
+  || (src.[pos + i] = word.[i] && same_bytes src pos word (i + 1))
 
 let parse_keyword cur word value =
-  let n = String.length word in
   if
-    cur.pos + n <= String.length cur.src
-    && String.sub cur.src cur.pos n = word
+    cur.pos + String.length word <= cur.stop
+    && same_bytes cur.src cur.pos word 0
   then begin
-    cur.pos <- cur.pos + n;
+    cur.pos <- cur.pos + String.length word;
     value
   end
   else raise (Bad (Printf.sprintf "invalid literal (expected %s)" word))
 
+let hex_digit = function
+  | '0' .. '9' as c -> Char.code c - 48
+  | 'a' .. 'f' as c -> Char.code c - 87
+  | 'A' .. 'F' as c -> Char.code c - 55
+  | _ -> -1
+
+(* Four bytes read as [int_of_string ("0x" ^ them)] reads them: a hex
+   digit, then hex digits or '_' separators (which it skips). *)
 let parse_hex4 cur =
-  if cur.pos + 4 > String.length cur.src then raise (Bad "truncated \\u escape");
-  let s = String.sub cur.src cur.pos 4 in
-  cur.pos <- cur.pos + 4;
-  match int_of_string_opt ("0x" ^ s) with
-  | Some n -> n
-  | None -> raise (Bad "malformed \\u escape")
+  if cur.pos + 4 > cur.stop then raise (Bad "truncated \\u escape");
+  let p = cur.pos in
+  cur.pos <- p + 4;
+  let malformed () = raise (Bad "malformed \\u escape") in
+  let rec go acc i =
+    if i = p + 4 then acc
+    else
+      match cur.src.[i] with
+      | '_' -> go acc (i + 1)
+      | c ->
+          let d = hex_digit c in
+          if d < 0 then malformed () else go ((acc * 16) + d) (i + 1)
+  in
+  let d0 = hex_digit cur.src.[p] in
+  if d0 < 0 then malformed () else go d0 (p + 1)
 
 (* encode a Unicode scalar value as UTF-8 *)
 let add_utf8 buf u =
@@ -133,70 +179,85 @@ let add_utf8 buf u =
     Buffer.add_char buf (Char.chr (0x80 lor (u land 0x3f)))
   end
 
-let parse_string_body cur =
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    match peek cur with
-    | None -> raise (Bad "unterminated string")
-    | Some '"' -> advance cur
-    | Some '\\' -> (
-        advance cur;
-        match peek cur with
-        | None -> raise (Bad "unterminated escape")
-        | Some c ->
-            advance cur;
-            (match c with
-            | '"' -> Buffer.add_char buf '"'
-            | '\\' -> Buffer.add_char buf '\\'
-            | '/' -> Buffer.add_char buf '/'
-            | 'n' -> Buffer.add_char buf '\n'
-            | 'r' -> Buffer.add_char buf '\r'
-            | 't' -> Buffer.add_char buf '\t'
-            | 'b' -> Buffer.add_char buf '\b'
-            | 'f' -> Buffer.add_char buf '\012'
-            | 'u' -> (
-                let u = parse_hex4 cur in
-                (* surrogate pair *)
-                if u >= 0xd800 && u <= 0xdbff then begin
-                  expect cur '\\';
-                  expect cur 'u';
-                  let lo = parse_hex4 cur in
-                  if lo < 0xdc00 || lo > 0xdfff then
-                    raise (Bad "invalid surrogate pair");
-                  add_utf8 buf
-                    (0x10000 + ((u - 0xd800) lsl 10) + (lo - 0xdc00))
-                end
-                else add_utf8 buf u)
-            | c -> raise (Bad (Printf.sprintf "invalid escape '\\%c'" c)));
-            loop ())
-    | Some c when Char.code c < 0x20 -> raise (Bad "control byte in string")
-    | Some c ->
-        advance cur;
-        Buffer.add_char buf c;
-        loop ()
-  in
-  loop ();
-  Buffer.contents buf
+(* The end of the literal run starting at [i]: the index of the first
+   '"' or '\\'. *)
+let rec literal_run cur i =
+  if i >= cur.stop then raise (Bad "unterminated string")
+  else
+    match String.unsafe_get cur.src i with
+    | '"' | '\\' -> i
+    | c when Char.code c < 0x20 -> raise (Bad "control byte in string")
+    | _ -> literal_run cur (i + 1)
 
-let parse_number cur =
-  let start = cur.pos in
+(* one escape sequence, its backslash already consumed *)
+let add_escape cur buf =
+  if cur.pos >= cur.stop then raise (Bad "unterminated escape");
+  let c = cur.src.[cur.pos] in
+  cur.pos <- cur.pos + 1;
+  match c with
+  | '"' -> Buffer.add_char buf '"'
+  | '\\' -> Buffer.add_char buf '\\'
+  | '/' -> Buffer.add_char buf '/'
+  | 'n' -> Buffer.add_char buf '\n'
+  | 'r' -> Buffer.add_char buf '\r'
+  | 't' -> Buffer.add_char buf '\t'
+  | 'b' -> Buffer.add_char buf '\b'
+  | 'f' -> Buffer.add_char buf '\012'
+  | 'u' ->
+      let u = parse_hex4 cur in
+      (* surrogate pair *)
+      if u >= 0xd800 && u <= 0xdbff then begin
+        expect cur '\\';
+        expect cur 'u';
+        let lo = parse_hex4 cur in
+        if lo < 0xdc00 || lo > 0xdfff then raise (Bad "invalid surrogate pair");
+        add_utf8 buf (0x10000 + ((u - 0xd800) lsl 10) + (lo - 0xdc00))
+      end
+      else add_utf8 buf u
+  | c -> raise (Bad (Printf.sprintf "invalid escape '\\%c'" c))
+
+(* After the opening quote.  A string without escapes is one
+   [String.sub]; only one with escapes goes through a buffer. *)
+let parse_string_body cur =
+  let first = cur.pos in
+  let i = literal_run cur first in
+  if cur.src.[i] = '"' then begin
+    cur.pos <- i + 1;
+    String.sub cur.src first (i - first)
+  end
+  else begin
+    let buf = Buffer.create (i - first + 16) in
+    Buffer.add_substring buf cur.src first (i - first);
+    let rec escapes i =
+      (* [cur.src.[i]] is a backslash *)
+      cur.pos <- i + 1;
+      add_escape cur buf;
+      let j = literal_run cur cur.pos in
+      Buffer.add_substring buf cur.src cur.pos (j - cur.pos);
+      if cur.src.[j] = '"' then cur.pos <- j + 1 else escapes j
+    in
+    escapes i;
+    Buffer.contents buf
+  end
+
+(* Anything but a plain integer of at most 18 digits: the number's
+   extent is every following byte that can occur in a number, read by
+   [int_of_string] or, failing that, [float_of_string]. *)
+let parse_number_text cur start =
+  cur.pos <- start;
   let is_float = ref false in
-  let consume () =
-    while
-      match peek cur with
-      | Some ('0' .. '9' | '-' | '+') ->
-          advance cur;
-          true
-      | Some ('.' | 'e' | 'E') ->
-          is_float := true;
-          advance cur;
-          true
-      | _ -> false
-    do
-      ()
-    done
-  in
-  consume ();
+  while
+    cur.pos < cur.stop
+    &&
+    match String.unsafe_get cur.src cur.pos with
+    | '0' .. '9' | '-' | '+' -> true
+    | '.' | 'e' | 'E' ->
+        is_float := true;
+        true
+    | _ -> false
+  do
+    cur.pos <- cur.pos + 1
+  done;
   let text = String.sub cur.src start (cur.pos - start) in
   if !is_float then
     match float_of_string_opt text with
@@ -211,72 +272,97 @@ let parse_number cur =
         | Some f -> Float f
         | None -> raise (Bad (Printf.sprintf "malformed number %S" text)))
 
+(* A plain integer folds its digits straight into an [Int]: [first] is
+   its first digit, [i] the next byte; 18 digits cannot overflow. *)
+let rec parse_digits cur start first i acc =
+  if i < cur.stop then
+    match String.unsafe_get cur.src i with
+    | '0' .. '9' as c ->
+        parse_digits cur start first (i + 1) ((acc * 10) + Char.code c - 48)
+    | '-' | '+' | '.' | 'e' | 'E' -> parse_number_text cur start
+    | _ -> int_literal cur start first i acc
+  else int_literal cur start first i acc
+
+and int_literal cur start first i acc =
+  if i = first || i - first > 18 then parse_number_text cur start
+  else begin
+    cur.pos <- i;
+    Int (if first > start then -acc else acc)
+  end
+
+let parse_number cur =
+  let start = cur.pos in
+  let first = if cur.src.[start] = '-' then start + 1 else start in
+  parse_digits cur start first first 0
+
 let rec parse_value cur =
   skip_ws cur;
-  match peek cur with
-  | None -> raise (Bad "empty input")
-  | Some 'n' -> parse_keyword cur "null" Null
-  | Some 't' -> parse_keyword cur "true" (Bool true)
-  | Some 'f' -> parse_keyword cur "false" (Bool false)
-  | Some '"' ->
-      advance cur;
+  if cur.pos >= cur.stop then raise (Bad "empty input");
+  match String.unsafe_get cur.src cur.pos with
+  | 'n' -> parse_keyword cur "null" Null
+  | 't' -> parse_keyword cur "true" (Bool true)
+  | 'f' -> parse_keyword cur "false" (Bool false)
+  | '"' ->
+      cur.pos <- cur.pos + 1;
       String (parse_string_body cur)
-  | Some ('-' | '0' .. '9') -> parse_number cur
-  | Some '[' ->
-      advance cur;
+  | '-' | '0' .. '9' -> parse_number cur
+  | '[' ->
+      cur.pos <- cur.pos + 1;
       skip_ws cur;
-      if peek cur = Some ']' then begin
-        advance cur;
+      if at cur ']' then begin
+        cur.pos <- cur.pos + 1;
         List []
       end
-      else begin
-        let items = ref [ parse_value cur ] in
-        skip_ws cur;
-        while peek cur = Some ',' do
-          advance cur;
-          items := parse_value cur :: !items;
-          skip_ws cur
-        done;
-        expect cur ']';
-        List (List.rev !items)
-      end
-  | Some '{' ->
-      advance cur;
+      else List (parse_items cur)
+  | '{' ->
+      cur.pos <- cur.pos + 1;
       skip_ws cur;
-      if peek cur = Some '}' then begin
-        advance cur;
+      if at cur '}' then begin
+        cur.pos <- cur.pos + 1;
         Obj []
       end
-      else begin
-        let field () =
-          skip_ws cur;
-          expect cur '"';
-          let k = parse_string_body cur in
-          skip_ws cur;
-          expect cur ':';
-          let v = parse_value cur in
-          (k, v)
-        in
-        let fields = ref [ field () ] in
-        skip_ws cur;
-        while peek cur = Some ',' do
-          advance cur;
-          fields := field () :: !fields;
-          skip_ws cur
-        done;
-        expect cur '}';
-        Obj (List.rev !fields)
-      end
-  | Some c -> raise (Bad (Printf.sprintf "unexpected character '%c'" c))
+      else Obj (parse_fields cur)
+  | c -> raise (Bad (Printf.sprintf "unexpected character '%c'" c))
 
-let of_string s =
-  let cur = { src = s; pos = 0 } in
+and parse_items cur =
+  let v = parse_value cur in
+  skip_ws cur;
+  if at cur ',' then begin
+    cur.pos <- cur.pos + 1;
+    v :: parse_items cur
+  end
+  else begin
+    expect cur ']';
+    [ v ]
+  end
+
+and parse_fields cur =
+  skip_ws cur;
+  expect cur '"';
+  let k = parse_string_body cur in
+  skip_ws cur;
+  expect cur ':';
+  let field = (k, parse_value cur) in
+  skip_ws cur;
+  if at cur ',' then begin
+    cur.pos <- cur.pos + 1;
+    field :: parse_fields cur
+  end
+  else begin
+    expect cur '}';
+    [ field ]
+  end
+
+let of_substring s ~pos ~len =
+  let cur = { src = s; pos; stop = pos + len } in
   match parse_value cur with
   | v ->
       skip_ws cur;
-      if cur.pos < String.length s then Error "trailing garbage after document"
+      if cur.pos < cur.stop then Error "trailing garbage after document"
       else Ok v
   | exception Bad msg -> Error msg
+
+let of_string s = of_substring s ~pos:0 ~len:(String.length s)
 
 let rec equal a b =
   match (a, b) with
@@ -299,11 +385,11 @@ let rec equal a b =
 (* Accessors                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let member key = function
-  | Obj fields -> ( match List.assoc_opt key fields with
-    | Some v -> v
-    | None -> Null)
-  | _ -> Null
+let rec assoc key = function
+  | [] -> Null
+  | (k, v) :: rest -> if String.equal k key then v else assoc key rest
+
+let member key = function Obj fields -> assoc key fields | _ -> Null
 
 let to_string_opt = function String s -> Some s | _ -> None
 let to_int_opt = function Int i -> Some i | _ -> None

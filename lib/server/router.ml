@@ -7,7 +7,7 @@
 
 type client = {
   cl_fd : Unix.file_descr;
-  cl_buf : Buffer.t;
+  cl_in : Inbuf.t;
   cl_out : Outbuf.t;
   mutable cl_alive : bool;
 }
@@ -26,7 +26,7 @@ type link = {
   lk_path : string;
   mutable lk_fd : Unix.file_descr option;
   mutable lk_out : Outbuf.t option;  (** paired with [lk_fd] *)
-  lk_buf : Buffer.t;
+  lk_in : Inbuf.t;
   lk_inflight : (string, pending) Hashtbl.t;
   (* WAL mirror: a base dump plus every record shipped since, enough
      to rebuild the shard from nothing *)
@@ -68,7 +68,7 @@ let create ~community ~map ~paths ?respawn () =
             lk_path = paths.(k);
             lk_fd = None;
             lk_out = None;
-            lk_buf = Buffer.create 256;
+            lk_in = Inbuf.create ();
             lk_inflight = Hashtbl.create 16;
             lk_base = "";
             lk_base_seq = 0;
@@ -127,7 +127,7 @@ let link_down t link =
       (try Unix.close fd with Unix.Unix_error _ -> ()));
   Option.iter Outbuf.kill link.lk_out;
   link.lk_out <- None;
-  Buffer.clear link.lk_buf;
+  Inbuf.clear link.lk_in;
   Hashtbl.iter
     (fun _ p ->
       match p with
@@ -166,43 +166,17 @@ let handle_shard_frame link j =
       | P_sync cell -> cell := Some j)
   | _ -> mirror_records link j
 
-let feed_buffer buf handle =
-  let data = Buffer.contents buf in
-  let n = String.length data in
-  let start = ref 0 in
-  (try
-     while !start < n do
-       match String.index_from data !start '\n' with
-       | exception Not_found -> raise Exit
-       | nl ->
-           let line = String.sub data !start (nl - !start) in
-           start := nl + 1;
-           (match Frame.decode_line line with
-           | Some (Frame.Frame doc) -> handle doc
-           | Some (Frame.Malformed _) | Some Frame.Eof | None -> ())
-     done
-   with Exit -> ());
-  let rest = String.sub data !start (n - !start) in
-  Buffer.clear buf;
-  Buffer.add_string buf rest
-
-let read_chunk_size = 65536
-
 let service_link t link =
   match link.lk_fd with
   | None -> ()
   | Some fd -> (
-      let buf = Bytes.create read_chunk_size in
-      match Unix.read fd buf 0 read_chunk_size with
-      | 0 -> link_down t link
-      | n ->
-          Buffer.add_subbytes link.lk_buf buf 0 n;
-          feed_buffer link.lk_buf (handle_shard_frame link)
-      | exception
-          Unix.Unix_error
-            ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-          ()
-      | exception Unix.Unix_error _ -> link_down t link)
+      match
+        Inbuf.read link.lk_in fd (function
+          | Frame.Frame doc -> handle_shard_frame link doc
+          | Frame.Malformed _ | Frame.Eof -> ())
+      with
+      | Inbuf.Eof -> link_down t link
+      | Inbuf.Open | Inbuf.Overlong -> ())
 
 (** Append one frame to a link's output buffer and flush what the
     socket accepts; [Error] (with the link torn down) when the link is
@@ -362,7 +336,7 @@ let connect_link t link : (unit, string) result =
   | Ok fd -> (
       link.lk_fd <- Some fd;
       link.lk_out <- Some (Outbuf.create fd);
-      Buffer.clear link.lk_buf;
+      Inbuf.clear link.lk_in;
       match rpc t link hello_fields with
       | Error e ->
           link_down t link;
@@ -742,18 +716,24 @@ let handle_client_doc t client doc =
       await_cells t cells;
       reply_ok (Json.Obj [ ("draining", Json.Bool true) ])
 
+(* a client's fd is closed when the loop reaps it, once it is no
+   longer alive *)
+let close_client c =
+  c.cl_alive <- false;
+  Outbuf.kill c.cl_out
+
 let service_client t client =
-  let buf = Bytes.create read_chunk_size in
-  match Unix.read client.cl_fd buf 0 read_chunk_size with
-  | 0 -> client.cl_alive <- false
-  | n ->
-      Buffer.add_subbytes client.cl_buf buf 0 n;
-      feed_buffer client.cl_buf (handle_client_doc t client)
-  | exception
-      Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-    ->
-      ()
-  | exception Unix.Unix_error _ -> client.cl_alive <- false
+  match
+    Inbuf.read client.cl_in client.cl_fd (function
+      | Frame.Frame doc -> handle_client_doc t client doc
+      | Frame.Malformed _ | Frame.Eof -> ())
+  with
+  | Inbuf.Open -> ()
+  | Inbuf.Eof -> client.cl_alive <- false
+  | Inbuf.Overlong ->
+      error_to_client client ~id:Json.Null
+        (Protocol.Wire_error.make ~code:"bad_request" Frame.too_long);
+      close_client client
 
 (* ------------------------------------------------------------------ *)
 (* The serve loop                                                      *)
@@ -763,10 +743,16 @@ let service_client t client =
    buffer without bound; past this it is dropped *)
 let client_backlog_limit = 8 * 1024 * 1024
 
-let close_client c =
-  if c.cl_alive then c.cl_alive <- false;
-  Outbuf.kill c.cl_out;
-  try Unix.close c.cl_fd with Unix.Unix_error _ -> ()
+let reap_clients t =
+  t.clients <-
+    List.filter
+      (fun c ->
+        c.cl_alive
+        ||
+        (Outbuf.kill c.cl_out;
+         (try Unix.close c.cl_fd with Unix.Unix_error _ -> ());
+         false))
+      t.clients
 
 let listen_unix t ~path : (unit, string) result =
   (* bring every shard up before accepting anyone *)
@@ -823,7 +809,7 @@ let listen_unix t ~path : (unit, string) result =
                   close_client c
               end)
             t.clients;
-          t.clients <- List.filter (fun c -> c.cl_alive) t.clients;
+          reap_clients t;
           let read_fds =
             (if t.draining then [] else [ listener ])
             @ List.map (fun c -> c.cl_fd) t.clients
@@ -872,7 +858,7 @@ let listen_unix t ~path : (unit, string) result =
                         t.clients <-
                           {
                             cl_fd = cfd;
-                            cl_buf = Buffer.create 256;
+                            cl_in = Inbuf.create ();
                             cl_out = Outbuf.create cfd;
                             cl_alive = true;
                           }
@@ -897,7 +883,7 @@ let listen_unix t ~path : (unit, string) result =
       (try Unix.close listener with Unix.Unix_error _ -> ());
       (try Unix.unlink path with Unix.Unix_error _ -> ());
       List.iter close_client t.clients;
-      t.clients <- [];
+      reap_clients t;
       (* best effort: ask still-running shards to drain too (a no-op
          when shutdown came in over the wire and was already relayed) *)
       let cells =

@@ -25,14 +25,14 @@ let default_config =
     evict_after = 30.;
   }
 
-(* one client connection; [pending] buffers bytes up to the next
-   newline, [inq] holds the connection's admitted-but-unexecuted
-   requests in arrival order, [out] its coalesced responses *)
+(* one client connection; [inbuf] frames its input in place, [inq]
+   holds the connection's admitted-but-unexecuted requests in arrival
+   order, [out] its coalesced responses *)
 type conn = {
   fd : Unix.file_descr;
   out_fd : Unix.file_descr;  (** = [fd] except in stdio mode *)
   out : Outbuf.t;
-  mutable pending : Buffer.t;
+  inbuf : Inbuf.t;
   inq : job Queue.t;
   mutable alive : bool;
   owned : bool;
@@ -904,60 +904,21 @@ let handle_frame t conn (read : Frame.read) =
 (* Connection input                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(** Drain complete lines out of the connection's pending buffer. *)
-let feed_lines t conn =
-  let data = Buffer.contents conn.pending in
-  let n = String.length data in
-  let start = ref 0 in
-  (try
-     while !start < n do
-       match String.index_from data !start '\n' with
-       | exception Not_found -> raise Exit
-       | nl ->
-           let line = String.sub data !start (nl - !start) in
-           start := nl + 1;
-           (match Frame.decode_line line with
-           | None -> ()
-           | Some read -> handle_frame t conn read)
-     done
-   with Exit -> ());
-  let rest = String.sub data !start (n - !start) in
-  Buffer.clear conn.pending;
-  Buffer.add_string conn.pending rest;
-  if Buffer.length conn.pending > Frame.max_frame_bytes then begin
-    send_error conn ~id:Json.Null
-      (Protocol.Wire_error.make ~code:"bad_request"
-         (Printf.sprintf "frame longer than %d bytes" Frame.max_frame_bytes));
-    close_conn t conn
-  end
-
-let read_chunk_size = 65536
-
 (** Read a select-ready connection dry — the descriptor is nonblocking,
     so the loop drains everything the kernel has buffered and every
     complete frame is admitted in this wakeup (decode-ahead).  [false]
-    on end of input. *)
+    once nothing more will be read: end of input, or an unterminated
+    frame past {!Frame.max_frame_bytes}, which is answered [bad_request]
+    and closes the connection. *)
 let service_input t conn =
-  let buf = Bytes.create read_chunk_size in
-  let open_ = ref true and more = ref true in
-  while !more do
-    match Unix.read conn.fd buf 0 read_chunk_size with
-    | 0 ->
-        open_ := false;
-        more := false
-    | n ->
-        Buffer.add_subbytes conn.pending buf 0 n;
-        if n < read_chunk_size then more := false
-    | exception
-        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        more := false
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error (_, _, _) ->
-        open_ := false;
-        more := false
-  done;
-  if conn.alive then feed_lines t conn;
-  !open_
+  match Inbuf.read conn.inbuf conn.fd (handle_frame t conn) with
+  | Inbuf.Open -> true
+  | Inbuf.Eof -> false
+  | Inbuf.Overlong ->
+      send_error conn ~id:Json.Null
+        (Protocol.Wire_error.make ~code:"bad_request" Frame.too_long);
+      close_conn t conn;
+      false
 
 (* ------------------------------------------------------------------ *)
 (* The serve loop                                                      *)
@@ -1039,7 +1000,7 @@ let make_conn ~owned ~fd ~out_fd =
     fd;
     out_fd;
     out = Outbuf.create out_fd;
-    pending = Buffer.create 256;
+    inbuf = Inbuf.create ();
     inq = Queue.create ();
     alive = true;
     owned;

@@ -6,9 +6,12 @@
     the daemon, and interface classes mediate their view of it.
 
     {b Execution model.}  A single-threaded [select] loop multiplexes
-    every connection.  Each wakeup drains every complete frame the
-    kernel has buffered (decode-ahead) into a per-connection FIFO of
-    admitted jobs, bounded by [queue_capacity] across all connections;
+    every connection.  Each wakeup reads a connection until a read comes
+    back short, into the connection's one reused {!Inbuf}: no buffer is
+    allocated per read and the pending input is never copied.  Every
+    complete frame, decoded where it lies in that buffer, is drained
+    (decode-ahead) into a per-connection FIFO of admitted jobs, bounded
+    by [queue_capacity] across all connections;
     the turn then executes the queued jobs — round-robin across
     connections, one job per connection per cycle, so a deeply
     pipelined client never starves the others, while each connection's

@@ -100,6 +100,228 @@ let test_json_rejects () =
   bad {|{"a" 1}|};
   bad "[1,]"
 
+(* Integer literals fold into an [Int] up to 18 digits; longer ones
+   and those past the int range take [int_of_string], then
+   [float_of_string]. *)
+let test_json_integer_literals () =
+  List.iter
+    (fun (text, expected) ->
+      match (Json.of_string text, expected) with
+      | Ok (Json.Int i), `Int j when i = j -> ()
+      | Ok (Json.Float f), `Float g when f = g -> ()
+      | r, _ ->
+          Alcotest.failf "%s parsed to %s" text
+            (match r with Ok j -> Json.to_string j | Error e -> e))
+    [
+      ("0", `Int 0);
+      ("-0", `Int 0);
+      ("007", `Int 7);
+      ("123456789012345678", `Int 123456789012345678);
+      ("-123456789012345678", `Int (-123456789012345678));
+      ("1234567890123456789", `Int 1234567890123456789);
+      (string_of_int max_int, `Int max_int);
+      (string_of_int min_int, `Int min_int);
+      ("4611686018427387904", `Float 4611686018427387904.);
+      ("-4611686018427387905", `Float (-4611686018427387905.));
+      ("99999999999999999999", `Float 1e20);
+      ("2.5", `Float 2.5);
+      ("-1e3", `Float (-1000.));
+    ]
+
+(* Every [Error] message of the parser, byte for byte as the previous
+   character-by-character parser wrote them: clients see them in
+   [bad_request] frames ("malformed frame: <message>"). *)
+let malformed_json =
+  [
+    ("", "empty input");
+    ("   ", "empty input");
+    ("{", "expected '\"', found end of input");
+    ("nul", "invalid literal (expected null)");
+    ("tru", "invalid literal (expected true)");
+    ("fals", "invalid literal (expected false)");
+    ("{\"a\": 1} trailing", "trailing garbage after document");
+    ("{\"a\" 1}", "expected ':', found '1'");
+    ("[1,]", "unexpected character ']'");
+    ("{\"a\":1,}", "expected '\"', found '}'");
+    ("[1 2]", "expected ']', found '2'");
+    ("\"abc", "unterminated string");
+    ("\"abc\\", "unterminated escape");
+    ("\"\\q\"", "invalid escape '\\q'");
+    ("\"\\u12\"", "truncated \\u escape");
+    ("\"\\uZZZZ\"", "malformed \\u escape");
+    ("\"\\u_123\"", "malformed \\u escape");
+    ("\"\\ud834x\"", "expected '\\', found 'x'");
+    ("\"\\ud834\\n\"", "expected 'u', found 'n'");
+    ("\"\\ud834\\u0041\"", "invalid surrogate pair");
+    ("\"\\ud834\\u00\"", "truncated \\u escape");
+    ("\"a\001b\"", "control byte in string");
+    ("-", "malformed number \"-\"");
+    ("1.2.3", "malformed number \"1.2.3\"");
+    ("--1", "malformed number \"--1\"");
+    ("1e", "malformed number \"1e\"");
+    ("12-3", "malformed number \"12-3\"");
+    ("@", "unexpected character '@'");
+    ("[", "empty input");
+    ("{\"a\":}", "unexpected character '}'");
+    ("{1:2}", "expected '\"', found '1'");
+    ("\195\169", "unexpected character '\195'");
+    ("[1,2", "expected ']', found end of input");
+    ("[1,2,", "empty input");
+    ("{\"a\":1", "expected '}', found end of input");
+    ("nullx", "trailing garbage after document");
+    ("01x", "trailing garbage after document");
+  ]
+
+let test_json_error_messages () =
+  List.iter
+    (fun (text, message) ->
+      match Json.of_string text with
+      | Ok j -> Alcotest.failf "%S parsed to %s" text (Json.to_string j)
+      | Error got -> Alcotest.(check string) (Printf.sprintf "%S" text) message got)
+    malformed_json;
+  (* decoded in place, inside a larger buffer, the verdicts are the same *)
+  List.iter
+    (fun (text, message) ->
+      let padded = "{\"id\":1}\n" ^ text ^ "\n[2]" in
+      match Json.of_substring padded ~pos:9 ~len:(String.length text) with
+      | Ok _ -> Alcotest.failf "%S parsed in place" text
+      | Error got ->
+          Alcotest.(check string) (Printf.sprintf "%S in place" text) message got)
+    malformed_json;
+  Alcotest.(check bool) "over-long line" true
+    (Frame.decode_line (String.make (Frame.max_frame_bytes + 1) 'x')
+    = Some (Frame.Malformed "frame longer than 4194304 bytes"))
+
+(* Documents for the codec property.  Strings are UTF-8 over code
+   points from every width, '"', '\\', '/' and the control bytes
+   included; numbers include both ends of the int range and integral
+   floats past it. *)
+let gen_code_point =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, int_range 0x20 0x7e);
+        (2, int_range 0 0x1f);
+        (1, oneofl [ 0x22; 0x5c; 0x2f; 0x7f ]);
+        (1, int_range 0x80 0x7ff);
+        (1, int_range 0x800 0xd7ff);
+        (1, int_range 0xe000 0xfffd);
+        (2, int_range 0x10000 0x10ffff);
+      ])
+
+let gen_string =
+  QCheck.Gen.(
+    map
+      (fun cps ->
+        let buf = Buffer.create 16 in
+        List.iter (fun u -> Buffer.add_utf_8_uchar buf (Uchar.of_int u)) cps;
+        Buffer.contents buf)
+      (list_size (int_bound 12) gen_code_point))
+
+let gen_json =
+  QCheck.Gen.(
+    sized
+    @@ fix (fun self n ->
+           let scalar =
+             frequency
+               [
+                 (1, return Json.Null);
+                 (1, map (fun b -> Json.Bool b) bool);
+                 ( 3,
+                   map
+                     (fun i -> Json.Int i)
+                     (oneof
+                        [
+                          small_signed_int;
+                          int;
+                          oneofl [ max_int; min_int; 0; -1; 1 lsl 60 ];
+                        ]) );
+                 ( 2,
+                   map
+                     (fun f -> Json.Float f)
+                     (oneof
+                        [
+                          map (fun f -> if Float.is_finite f then f else 0.5) float;
+                          oneofl
+                            [ 0.1; -2.5; 1e15; -1e15; 4611686018427387904.; 1e19; -1e19; 1e300 ];
+                        ]) );
+                 (3, map (fun s -> Json.String s) gen_string);
+               ]
+           in
+           if n <= 0 then scalar
+           else
+             frequency
+               [
+                 (3, scalar);
+                 (1, map (fun l -> Json.List l) (list_size (int_bound 4) (self (n / 2))));
+                 ( 1,
+                   map
+                     (fun l -> Json.Obj l)
+                     (list_size (int_bound 4) (pair gen_string (self (n / 2)))) );
+               ]))
+
+(* A second printer: every string byte beyond ASCII, and every control
+   byte, spelled as a \\u escape (astral code points as surrogate
+   pairs), every integral float as a plain integer literal (past the
+   int range, it parses back as a float), with whitespace around every
+   token. *)
+let rec print_spelled buf (j : Json.t) =
+  let sep c = Buffer.add_string buf (Printf.sprintf " \t%c\r\n" c) in
+  match j with
+  | Json.String s ->
+      Buffer.add_char buf '"';
+      let rec go i =
+        if i < String.length s then begin
+          let d = String.get_utf_8_uchar s i in
+          let u = Uchar.to_int (Uchar.utf_decode_uchar d) in
+          (if u >= 0x10000 then
+             let v = u - 0x10000 in
+             Buffer.add_string buf
+               (Printf.sprintf "\\u%04x\\u%04X" (0xd800 + (v lsr 10))
+                  (0xdc00 + (v land 0x3ff)))
+           else if u >= 0x7f || u < 0x20 || u = 0x22 || u = 0x5c then
+             Buffer.add_string buf (Printf.sprintf "\\u%04X" u)
+           else Buffer.add_char buf (Char.chr u));
+          go (i + Uchar.utf_decode_length d)
+        end
+      in
+      go 0;
+      Buffer.add_char buf '"'
+  | Json.List l ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i v ->
+          if i > 0 then sep ',';
+          print_spelled buf v)
+        l;
+      sep ']'
+  | Json.Obj fields ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then sep ',';
+          print_spelled buf (Json.String k);
+          sep ':';
+          print_spelled buf v)
+        fields;
+      sep '}'
+  | Json.Float f when Float.is_integer f ->
+      Buffer.add_string buf (Printf.sprintf "%.0f" f)
+  | scalar -> Buffer.add_string buf (Json.to_string scalar)
+
+let prop_json_round_trip =
+  QCheck.Test.make ~name:"json: of_string (to_string j) = Ok j" ~count:1000
+    (QCheck.make ~print:Json.to_string gen_json)
+    (fun j ->
+      let spelled = Buffer.create 64 in
+      print_spelled spelled j;
+      List.for_all
+        (fun text ->
+          match Json.of_string text with
+          | Ok j' -> Json.equal j j'
+          | Error e -> QCheck.Test.fail_reportf "%S: %s" text e)
+        [ Json.to_string j; Buffer.contents spelled ])
+
 (* ---------------------------------------------------------------- *)
 (* Value codec                                                       *)
 (* ---------------------------------------------------------------- *)
@@ -696,6 +918,29 @@ let test_serve_steps_batch () =
   Alcotest.(check (option string)) "same dump as single frames"
     (state_of single save_id) (state_of batched save_id)
 
+(* A daemon restores its own save when a key holds the dump's record
+   separators ('|' and a newline): the dump reads values by their length
+   prefixes. *)
+let test_serve_restore_separators () =
+  let _, _, saved =
+    serve_script
+      [
+        {|{"id":1,"op":"create","cls":"PERSON","key":"a\nb|c"}|};
+        {|{"id":2,"op":"save"}|};
+      ]
+  in
+  check_ok "create" (by_id saved 1);
+  let state = Json.member "state" (result_of saved 2) in
+  let restore =
+    Json.to_string
+      (Json.Obj
+         [ ("id", Json.Int 3); ("op", Json.String "restore"); ("state", state) ])
+  in
+  let _, _, restored = serve_script [ restore; {|{"id":4,"op":"save"}|} ] in
+  check_ok "restore of its own save" (by_id restored 3);
+  Alcotest.check json "the restored state saves to the same bytes" state
+    (Json.member "state" (result_of restored 4))
+
 (* Probes observe state, so while a two-phase prepare holds the journal
    open they must be refused like any other request — on the coalesced
    probe path as well as in [Server.execute] — and the daemon must keep
@@ -837,6 +1082,20 @@ let test_serve_pipelined_fifo () =
 (* Backpressure over a real socket                                   *)
 (* ---------------------------------------------------------------- *)
 
+(* A connector to a Unix socket that a forked child is still binding. *)
+let connector path () =
+  let rec attempt i =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX path) with
+    | () -> fd
+    | exception Unix.Unix_error _ ->
+        (try Unix.close fd with Unix.Unix_error _ -> ());
+        if i > 500 then Alcotest.failf "cannot connect to %s" path;
+        Unix.sleepf 0.01;
+        attempt (i + 1)
+  in
+  attempt 0
+
 (* Fork a socket server; hand the test a connector, then tear the
    server down. *)
 let with_socket_server ?config k =
@@ -849,19 +1108,7 @@ let with_socket_server ?config k =
     (try Server.listen_unix server ~path with _ -> ());
     Unix._exit 0
   end;
-  let connect () =
-    let rec attempt i =
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      match Unix.connect fd (Unix.ADDR_UNIX path) with
-      | () -> fd
-      | exception Unix.Unix_error _ ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          if i > 500 then Alcotest.fail "cannot connect to test server";
-          Unix.sleepf 0.01;
-          attempt (i + 1)
-    in
-    attempt 0
-  in
+  let connect = connector path in
   Fun.protect
     ~finally:(fun () ->
       (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
@@ -903,6 +1150,185 @@ let read_frame ?(timeout = 10.) buf fd =
 let rpc_fd buf fd line =
   fd_write_all fd (line ^ "\n");
   read_frame buf fd
+
+(* ---------------------------------------------------------------- *)
+(* Input framing over real connections: server and router            *)
+(* ---------------------------------------------------------------- *)
+
+(* Fork a one-shard society behind the router (the shard a plain
+   socket server of its cell), and hand the test a connector to the
+   router's socket and the router's process id. *)
+let with_socket_router k =
+  let path = Filename.temp_file "troll_router" ".sock" in
+  Unix.unlink path;
+  let shard_path = path ^ ".0" in
+  let facade = load_session () in
+  let community = Troll.Session.community facade in
+  let map = Shard.auto community ~shards:1 in
+  let spawn body =
+    match Unix.fork () with
+    | 0 ->
+        (try body () with _ -> ());
+        Unix._exit 0
+    | pid -> pid
+  in
+  let shard =
+    spawn (fun () ->
+        match
+          Troll.Session.load_shard_cell ~map:(Shard.to_string map) ~shard:0
+            spec_src
+        with
+        | Ok session -> Server.listen_unix (Server.create session) ~path:shard_path
+        | Error _ -> ())
+  in
+  let router =
+    spawn (fun () ->
+        ignore
+          (Router.listen_unix
+             (Router.create ~community ~map ~paths:[| shard_path |] ())
+             ~path))
+  in
+  let connect = connector path in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun pid ->
+          (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+          ignore (Unix.waitpid [] pid))
+        [ router; shard ];
+      List.iter
+        (fun p -> try Unix.unlink p with Unix.Unix_error _ | Sys_error _ -> ())
+        [ path; shard_path ])
+    (fun () -> k ~router connect)
+
+(* The peer closes: end of input, or a reset when it closed with input
+   unread. *)
+let await_close buf fd =
+  let chunk = Bytes.create 4096 in
+  let rec loop () =
+    match Unix.select [ fd ] [] [] 10. with
+    | [], _, _ -> Alcotest.fail "connection still open"
+    | _ -> (
+        match Unix.read fd chunk 0 4096 with
+        | 0 -> ()
+        | n ->
+            Buffer.add_subbytes buf chunk 0 n;
+            loop ()
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ())
+  in
+  loop ();
+  Alcotest.(check string) "nothing after the error frame" "" (Buffer.contents buf)
+
+(* The cases every connection's input buffer must frame alike: several
+   frames in one read, a frame split at every byte offset across two
+   reads (a UTF-8 "é" in it), CRLF terminators and blank lines, and an
+   unterminated frame past the limit, answered [bad_request] and
+   closed.  A ping that shares the first read's write proves the split
+   really straddled two reads: it is answered only once that read was
+   framed. *)
+let framing_cases connect =
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  let fd = connect () in
+  let buf = Buffer.create 256 in
+  let expect_id what id =
+    Alcotest.check json what id (Json.member "id" (read_frame buf fd))
+  in
+  let ping id = Printf.sprintf {|{"id":%s,"op":"ping"}|} id in
+  fd_write_all fd
+    (String.concat "" (List.map (fun i -> ping (string_of_int i) ^ "\n") [ 1; 2; 3 ]));
+  List.iter (fun i -> expect_id "frames of one read, in order" (Json.Int i)) [ 1; 2; 3 ];
+  let frame = "{\"id\":\"k-\xc3\xa9\",\"op\":\"ping\"}" in
+  for k = 0 to String.length frame do
+    fd_write_all fd (ping "0" ^ "\n" ^ String.sub frame 0 k);
+    expect_id "the read before the split" (Json.Int 0);
+    fd_write_all fd (String.sub frame k (String.length frame - k) ^ "\n");
+    expect_id (Printf.sprintf "frame split at byte %d" k) (Json.String "k-\xc3\xa9")
+  done;
+  fd_write_all fd ("\n\r\n" ^ ping "4" ^ "\r\n\n\r\n" ^ ping "5" ^ "\n");
+  expect_id "CRLF frame" (Json.Int 4);
+  expect_id "frame after blank lines" (Json.Int 5);
+  let doomed = connect () in
+  let dbuf = Buffer.create 256 in
+  fd_write_all doomed (String.make (Frame.max_frame_bytes + 1) 'x');
+  let r = read_frame dbuf doomed in
+  check_code "over-long frame" "bad_request" r;
+  Alcotest.(check (option string)) "over-long message"
+    (Some "frame longer than 4194304 bytes")
+    (Json.to_string_opt (Json.member "message" (Json.member "error" r)));
+  await_close dbuf doomed;
+  Unix.close doomed;
+  fd_write_all fd (ping "6" ^ "\n");
+  expect_id "the other connection still served" (Json.Int 6);
+  Unix.close fd
+
+let test_framing_server () = with_socket_server framing_cases
+
+(* In stdio mode an over-long frame ends the session: the server
+   answers it, stops reading and returns while the peer still holds its
+   end of the input open. *)
+let test_framing_stdio_overlong () =
+  let req_r, req_w = Unix.pipe () in
+  let resp_r, resp_w = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+      Unix.close req_w;
+      Unix.close resp_r;
+      Server.serve_fds (Server.create (load_session ())) req_r resp_w;
+      Unix._exit 0
+  | pid ->
+      Unix.close req_r;
+      Unix.close resp_w;
+      fd_write_all req_w (String.make (Frame.max_frame_bytes + 1) 'x');
+      check_code "over-long frame" "bad_request"
+        (read_frame (Buffer.create 256) resp_r);
+      let rec returned i =
+        match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ when i < 500 ->
+            Unix.sleepf 0.01;
+            returned (i + 1)
+        | 0, _ ->
+            Unix.kill pid Sys.sigkill;
+            ignore (Unix.waitpid [] pid);
+            false
+        | _ -> true
+      in
+      let ok = returned 0 in
+      Unix.close req_w;
+      Unix.close resp_r;
+      Alcotest.(check bool) "serve_fds returned" true ok
+
+(* The router closes the descriptor of every client that went away
+   (end of input, or closed after an over-long frame). *)
+let test_framing_router () =
+  with_socket_router (fun ~router connect ->
+      let open_fds () =
+        Array.length (Sys.readdir (Printf.sprintf "/proc/%d/fd" router))
+      in
+      let ping fd =
+        let buf = Buffer.create 64 in
+        check_ok "ping" (rpc_fd buf fd {|{"id":1,"op":"ping"}|})
+      in
+      let first = connect () in
+      ping first;
+      let before = open_fds () in
+      framing_cases connect;
+      for _ = 1 to 16 do
+        let fd = connect () in
+        ping fd;
+        Unix.close fd
+      done;
+      (* the router reaps a departed client on its next turn *)
+      let rec settle i =
+        let n = open_fds () in
+        if n = before || i > 100 then n
+        else begin
+          Unix.sleepf 0.01;
+          settle (i + 1)
+        end
+      in
+      ping first;
+      Alcotest.(check int) "client descriptors closed" before (settle 0);
+      Unix.close first)
 
 let pipeline_stat r name =
   match
@@ -1048,6 +1474,9 @@ let () =
           Alcotest.test_case "round trip" `Quick test_json_round_trip;
           Alcotest.test_case "escapes" `Quick test_json_escapes;
           Alcotest.test_case "rejects" `Quick test_json_rejects;
+          Alcotest.test_case "integer literals" `Quick test_json_integer_literals;
+          Alcotest.test_case "error messages" `Quick test_json_error_messages;
+          QCheck_alcotest.to_alcotest prop_json_round_trip;
         ] );
       ( "values",
         [
@@ -1095,6 +1524,8 @@ let () =
             test_serve_two_phase;
           Alcotest.test_case "pipelined responses stay FIFO" `Quick
             test_serve_pipelined_fifo;
+          Alcotest.test_case "restore of a save with separators in a key"
+            `Quick test_serve_restore_separators;
           Alcotest.test_case "probes answer txn_pending while prepared"
             `Quick test_serve_probe_while_prepared;
           Alcotest.test_case "steps batch answers like single frames" `Quick
@@ -1105,5 +1536,12 @@ let () =
             test_serve_slow_reader;
           Alcotest.test_case "peer killed with backlogged output" `Quick
             test_serve_killed_with_backlog;
+        ] );
+      ( "framing",
+        [
+          Alcotest.test_case "server connection" `Quick test_framing_server;
+          Alcotest.test_case "stdio session ends after an over-long frame"
+            `Quick test_framing_stdio_overlong;
+          Alcotest.test_case "router client" `Quick test_framing_router;
         ] );
     ]

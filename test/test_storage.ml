@@ -347,6 +347,35 @@ let test_persist_golden_dump () =
   | Error e -> Alcotest.failf "load: %s" e);
   check Alcotest.string "reloaded dump bytes" locker_dump (Persist.save c2)
 
+(* Value fields are read by their length prefixes: a key or a string
+   attribute holding the record separators '|' and '\n' survives a
+   save/load round trip, bytes and monitor states included. *)
+let test_persist_separators_in_strings () =
+  let c = load_spec locker_spec in
+  let locker k = Ident.make "LOCKER" (Value.String k) in
+  let ok what = function
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%s: %s" what (Runtime_error.reason_to_string e)
+  in
+  List.iter
+    (fun (k, t) ->
+      ok "mk" (Engine.create c ~cls:"LOCKER" ~key:(Value.String k) ());
+      ok "tag" (Engine.step c (Step.Fire (Event.make (locker k) "tag" [ Value.String t ]))))
+    [ ("b|x", "p|q"); ("a\nb", "x\n|y") ];
+  let dump = Persist.save c in
+  check tbool "the dump holds raw separators inside a key" true
+    (List.mem "object|LOCKER|S3:b|x|true|false|2"
+       (String.split_on_char '\n' dump));
+  let c2 = load_spec locker_spec in
+  (match Persist.load c2 dump with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "load: %s" e);
+  check Alcotest.string "reloaded dump bytes" dump (Persist.save c2);
+  (* the [untag] instance keyed by "x\n|y" came back started *)
+  ok "untag after reload"
+    (Engine.step c2
+       (Step.Fire (Event.make (locker "a\nb") "untag" [ Value.String "x\n|y" ])))
+
 (* behavioural equivalence after save/load under random walks *)
 let prop_persist_preserves_decisions =
   QCheck.Test.make
@@ -437,6 +466,8 @@ let () =
             test_persist_dead_objects;
           Alcotest.test_case "garbage rejected" `Quick
             test_persist_rejects_garbage;
+          Alcotest.test_case "separators inside string values" `Quick
+            test_persist_separators_in_strings;
           Alcotest.test_case "dump bytes pinned" `Quick
             test_persist_golden_dump;
           QCheck_alcotest.to_alcotest prop_persist_preserves_decisions;

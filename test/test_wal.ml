@@ -448,6 +448,42 @@ let test_full_table_records_recover () =
       check tstr "same dump after further steps" (Persist.save c)
         (Persist.save c2))
 
+(* Keys and values holding the record separators '|' and '\n': the
+   effect records (context lines, attribute images, instance keys) and
+   the snapshot are read back by their length prefixes. *)
+let test_separators_in_strings_recover () =
+  with_dir (fun dir ->
+      let spec_digest = Digest.to_hex (Digest.string recall_spec) in
+      let dept = Ident.make "DEPT" (Value.String "d|q") in
+      let p k = Ident.to_value (Ident.make "PERSON" (Value.String k)) in
+      let c = load_spec recall_spec in
+      let t =
+        match Wal.attach ~dir ~spec_digest c with
+        | Ok (t, None) -> t
+        | Ok (_, Some _) -> Alcotest.fail "fresh dir claimed to recover"
+        | Error m -> Alcotest.failf "attach: %s" m
+      in
+      let ok what = function
+        | Ok _ -> ()
+        | Error e ->
+            Alcotest.failf "%s: %s" what (Runtime_error.reason_to_string e)
+      in
+      List.iter
+        (fun k -> ok "born" (Engine.create c ~cls:"PERSON" ~key:(Value.String k) ()))
+        [ "b|x"; "a\nb" ];
+      ok "establishment" (Engine.create c ~cls:"DEPT" ~key:(Value.String "d|q") ());
+      ok "hire" (Engine.fire c (Event.make dept "hire" [ p "b|x" ]));
+      (* a snapshot with the separators in it, then records after it *)
+      Wal.snapshot t;
+      ok "hire" (Engine.fire c (Event.make dept "hire" [ p "a\nb" ]));
+      ok "fire" (Engine.fire c (Event.make dept "fire" [ p "b|x" ]));
+      Wal.detach t;
+      let c2 = load_spec recall_spec in
+      (match Wal.recover ~dir ~spec_digest c2 with
+      | Ok r -> check tint "records after the snapshot replayed" 2 r.Wal.r_replayed
+      | Error m -> Alcotest.failf "recover: %s" m);
+      check tstr "recovered dump" (Persist.save c) (Persist.save c2))
+
 let () =
   Alcotest.run "wal"
     [
@@ -468,6 +504,8 @@ let () =
             test_wal_crc_corruption;
           Alcotest.test_case "wrong specification rejected" `Quick
             test_wal_rejects_wrong_spec;
+          Alcotest.test_case "separators inside string values recover"
+            `Quick test_separators_in_strings_recover;
           Alcotest.test_case "full-table instance records recover" `Quick
             test_full_table_records_recover;
         ] );
