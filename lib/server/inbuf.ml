@@ -22,11 +22,6 @@ let shrink_above = 256 * 1024
 let create () =
   { data = Bytes.create initial_capacity; start = 0; len = 0; scanned = 0 }
 
-let clear t =
-  t.start <- 0;
-  t.len <- 0;
-  t.scanned <- 0
-
 (* At least [min_room] free bytes after the unconsumed ones: rewind an
    empty buffer, compact a partial frame to the front, and grow only if
    that is still short. *)
@@ -69,8 +64,8 @@ let rec newline data i stop =
   else if Bytes.unsafe_get data i = '\n' then i
   else newline data (i + 1) stop
 
-(* The line is consumed before the callback runs, so a callback that
-   clears (or reads into) the buffer leaves it consistent. *)
+(* The line is consumed before the callback runs, so the buffer is
+   consistent whatever the callback does. *)
 let rec frames t on_frame =
   let nl = newline t.data (t.start + t.scanned) (t.start + t.len) in
   if nl < 0 then t.scanned <- t.len

@@ -1,6 +1,5 @@
-(** Per-connection input buffering — the read half of the pipelined
-    serve loop, shared by {!Server} and {!Router} ({!Outbuf} is the
-    write half).
+(** Per-connection input buffering — the read half of a {!Conn}
+    connection ({!Outbuf} is the write half).
 
     An [Inbuf.t] is one byte buffer, reused for the life of the
     connection.  A read lands in its free tail; every complete line is
@@ -21,8 +20,8 @@ type status =
   | Eof  (** end of input, or a read error: nothing more will arrive *)
   | Overlong
       (** the unterminated tail is longer than {!Frame.max_frame_bytes}:
-          a frame the reader would never accept.  The server and the
-          router answer it [bad_request] and close the connection. *)
+          a frame the reader would never accept; see {!Conn}'s
+          frame-error rule. *)
 
 val read : t -> Unix.file_descr -> (Frame.read -> unit) -> status
 (** Read the (nonblocking) descriptor until a read comes back short, so
@@ -30,8 +29,4 @@ val read : t -> Unix.file_descr -> (Frame.read -> unit) -> status
     decode-ahead), then hand every complete line to the callback in
     order — blank lines are skipped; a trailing ['\r'] is dropped.
     [EAGAIN] ends the read; [EINTR] retries it.  Lines read before an
-    end of input are still framed.  The callback may {!clear} the
-    buffer. *)
-
-val clear : t -> unit
-(** Drop everything buffered (a link being torn down or reconnected). *)
+    end of input are still framed. *)

@@ -1,5 +1,5 @@
-(** Per-connection nonblocking output buffering — the write half of the
-    pipelined serve loop, shared by {!Server} and {!Router}.
+(** Per-connection nonblocking output buffering — the write half of a
+    {!Conn} connection.
 
     An [Outbuf.t] wraps a file descriptor that it switches to
     [O_NONBLOCK].  Frames are {e appended} (encoded straight into the
@@ -11,14 +11,14 @@
     leave in one [write] (write coalescing).
 
     The buffer never drops data on its own; backpressure policy (high /
-    low water marks, eviction deadlines) belongs to the owning loop,
-    which reads {!pending} and decides.  A write error ([EPIPE],
+    low water marks, eviction deadlines) belongs to {!Conn}, which
+    reads {!pending} and decides.  A write error ([EPIPE],
     [ECONNRESET], …) marks the buffer dead and discards the backlog;
     the owner observes {!alive} and closes the connection.
 
     Cumulative module-level counters (flushes, short writes, bytes) are
     reported via {!stats_rows} — the [pipeline] block of the server's
-    [stats] frame. *)
+    and the router's [stats] frames. *)
 
 type t
 

@@ -1,32 +1,26 @@
 (** Society-interface routing over the wire protocol — see the
-    interface for the model.  One single-threaded [select] loop fronts
-    N shard servers: plain steps are forwarded asynchronously (several
+    interface for the model.  One single-threaded {!Conn} loop fronts N
+    shard servers: plain steps are forwarded asynchronously (several
     shards commit — and fsync — concurrently), cross-shard steps run
     the two-phase protocol synchronously, and every shipped WAL record
     is mirrored so a dead shard can be respawned and caught up. *)
 
-type client = {
-  cl_fd : Unix.file_descr;
-  cl_in : Inbuf.t;
-  cl_out : Outbuf.t;
-  mutable cl_alive : bool;
-}
+(* what a connection of the router's loop is *)
+type peer = Client | Link of link
 
 (* what the router is waiting for under one internal request id *)
-type pending =
-  | P_client of client * Json.t
+and pending =
+  | P_client of peer Conn.t * Json.t
       (** a forwarded client request: relay the reply under the
           client's original id *)
   | P_sync of Json.t option ref
       (** a router-internal call: park the reply frame in the cell
           ([Null] = the link died first) *)
 
-type link = {
+and link = {
   lk_id : int;
   lk_path : string;
-  mutable lk_fd : Unix.file_descr option;
-  mutable lk_out : Outbuf.t option;  (** paired with [lk_fd] *)
-  lk_in : Inbuf.t;
+  mutable lk_conn : peer Conn.t option;  (** [None] while the shard is down *)
   lk_inflight : (string, pending) Hashtbl.t;
   (* WAL mirror: a base dump plus every record shipped since, enough
      to rebuild the shard from nothing *)
@@ -48,38 +42,68 @@ type t = {
   map : Shard.map;
   links : link array;
   respawn : (int -> unit) option;
+  conns : peer Conn.set;  (** the clients and the connected links *)
   mutable draining : bool;
-  mutable clients : client list;
   mutable next_id : int;
   stats : counters;
 }
+
+let shard_unavailable k =
+  Protocol.Wire_error.of_reason (Runtime_error.Shard_unavailable k)
+
+(** The link's connection closed: fail everything in flight.  Recovery
+    is the main loop's business. *)
+let link_closed stats link =
+  link.lk_conn <- None;
+  Hashtbl.iter
+    (fun _ p ->
+      match p with
+      | P_client (c, id) ->
+          stats.failed <- stats.failed + 1;
+          Conn.send_error c ~id (shard_unavailable link.lk_id)
+      | P_sync cell -> cell := Some Json.Null)
+    link.lk_inflight;
+  Hashtbl.reset link.lk_inflight
 
 let create ~community ~map ~paths ?respawn () =
   let n = Shard.shards map in
   if Array.length paths <> n then
     invalid_arg "Router.create: one socket path per shard";
+  let links =
+    Array.init n (fun k ->
+        {
+          lk_id = k;
+          lk_path = paths.(k);
+          lk_conn = None;
+          lk_inflight = Hashtbl.create 16;
+          lk_base = "";
+          lk_base_seq = 0;
+          lk_records = [];
+          lk_nrecords = 0;
+        })
+  in
+  let stats = { forwarded = 0; cross = 0; recoveries = 0; failed = 0 } in
+  (* a half-closed client is reaped once no shard still owes it a reply *)
+  let owes c l =
+    Seq.exists
+      (function P_client (c', _) -> c' == c | P_sync _ -> false)
+      (Hashtbl.to_seq_values l.lk_inflight)
+  in
   {
     community;
     map;
-    links =
-      Array.init n (fun k ->
-          {
-            lk_id = k;
-            lk_path = paths.(k);
-            lk_fd = None;
-            lk_out = None;
-            lk_in = Inbuf.create ();
-            lk_inflight = Hashtbl.create 16;
-            lk_base = "";
-            lk_base_seq = 0;
-            lk_records = [];
-            lk_nrecords = 0;
-          });
+    links;
     respawn;
+    conns =
+      Conn.create
+        ~fresh:(fun () -> Client)
+        ~idle:(fun c -> not (Array.exists (owes c) links))
+        ~on_close:(fun c ->
+          match Conn.data c with Client -> () | Link l -> link_closed stats l)
+        ();
     draining = false;
-    clients = [];
     next_id = 0;
-    stats = { forwarded = 0; cross = 0; recoveries = 0; failed = 0 };
+    stats;
   }
 
 let stop t = t.draining <- true
@@ -87,22 +111,6 @@ let stop t = t.draining <- true
 (* ------------------------------------------------------------------ *)
 (* Wire helpers                                                        *)
 (* ------------------------------------------------------------------ *)
-
-(* frames append to nonblocking output buffers and flush
-   opportunistically; leftovers drain via the loop's write select, so a
-   stalled peer never blocks routing for everyone else *)
-let send_client c frame =
-  if c.cl_alive then begin
-    Outbuf.add_frame c.cl_out frame;
-    Outbuf.flush c.cl_out;
-    if not (Outbuf.alive c.cl_out) then c.cl_alive <- false
-  end
-
-let error_to_client c ~id err =
-  send_client c (Protocol.error_frame ~id err)
-
-let shard_unavailable k =
-  Protocol.Wire_error.of_reason (Runtime_error.Shard_unavailable k)
 
 let fresh_id t =
   t.next_id <- t.next_id + 1;
@@ -117,26 +125,7 @@ let with_id id = function
 (* Shard links                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(** The link's peer is gone: fail everything in flight.  Recovery is
-    the main loop's business. *)
-let link_down t link =
-  (match link.lk_fd with
-  | None -> ()
-  | Some fd ->
-      link.lk_fd <- None;
-      (try Unix.close fd with Unix.Unix_error _ -> ()));
-  Option.iter Outbuf.kill link.lk_out;
-  link.lk_out <- None;
-  Inbuf.clear link.lk_in;
-  Hashtbl.iter
-    (fun _ p ->
-      match p with
-      | P_client (c, id) ->
-          t.stats.failed <- t.stats.failed + 1;
-          error_to_client c ~id (shard_unavailable link.lk_id)
-      | P_sync cell -> cell := Some Json.Null)
-    link.lk_inflight;
-  Hashtbl.reset link.lk_inflight
+let link_down link = Option.iter Conn.close link.lk_conn
 
 (** An unsolicited [{"wal": …}] shipment: extend the mirror, dropping
     records the base dump already contains. *)
@@ -156,96 +145,47 @@ let mirror_records link j =
         items
   | _ -> ()
 
-let handle_shard_frame link j =
-  match Json.to_string_opt (Json.member "id" j) with
-  | Some iid when Hashtbl.mem link.lk_inflight iid -> (
-      let p = Hashtbl.find link.lk_inflight iid in
-      Hashtbl.remove link.lk_inflight iid;
-      match p with
-      | P_client (c, id) -> send_client c (with_id id j)
-      | P_sync cell -> cell := Some j)
-  | _ -> mirror_records link j
-
-let service_link t link =
-  match link.lk_fd with
-  | None -> ()
-  | Some fd -> (
-      match
-        Inbuf.read link.lk_in fd (function
-          | Frame.Frame doc -> handle_shard_frame link doc
-          | Frame.Malformed _ | Frame.Eof -> ())
-      with
-      | Inbuf.Eof -> link_down t link
-      | Inbuf.Open | Inbuf.Overlong -> ())
-
-(** Append one frame to a link's output buffer and flush what the
-    socket accepts; [Error] (with the link torn down) when the link is
-    or just went dead. *)
-let link_write t link doc : (unit, unit) result =
-  match link.lk_out with
-  | None -> Error ()
-  | Some out ->
-      Outbuf.add_frame out doc;
-      Outbuf.flush out;
-      if Outbuf.alive out then Ok ()
-      else begin
-        link_down t link;
-        Error ()
-      end
+(* a shard link's frame: a reply, or an unsolicited WAL shipment *)
+let link_frame conn j =
+  match Conn.data conn with
+  | Client -> ()
+  | Link link -> (
+      match Json.to_string_opt (Json.member "id" j) with
+      | Some iid when Hashtbl.mem link.lk_inflight iid -> (
+          let p = Hashtbl.find link.lk_inflight iid in
+          Hashtbl.remove link.lk_inflight iid;
+          match p with
+          | P_client (c, id) -> Conn.send c (with_id id j)
+          | P_sync cell -> cell := Some j)
+      | _ -> mirror_records link j)
 
 (** Send a request on a link and register a parked-reply cell for it.
-    [None] when the link is (or just went) down. *)
+    [None] when the link is down. *)
 let send_op t link fields : (link * Json.t option ref) option =
-  match link.lk_fd with
+  match link.lk_conn with
   | None -> None
-  | Some _ -> (
+  | Some c ->
       let iid = fresh_id t in
       let cell = ref None in
       Hashtbl.replace link.lk_inflight iid (P_sync cell);
-      match link_write t link (with_id (Json.String iid) fields) with
-      | Ok () -> Some (link, cell)
-      | Error () ->
-          (* link_down already failed and cleared the inflight table *)
-          None)
+      Conn.send c (with_id (Json.String iid) fields);
+      Some (link, cell)
 
 let sync_timeout = 60.
 
-(** Service the involved links until every cell is filled, a link
-    dies, or the timeout passes.  Replies to *other* requests arriving
-    on those links are dispatched normally on the way. *)
+(** Turn the involved links until every cell is filled, a link dies,
+    or the timeout passes.  Replies to *other* requests arriving on
+    those links are dispatched normally on the way. *)
 let await_cells t cells =
   let deadline = Unix.gettimeofday () +. sync_timeout in
   let rec loop () =
     let waiting =
-      List.filter (fun (l, c) -> !c = None && l.lk_fd <> None) cells
+      List.filter_map
+        (fun (l, c) -> if !c = None then l.lk_conn else None)
+        cells
     in
     if waiting <> [] && Unix.gettimeofday () < deadline then begin
-      let fds = List.filter_map (fun (l, _) -> l.lk_fd) waiting in
-      let wfds =
-        List.filter_map
-          (fun (l, _) ->
-            match (l.lk_fd, l.lk_out) with
-            | Some fd, Some out when Outbuf.need_write out -> Some fd
-            | _ -> None)
-          waiting
-      in
-      (match Unix.select fds wfds [] 0.1 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | ready, writable, _ ->
-          List.iter
-            (fun (l, _) ->
-              match (l.lk_fd, l.lk_out) with
-              | Some fd, Some out when List.mem fd writable ->
-                  Outbuf.flush out;
-                  if not (Outbuf.alive out) then link_down t l
-              | _ -> ())
-            waiting;
-          List.iter
-            (fun (l, _) ->
-              match l.lk_fd with
-              | Some fd when List.mem fd ready -> service_link t l
-              | _ -> ())
-            waiting);
+      Conn.turn ~only:waiting t.conns ~accept:false ~timeout:0.1 link_frame;
       loop ()
     end
   in
@@ -272,7 +212,7 @@ let rpc t link fields : (Json.t, Protocol.Wire_error.t) result =
       if !cell = None then begin
         (* timed out: the reply id stays registered and would confuse a
            later request — drop the link instead *)
-        link_down t link;
+        link_down link;
         Error
           (Protocol.Wire_error.make ~code:"deadline_expired"
              (Printf.sprintf "shard %d did not answer within %.0fs"
@@ -313,6 +253,7 @@ let hello_fields =
       ("caps", Json.List [ Json.String "wal" ]);
     ]
 
+let shutdown_fields = Json.Obj [ ("op", Json.String "shutdown") ]
 let connect_attempts = 100 (* x 50 ms *)
 
 let connect_link t link : (unit, string) result =
@@ -327,19 +268,17 @@ let connect_link t link : (unit, string) result =
             (Printf.sprintf "cannot connect to shard %d at %s" link.lk_id
                link.lk_path)
         else begin
-          ignore (Unix.select [] [] [] 0.05);
+          Unix.sleepf 0.05;
           attempt (i + 1)
         end
   in
   match attempt 0 with
   | Error _ as e -> e
   | Ok fd -> (
-      link.lk_fd <- Some fd;
-      link.lk_out <- Some (Outbuf.create fd);
-      Inbuf.clear link.lk_in;
+      link.lk_conn <- Some (Conn.add t.conns ~upstream:true fd (Link link));
       match rpc t link hello_fields with
       | Error e ->
-          link_down t link;
+          link_down link;
           Error
             (Printf.sprintf "shard %d handshake failed: %s" link.lk_id
                e.Protocol.Wire_error.message)
@@ -347,7 +286,7 @@ let connect_link t link : (unit, string) result =
           match Json.to_int_opt (Json.member "version" result) with
           | Some v when v = Protocol.version -> Ok ()
           | _ ->
-              link_down t link;
+              link_down link;
               Error
                 (Printf.sprintf "shard %d speaks another protocol version"
                    link.lk_id)))
@@ -399,14 +338,14 @@ let recover t link =
     | Ok () -> (
         match catchup_link t link with
         | Ok () -> ()
-        | Error _ -> link_down t link)
+        | Error _ -> link_down link)
   end
 
 let mirror_compact_after = 1024
 
 let maybe_compact t link =
   if
-    link.lk_fd <> None
+    link.lk_conn <> None
     && Hashtbl.length link.lk_inflight = 0
     && link.lk_nrecords > mirror_compact_after
   then ignore (refresh_mirror t link)
@@ -416,16 +355,13 @@ let maybe_compact t link =
 (* ------------------------------------------------------------------ *)
 
 let forward t link client ~id doc =
-  match link.lk_fd with
-  | None -> error_to_client client ~id (shard_unavailable link.lk_id)
-  | Some _ -> (
+  match link.lk_conn with
+  | None -> Conn.send_error client ~id (shard_unavailable link.lk_id)
+  | Some c ->
       let iid = fresh_id t in
       Hashtbl.replace link.lk_inflight iid (P_client (client, id));
-      match link_write t link (with_id (Json.String iid) doc) with
-      | Ok () -> t.stats.forwarded <- t.stats.forwarded + 1
-      | Error () ->
-          (* link_down already answered the parked client *)
-          ())
+      Conn.send c (with_id (Json.String iid) doc);
+      t.stats.forwarded <- t.stats.forwarded + 1
 
 let merge_outcomes results =
   let gather field =
@@ -508,7 +444,7 @@ let coordinate t client ~id subs =
         None votes
     in
     t.stats.failed <- t.stats.failed + 1;
-    error_to_client client ~id
+    Conn.send_error client ~id
       (Option.value best_error
          ~default:
            (Protocol.Wire_error.make ~code:"internal" "prepare failed"))
@@ -526,7 +462,7 @@ let coordinate t client ~id subs =
         (* a participant died between its yes vote and the commit send *)
         List.find_map
           (fun (link, _, _) ->
-            if link.lk_fd = None then Some (shard_unavailable link.lk_id)
+            if link.lk_conn = None then Some (shard_unavailable link.lk_id)
             else None)
           votes
       else
@@ -543,14 +479,14 @@ let coordinate t client ~id subs =
            the survivors keep their state, the dead shard is caught up
            from its own last shipped record *)
         t.stats.failed <- t.stats.failed + 1;
-        error_to_client client ~id e
+        Conn.send_error client ~id e
     | None ->
         let outcomes =
           List.filter_map
             (fun (_, _, r) -> match r with Ok o -> Some o | Error _ -> None)
             votes
         in
-        send_client client (Protocol.ok_frame ~id (merge_outcomes outcomes))
+        Conn.send client (Protocol.ok_frame ~id (merge_outcomes outcomes))
   end
 
 let router_caps = [ "shards" ]
@@ -581,18 +517,19 @@ let stats_json t =
                     [
                       ("id", Json.Int l.lk_id);
                       ("path", Json.String l.lk_path);
-                      ("connected", Json.Bool (l.lk_fd <> None));
+                      ("connected", Json.Bool (l.lk_conn <> None));
                       ("inflight", Json.Int (Hashtbl.length l.lk_inflight));
                       ("mirrored_records", Json.Int l.lk_nrecords);
                     ])
                 t.links)) );
+      ("pipeline", Json.Obj (Conn.pipeline_rows t.conns));
     ]
 
 let handle_client_doc t client doc =
   let env = Protocol.decode doc in
   let id = env.Protocol.req_id in
-  let reply_ok body = send_client client (Protocol.ok_frame ~id body) in
-  let reply_err e = error_to_client client ~id e in
+  let reply_ok body = Conn.send client (Protocol.ok_frame ~id body) in
+  let reply_err e = Conn.send_error client ~id e in
   let links = Array.length t.links in
   let forward_owner target =
     match Shard.owner_ident t.map target with
@@ -686,20 +623,15 @@ let handle_client_doc t client doc =
                   (Protocol.Wire_error.make ~code:"restore_error"
                      (Printf.sprintf "shard state merge failed: %s" m))
             | Ok () -> (
-                let dump = Persist.save t.community in
                 match path with
                 | None ->
-                    reply_ok (Json.Obj [ ("state", Json.String dump) ])
+                    reply_ok
+                      (Json.Obj
+                         [ ("state", Json.String (Persist.save t.community)) ])
                 | Some p -> (
-                    match
-                      let oc = open_out_bin p in
-                      output_string oc dump;
-                      close_out oc
-                    with
-                    | () -> reply_ok (Json.Obj [ ("path", Json.String p) ])
-                    | exception Sys_error m ->
-                        reply_err
-                          (Protocol.Wire_error.make ~code:"io_error" m)))
+                    match Server.save_file t.community p with
+                    | Ok body -> reply_ok body
+                    | Error e -> reply_err e))
           end))
   | Ok Protocol.Snapshot -> (
       match scatter t (Json.Obj [ ("op", Json.String "snapshot") ]) with
@@ -708,51 +640,14 @@ let handle_client_doc t client doc =
   | Ok Protocol.Stats -> reply_ok (stats_json t)
   | Ok Protocol.Shutdown ->
       t.draining <- true;
-      let cells =
-        Array.to_list t.links
-        |> List.filter_map (fun l ->
-               send_op t l (Json.Obj [ ("op", Json.String "shutdown") ]))
-      in
-      await_cells t cells;
+      await_cells t
+        (Array.to_list t.links
+        |> List.filter_map (fun l -> send_op t l shutdown_fields));
       reply_ok (Json.Obj [ ("draining", Json.Bool true) ])
-
-(* a client's fd is closed when the loop reaps it, once it is no
-   longer alive *)
-let close_client c =
-  c.cl_alive <- false;
-  Outbuf.kill c.cl_out
-
-let service_client t client =
-  match
-    Inbuf.read client.cl_in client.cl_fd (function
-      | Frame.Frame doc -> handle_client_doc t client doc
-      | Frame.Malformed _ | Frame.Eof -> ())
-  with
-  | Inbuf.Open -> ()
-  | Inbuf.Eof -> client.cl_alive <- false
-  | Inbuf.Overlong ->
-      error_to_client client ~id:Json.Null
-        (Protocol.Wire_error.make ~code:"bad_request" Frame.too_long);
-      close_client client
 
 (* ------------------------------------------------------------------ *)
 (* The serve loop                                                      *)
 (* ------------------------------------------------------------------ *)
-
-(* a client that stopped draining its responses cannot be allowed to
-   buffer without bound; past this it is dropped *)
-let client_backlog_limit = 8 * 1024 * 1024
-
-let reap_clients t =
-  t.clients <-
-    List.filter
-      (fun c ->
-        c.cl_alive
-        ||
-        (Outbuf.kill c.cl_out;
-         (try Unix.close c.cl_fd with Unix.Unix_error _ -> ());
-         false))
-      t.clients
 
 let listen_unix t ~path : (unit, string) result =
   (* bring every shard up before accepting anyone *)
@@ -776,122 +671,34 @@ let listen_unix t ~path : (unit, string) result =
   match initial with
   | Error _ as e -> e
   | Ok () ->
-      (if Sys.file_exists path then
-         try Unix.unlink path with Unix.Unix_error _ -> ());
-      let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind listener (Unix.ADDR_UNIX path);
-      Unix.listen listener 64;
-      (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-       with Invalid_argument _ -> ());
-      let on_signal _ = stop t in
-      let previous =
-        List.filter_map
-          (fun s ->
-            try Some (s, Sys.signal s (Sys.Signal_handle on_signal))
-            with Invalid_argument _ | Sys_error _ -> None)
-          [ Sys.sigint; Sys.sigterm ]
-      in
       let inflight () =
         Array.exists (fun l -> Hashtbl.length l.lk_inflight > 0) t.links
+      in
+      let on_frame c doc =
+        match Conn.data c with
+        | Client -> handle_client_doc t c doc
+        | Link _ -> link_frame c doc
       in
       let rec loop () =
         if not (t.draining && not (inflight ())) then begin
           if not t.draining then
             Array.iter
               (fun l ->
-                if l.lk_fd = None then recover t l else maybe_compact t l)
+                if l.lk_conn = None then recover t l else maybe_compact t l)
               t.links;
-          List.iter
-            (fun c ->
-              if c.cl_alive then begin
-                if not (Outbuf.alive c.cl_out) then c.cl_alive <- false
-                else if Outbuf.pending c.cl_out > client_backlog_limit then
-                  close_client c
-              end)
-            t.clients;
-          reap_clients t;
-          let read_fds =
-            (if t.draining then [] else [ listener ])
-            @ List.map (fun c -> c.cl_fd) t.clients
-            @ List.filter_map (fun l -> l.lk_fd) (Array.to_list t.links)
-          in
-          let write_fds =
-            List.filter_map
-              (fun c ->
-                if Outbuf.need_write c.cl_out then Some c.cl_fd else None)
-              t.clients
-            @ List.filter_map
-                (fun l ->
-                  match (l.lk_fd, l.lk_out) with
-                  | Some fd, Some out when Outbuf.need_write out -> Some fd
-                  | _ -> None)
-                (Array.to_list t.links)
-          in
-          (match Unix.select read_fds write_fds [] 0.1 with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-          | ready, writable, _ ->
-              List.iter
-                (fun fd ->
-                  match
-                    Array.find_opt (fun l -> l.lk_fd = Some fd) t.links
-                  with
-                  | Some link ->
-                      Option.iter Outbuf.flush link.lk_out;
-                      if
-                        not
-                          (Option.fold ~none:false ~some:Outbuf.alive
-                             link.lk_out)
-                      then link_down t link
-                  | None -> (
-                      match
-                        List.find_opt (fun c -> c.cl_fd = fd) t.clients
-                      with
-                      | Some client -> Outbuf.flush client.cl_out
-                      | None -> ()))
-                writable;
-              List.iter
-                (fun fd ->
-                  if fd = listener then begin
-                    match Unix.accept fd with
-                    | exception Unix.Unix_error (_, _, _) -> ()
-                    | cfd, _ ->
-                        t.clients <-
-                          {
-                            cl_fd = cfd;
-                            cl_in = Inbuf.create ();
-                            cl_out = Outbuf.create cfd;
-                            cl_alive = true;
-                          }
-                          :: t.clients
-                  end
-                  else
-                    match
-                      Array.find_opt (fun l -> l.lk_fd = Some fd) t.links
-                    with
-                    | Some link -> service_link t link
-                    | None -> (
-                        match
-                          List.find_opt (fun c -> c.cl_fd = fd) t.clients
-                        with
-                        | Some client -> service_client t client
-                        | None -> ()))
-                ready);
+          Conn.turn t.conns ~accept:(not t.draining) ~timeout:0.1 on_frame;
+          Conn.police t.conns;
           loop ()
         end
       in
-      loop ();
-      (try Unix.close listener with Unix.Unix_error _ -> ());
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      List.iter close_client t.clients;
-      reap_clients t;
-      (* best effort: ask still-running shards to drain too (a no-op
-         when shutdown came in over the wire and was already relayed) *)
-      let cells =
-        Array.to_list t.links
-        |> List.filter_map (fun l ->
-               send_op t l (Json.Obj [ ("op", Json.String "shutdown") ]))
-      in
-      await_cells t cells;
-      Array.iter (fun l -> link_down t l) t.links;
-      List.iter (fun (s, behaviour) -> Sys.set_signal s behaviour) previous;
+      Conn.listen_unix t.conns ~path
+        ~stop:(fun () -> stop t)
+        (fun () ->
+          loop ();
+          (* best effort: ask still-running shards to drain too (a no-op
+             when shutdown came in over the wire and was already
+             relayed) *)
+          await_cells t
+            (Array.to_list t.links
+            |> List.filter_map (fun l -> send_op t l shutdown_fields)));
       Ok ()

@@ -18,7 +18,13 @@
     [shards], plus the partition map in wire form), merges [save] and
     [extension] across shards, and rejects inherently global requests
     ([eval], [view], [restore]) as [unsupported].  See
-    docs/SHARDING.md. *)
+    docs/SHARDING.md.
+
+    Clients and shard links are connections of one {!Conn} loop: the
+    clients are served under the server's frame-error rule and
+    {!Conn.default_policy}; a link is upstream, so a line the router
+    cannot read, an end of input or a write error takes it down at
+    once.  A synchronous exchange turns only the links it waits on. *)
 
 type t
 

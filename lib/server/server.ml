@@ -20,36 +20,22 @@ let default_config =
     default_deadline_ms = None;
     save_on_shutdown = None;
     jobs = 1;
-    out_high_water = 1 lsl 20;
-    out_low_water = 1 lsl 16;
-    evict_after = 30.;
+    out_high_water = Conn.default_policy.Conn.high_water;
+    out_low_water = Conn.default_policy.Conn.low_water;
+    evict_after = Conn.default_policy.Conn.evict_after;
   }
 
-(* one client connection; [inbuf] frames its input in place, [inq]
-   holds the connection's admitted-but-unexecuted requests in arrival
-   order, [out] its coalesced responses *)
-type conn = {
-  fd : Unix.file_descr;
-  out_fd : Unix.file_descr;  (** = [fd] except in stdio mode *)
-  out : Outbuf.t;
-  inbuf : Inbuf.t;
+(* one client connection's server side: [inq] holds its
+   admitted-but-unexecuted requests in arrival order *)
+type session = {
   inq : job Queue.t;
-  mutable alive : bool;
-  owned : bool;
-      (** accepted by the listener (so the server closes it); the stdio
-          descriptors belong to the caller *)
-  mutable reading : bool;
-      (** false after input EOF: the connection only drains *)
-  mutable paused_since : float;
-      (** 0. = reading normally; otherwise the time the output backlog
-          crossed the high-water mark and reading stopped *)
   mutable ship : bool;
       (** negotiated the [wal] capability in [hello]: shipped WAL
           records are pushed to this connection at turn boundaries *)
 }
 
 and job = {
-  conn : conn;
+  conn : session Conn.t;
   id : Json.t;
   request : Protocol.request;
   op : string;
@@ -65,26 +51,23 @@ type counters = {
   mutable expired : int;
   mutable overloaded : int;
   mutable shed : int;  (** answered [shutting_down] while draining *)
-  mutable malformed : int;
+  mutable malformed : int;  (** requests that did not decode *)
+  mutable queued : int;  (** jobs across every connection's [inq] *)
   mutable probe_requests : int;  (** enabled/candidates answered *)
   mutable probe_batches : int;  (** coalesced probe dispatches *)
   mutable step_batches : int;  (** coalesced single-step dispatches *)
   mutable step_batch_members : int;  (** steps answered by those *)
-  mutable pauses : int;  (** high-water read pauses *)
-  mutable resumes : int;  (** low-water read resumes *)
-  mutable evictions : int;  (** connections dropped at the deadline *)
   mutable max_turn_jobs : int;  (** largest single-turn job count *)
 }
 
 type t = {
   session : Troll.Session.t;
   config : config;
-  mutable queued : int;  (** jobs across every connection's [inq] *)
   mutable rr : int;  (** round-robin start offset for fair interleave *)
   mutable draining : bool;
   mutable drain_deadline : float;
       (** absolute; past it, a drain stops waiting for slow readers *)
-  mutable conns : conn list;
+  conns : session Conn.set;
   stats : counters;
   latency : (string, Trace.Latency.t) Hashtbl.t;
   mutable view : View.t option;
@@ -108,42 +91,61 @@ type t = {
           be pushed to [ship] connections *)
 }
 
+let new_session () = { inq = Queue.create (); ship = false }
+
 let create ?(config = default_config) ?wal session =
+  let stats =
+    {
+      received = 0;
+      executed = 0;
+      ok = 0;
+      rejected = 0;
+      expired = 0;
+      overloaded = 0;
+      shed = 0;
+      malformed = 0;
+      queued = 0;
+      probe_requests = 0;
+      probe_batches = 0;
+      step_batches = 0;
+      step_batch_members = 0;
+      max_turn_jobs = 0;
+    }
+  in
+  let conns =
+    Conn.create
+      ~policy:
+        {
+          Conn.high_water = config.out_high_water;
+          low_water = config.out_low_water;
+          evict_after = config.evict_after;
+        }
+      ~fresh:new_session
+      ~idle:(fun c ->
+        let s = Conn.data c in
+        Queue.is_empty s.inq && not s.ship)
+      ~on_close:(fun c ->
+        let s = Conn.data c in
+        stats.queued <- stats.queued - Queue.length s.inq;
+        Queue.clear s.inq)
+      ()
+  in
   let t =
-  {
-    session;
-    config;
-    wal;
-    prepared = None;
-    ship_queue = Queue.create ();
-    queued = 0;
-    rr = 0;
-    draining = false;
-    drain_deadline = infinity;
-    conns = [];
-    stats =
-      {
-        received = 0;
-        executed = 0;
-        ok = 0;
-        rejected = 0;
-        expired = 0;
-        overloaded = 0;
-        shed = 0;
-        malformed = 0;
-        probe_requests = 0;
-        probe_batches = 0;
-        step_batches = 0;
-        step_batch_members = 0;
-        pauses = 0;
-        resumes = 0;
-        evictions = 0;
-        max_turn_jobs = 0;
-      };
-    latency = Hashtbl.create 16;
-    view = None;
-    pool = None;
-  }
+    {
+      session;
+      config;
+      wal;
+      prepared = None;
+      ship_queue = Queue.create ();
+      rr = 0;
+      draining = false;
+      drain_deadline = infinity;
+      conns;
+      stats;
+      latency = Hashtbl.create 16;
+      view = None;
+      pool = None;
+    }
   in
   (* mirror every appended WAL record to subscribed connections; the
      queue only fills while someone is actually listening *)
@@ -152,8 +154,11 @@ let create ?(config = default_config) ?wal session =
       Wal.set_shipper w
         (Some
            (fun seq payload ->
-             if List.exists (fun c -> c.ship && c.alive) t.conns then
-               Queue.add (seq, payload) t.ship_queue)))
+             if
+               List.exists
+                 (fun c -> (Conn.data c).ship && Conn.alive c)
+                 (Conn.conns t.conns)
+             then Queue.add (seq, payload) t.ship_queue)))
     wal;
   t
 
@@ -194,32 +199,6 @@ let shutdown_pool t =
       Pool.shutdown p;
       t.pool <- None
   | None -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Replies                                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* responses append to the connection's output buffer; the serve loop
-   flushes once per turn (coalescing a whole turn into one write) and
-   resumes partial writes from the select write set *)
-let send conn frame = if conn.alive then Outbuf.add_frame conn.out frame
-let send_error conn ~id err = send conn (Protocol.error_frame ~id err)
-
-let close_conn t conn =
-  if conn.alive then begin
-    conn.alive <- false;
-    conn.reading <- false;
-    (* answers already encoded get one last best-effort write *)
-    Outbuf.flush conn.out;
-    Outbuf.kill conn.out;
-    t.queued <- t.queued - Queue.length conn.inq;
-    Queue.clear conn.inq;
-    if conn.owned then begin
-      (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-      if conn.out_fd <> conn.fd then
-        try Unix.close conn.out_fd with Unix.Unix_error _ -> ()
-    end
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Statistics                                                          *)
@@ -275,25 +254,19 @@ let stats_json t : Json.t =
             ("expired", Json.Int s.expired);
             ("overloaded", Json.Int s.overloaded);
             ("shed", Json.Int s.shed);
-            ("malformed", Json.Int s.malformed);
-            ("queue_depth", Json.Int t.queued);
+            ("malformed", Json.Int (s.malformed + Conn.malformed t.conns));
+            ("queue_depth", Json.Int s.queued);
             ("draining", Json.Bool t.draining);
           ] );
       ( "pipeline",
         Json.Obj
-          ([
-             ("sessions", Json.Int (List.length t.conns));
-             ("queued", Json.Int t.queued);
-             ("step_batches", Json.Int s.step_batches);
-             ("step_batch_members", Json.Int s.step_batch_members);
-             ("pauses", Json.Int s.pauses);
-             ("resumes", Json.Int s.resumes);
-             ("evictions", Json.Int s.evictions);
-             ("max_turn_jobs", Json.Int s.max_turn_jobs);
-           ]
-          @ List.map
-              (fun (label, n) -> (label, Json.Int n))
-              (Outbuf.stats_rows ())) );
+          (Conn.pipeline_rows t.conns
+          @ [
+              ("queued", Json.Int s.queued);
+              ("step_batches", Json.Int s.step_batches);
+              ("step_batch_members", Json.Int s.step_batch_members);
+              ("max_turn_jobs", Json.Int s.max_turn_jobs);
+            ]) );
       ( "txn",
         Json.Obj
           (List.map
@@ -440,6 +413,14 @@ let answer_probes t (reqs : Protocol.request list) :
                     let name, params = cands.(i) in
                     (name, params, Option.map (fun k -> ok.(k)) slots.(i))))))
     plans
+
+let save_file community path =
+  let io_error m = Error (Protocol.Wire_error.make ~code:"io_error" m) in
+  match Persist.save_file community path with
+  | () -> Ok (Json.Obj [ ("path", Json.String path) ])
+  | exception Sys_error m -> io_error m
+  | exception Unix.Unix_error (e, fn, _) ->
+      io_error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
 
 let server_caps t =
   (if Option.is_some t.wal then [ "wal" ] else [])
@@ -624,11 +605,7 @@ let execute t (req : Protocol.request) :
            (match t.wal with
            | None -> []
            | Some w -> [ ("wal_seq", Json.Int (Wal.last_seq w)) ])))
-  | Protocol.Save (Some path) -> (
-      match Persist.save_file community path with
-      | () -> Ok (Json.Obj [ ("path", Json.String path) ])
-      | exception Sys_error m ->
-          Error (Protocol.Wire_error.make ~code:"io_error" m))
+  | Protocol.Save (Some path) -> save_file community path
   | Protocol.Restore { path; state } -> (
       let dump =
         match (state, path) with
@@ -686,7 +663,7 @@ let process t (job : job) =
   (match job.deadline with
   | Some d when now >= d ->
       t.stats.expired <- t.stats.expired + 1;
-      send_error job.conn ~id:job.id
+      Conn.send_error job.conn ~id:job.id
         (Protocol.Wire_error.make ~code:"deadline_expired"
            "deadline passed before execution")
   | _ -> (
@@ -697,15 +674,16 @@ let process t (job : job) =
          connection-free) never sees *)
       (match (job.request, result) with
       | Protocol.Hello { caps; _ }, Ok _ ->
-          job.conn.ship <- List.mem "wal" caps && Option.is_some t.wal
+          (Conn.data job.conn).ship <-
+            List.mem "wal" caps && Option.is_some t.wal
       | _ -> ());
       (match result with
       | Ok body ->
           t.stats.ok <- t.stats.ok + 1;
-          send job.conn (Protocol.ok_frame ~id:job.id body)
+          Conn.send job.conn (Protocol.ok_frame ~id:job.id body)
       | Error err ->
           t.stats.rejected <- t.stats.rejected + 1;
-          send_error job.conn ~id:job.id err);
+          Conn.send_error job.conn ~id:job.id err);
       (* shutdown drains: admission stops, the queues finish *)
       match job.request with Protocol.Shutdown -> stop t | _ -> ()));
   record_latency t job.op (Unix.gettimeofday () -. job.enqueued_at)
@@ -725,10 +703,10 @@ let finish_job t (job : job) result =
   (match result with
   | Ok body ->
       t.stats.ok <- t.stats.ok + 1;
-      send job.conn (Protocol.ok_frame ~id:job.id body)
+      Conn.send job.conn (Protocol.ok_frame ~id:job.id body)
   | Error err ->
       t.stats.rejected <- t.stats.rejected + 1;
-      send_error job.conn ~id:job.id err);
+      Conn.send_error job.conn ~id:job.id err);
   record_latency t job.op (Unix.gettimeofday () -. job.enqueued_at)
 
 (** Answer the expired jobs of a batch immediately and return the rest.
@@ -741,7 +719,7 @@ let drop_expired t (jobs : job list) =
       match job.deadline with
       | Some d when now >= d ->
           t.stats.expired <- t.stats.expired + 1;
-          send_error job.conn ~id:job.id
+          Conn.send_error job.conn ~id:job.id
             (Protocol.Wire_error.make ~code:"deadline_expired"
                "deadline passed before execution");
           record_latency t job.op (Unix.gettimeofday () -. job.enqueued_at);
@@ -788,19 +766,19 @@ let process_step_batch t (jobs : job list) =
 let admit t (job : job) =
   if t.draining then begin
     t.stats.shed <- t.stats.shed + 1;
-    send_error job.conn ~id:job.id
+    Conn.send_error job.conn ~id:job.id
       (Protocol.Wire_error.make ~code:"shutting_down" "server is draining")
   end
-  else if t.queued >= t.config.queue_capacity then begin
+  else if t.stats.queued >= t.config.queue_capacity then begin
     t.stats.overloaded <- t.stats.overloaded + 1;
-    send_error job.conn ~id:job.id
+    Conn.send_error job.conn ~id:job.id
       (Protocol.Wire_error.make ~code:"overloaded"
          (Printf.sprintf "admission queue full (%d requests)"
             t.config.queue_capacity))
   end
   else begin
-    Queue.add job job.conn.inq;
-    t.queued <- t.queued + 1
+    Queue.add job (Conn.data job.conn).inq;
+    t.stats.queued <- t.stats.queued + 1
   end
 
 (** Drain every per-session queue into one execution order: cycling
@@ -809,22 +787,22 @@ let admit t (job : job) =
     while each session's own jobs stay FIFO.  The cycle's start rotates
     every turn. *)
 let gather_jobs t : job list =
-  if t.queued = 0 then []
+  if t.stats.queued = 0 then []
   else begin
-    let conns = Array.of_list (List.rev t.conns) in
+    let conns = Array.of_list (List.rev (Conn.conns t.conns)) in
     let n = Array.length conns in
     let out = ref [] in
-    let remaining = ref t.queued in
+    let remaining = ref t.stats.queued in
     let i = ref t.rr in
     while !remaining > 0 do
-      (match Queue.take_opt conns.(!i mod n).inq with
+      (match Queue.take_opt (Conn.data conns.(!i mod n)).inq with
       | Some job ->
           out := job :: !out;
           decr remaining
       | None -> ());
       incr i
     done;
-    t.queued <- 0;
+    t.stats.queued <- 0;
     t.rr <- (t.rr + 1) mod n;
     List.rev !out
   end
@@ -864,61 +842,33 @@ let run_jobs t (jobs : job list) =
   if njobs > t.stats.max_turn_jobs then t.stats.max_turn_jobs <- njobs;
   go jobs
 
-let handle_frame t conn (read : Frame.read) =
-  match read with
-  | Frame.Eof -> assert false
-  | Frame.Malformed msg ->
+let handle_frame t conn doc =
+  let env = Protocol.decode doc in
+  match env.Protocol.request with
+  | Error msg ->
       t.stats.malformed <- t.stats.malformed + 1;
-      send_error conn ~id:Json.Null
-        (Protocol.Wire_error.make ~code:"bad_request"
-           (Printf.sprintf "malformed frame: %s" msg))
-  | Frame.Frame doc -> (
-      let env = Protocol.decode doc in
-      match env.Protocol.request with
-      | Error msg ->
-          t.stats.malformed <- t.stats.malformed + 1;
-          send_error conn ~id:env.Protocol.req_id
-            (Protocol.Wire_error.make ~code:"bad_request" msg)
-      | Ok request ->
-          t.stats.received <- t.stats.received + 1;
-          let enqueued_at = Unix.gettimeofday () in
-          let deadline_ms =
-            match env.Protocol.deadline_ms with
-            | Some ms -> Some ms
-            | None -> t.config.default_deadline_ms
-          in
-          admit t
-            {
-              conn;
-              id = env.Protocol.req_id;
-              request;
-              op = Protocol.op_name request;
-              enqueued_at;
-              deadline =
-                Option.map
-                  (fun ms -> enqueued_at +. (float_of_int ms /. 1000.))
-                  deadline_ms;
-            })
-
-(* ------------------------------------------------------------------ *)
-(* Connection input                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(** Read a select-ready connection dry — the descriptor is nonblocking,
-    so the loop drains everything the kernel has buffered and every
-    complete frame is admitted in this wakeup (decode-ahead).  [false]
-    once nothing more will be read: end of input, or an unterminated
-    frame past {!Frame.max_frame_bytes}, which is answered [bad_request]
-    and closes the connection. *)
-let service_input t conn =
-  match Inbuf.read conn.inbuf conn.fd (handle_frame t conn) with
-  | Inbuf.Open -> true
-  | Inbuf.Eof -> false
-  | Inbuf.Overlong ->
-      send_error conn ~id:Json.Null
-        (Protocol.Wire_error.make ~code:"bad_request" Frame.too_long);
-      close_conn t conn;
-      false
+      Conn.send_error conn ~id:env.Protocol.req_id
+        (Protocol.Wire_error.make ~code:"bad_request" msg)
+  | Ok request ->
+      t.stats.received <- t.stats.received + 1;
+      let enqueued_at = Unix.gettimeofday () in
+      let deadline_ms =
+        match env.Protocol.deadline_ms with
+        | Some ms -> Some ms
+        | None -> t.config.default_deadline_ms
+      in
+      admit t
+        {
+          conn;
+          id = env.Protocol.req_id;
+          request;
+          op = Protocol.op_name request;
+          enqueued_at;
+          deadline =
+            Option.map
+              (fun ms -> enqueued_at +. (float_of_int ms /. 1000.))
+              deadline_ms;
+        }
 
 (* ------------------------------------------------------------------ *)
 (* The serve loop                                                      *)
@@ -939,138 +889,26 @@ let flush_snapshot t =
   | None -> ()
   | Some path -> Persist.save_file (Troll.Session.community t.session) path
 
-let all_flushed t =
-  List.for_all (fun c -> not (Outbuf.need_write c.out)) t.conns
-
-(** Flush every connection once (all frames appended this turn leave in
-    one write each), then apply backpressure policy: a backlog past the
-    high-water mark pauses reading, one drained to the low-water mark
-    resumes it, a dead buffer (write error) closes the connection, and a
-    half-closed connection that has fully drained is reaped. *)
-let flush_and_police t =
-  let now = Unix.gettimeofday () in
-  List.iter
-    (fun c ->
-      if c.alive then begin
-        Outbuf.flush c.out;
-        if not (Outbuf.alive c.out) then close_conn t c
-        else begin
-          let backlog = Outbuf.pending c.out in
-          if c.paused_since = 0. then begin
-            if backlog >= t.config.out_high_water then begin
-              c.paused_since <- now;
-              t.stats.pauses <- t.stats.pauses + 1
-            end
-          end
-          else if backlog <= t.config.out_low_water then begin
-            c.paused_since <- 0.;
-            t.stats.resumes <- t.stats.resumes + 1
-          end;
-          if
-            c.owned
-            && (not c.reading)
-            && Queue.is_empty c.inq
-            && backlog = 0
-            && not c.ship
-          then close_conn t c
-        end
-      end)
-    t.conns;
-  t.conns <- List.filter (fun c -> c.alive) t.conns
-
-(** Evict connections that have sat at their high-water pause for the
-    whole eviction window: the peer is not draining, and an unbounded
-    backlog (or a read stopped forever) must not outlive it. *)
-let evict_overdue t =
-  let now = Unix.gettimeofday () in
-  List.iter
-    (fun c ->
-      if
-        c.alive && c.paused_since > 0.
-        && now -. c.paused_since >= t.config.evict_after
-      then begin
-        t.stats.evictions <- t.stats.evictions + 1;
-        close_conn t c
-      end)
-    t.conns;
-  t.conns <- List.filter (fun c -> c.alive) t.conns
-
-let make_conn ~owned ~fd ~out_fd =
-  {
-    fd;
-    out_fd;
-    out = Outbuf.create out_fd;
-    inbuf = Inbuf.create ();
-    inq = Queue.create ();
-    alive = true;
-    owned;
-    reading = true;
-    paused_since = 0.;
-    ship = false;
-  }
-
-(** One select-poll-and-execute turn; [listener] accepts new
-    connections while not draining.  [input_open] is false once the
-    (stdio) input saw EOF. *)
-let serve_loop t ~listener =
-  let input_open = ref true in
+(** One turn per iteration, in this order: select, flush the writable
+    buffers, accept and read ({!Conn.turn}); execute the turn's jobs;
+    group-fsync; ship; flush and police ({!Conn.police}, which also
+    evicts).  [stdio] is the one connection of stdio mode: the loop ends
+    once its input is over and every admitted request is answered. *)
+let serve_loop t ~stdio =
   let rec loop () =
-    evict_overdue t;
-    let now = Unix.gettimeofday () in
     let done_ =
-      (t.draining && t.queued = 0
-      && (all_flushed t || now >= t.drain_deadline))
-      || (listener = None && (not !input_open) && t.queued = 0
-         && all_flushed t)
+      t.stats.queued = 0
+      && (t.draining
+          && (Conn.flushed t.conns || Unix.gettimeofday () >= t.drain_deadline)
+         ||
+         match stdio with
+         | Some c -> (not (Conn.reading c)) && Conn.flushed t.conns
+         | None -> false)
     in
     if not done_ then begin
-      let read_fds =
-        (match listener with Some l when not t.draining -> [ l ] | _ -> [])
-        @ List.filter_map
-            (fun c ->
-              if c.alive && c.reading && c.paused_since = 0. then Some c.fd
-              else None)
-            t.conns
-      in
-      let write_fds =
-        List.filter_map
-          (fun c -> if Outbuf.need_write c.out then Some c.out_fd else None)
-          t.conns
-      in
-      let timeout = if t.queued > 0 then 0. else 0.1 in
-      (match Unix.select read_fds write_fds [] timeout with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | ready, writable, _ ->
-          (* drain writable backlogs first: room opens up before this
-             turn's work appends more *)
-          List.iter
-            (fun fd ->
-              match List.find_opt (fun c -> c.out_fd = fd) t.conns with
-              | Some c when c.alive -> Outbuf.flush c.out
-              | _ -> ())
-            writable;
-          List.iter
-            (fun fd ->
-              if Some fd = listener then begin
-                match Unix.accept fd with
-                | exception Unix.Unix_error (_, _, _) -> ()
-                | cfd, _ ->
-                    t.conns <-
-                      make_conn ~owned:true ~fd:cfd ~out_fd:cfd :: t.conns
-              end
-              else
-                match List.find_opt (fun c -> c.fd = fd) t.conns with
-                | None -> ()
-                | Some conn ->
-                    if not (service_input t conn) then begin
-                      (* end of input: in stdio mode the loop drains and
-                         exits; a socket connection half-closes — its
-                         admitted jobs still execute and the answers
-                         still flush before the reaper closes it *)
-                      conn.reading <- false;
-                      if listener = None then input_open := false
-                    end)
-            ready);
+      Conn.turn t.conns ~accept:(not t.draining)
+        ~timeout:(if t.stats.queued > 0 then 0. else 0.1)
+        (handle_frame t);
       run_jobs t (gather_jobs t);
       (* group fsync at the turn boundary: everything committed by the
          jobs of this turn becomes durable in one fsync (a no-op when
@@ -1082,44 +920,28 @@ let serve_loop t ~listener =
         let records = List.of_seq (Queue.to_seq t.ship_queue) in
         Queue.clear t.ship_queue;
         let frame = Protocol.wal_frame records in
-        List.iter (fun c -> if c.ship && c.alive then send c frame) t.conns
+        List.iter
+          (fun c -> if (Conn.data c).ship then Conn.send c frame)
+          (Conn.conns t.conns)
       end;
-      flush_and_police t;
+      Conn.police t.conns;
       loop ()
     end
   in
   loop ()
 
-let serve_fds t in_fd out_fd =
-  (try Unix.set_nonblock in_fd with Unix.Unix_error _ -> ());
-  t.conns <- make_conn ~owned:false ~fd:in_fd ~out_fd :: t.conns;
-  serve_loop t ~listener:None;
+let finish t =
   shutdown_pool t;
   Option.iter Wal.detach t.wal;
   flush_snapshot t
 
+let serve_fds t in_fd out_fd =
+  let stdio = Conn.add t.conns ~owned:false ~out_fd in_fd (new_session ()) in
+  serve_loop t ~stdio:(Some stdio);
+  finish t
+
 let listen_unix t ~path =
-  (if Sys.file_exists path then
-     try Unix.unlink path with Unix.Unix_error _ -> ());
-  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind listener (Unix.ADDR_UNIX path);
-  Unix.listen listener 64;
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
-  let on_signal _ = stop t in
-  let previous =
-    List.filter_map
-      (fun s ->
-        try Some (s, Sys.signal s (Sys.Signal_handle on_signal))
-        with Invalid_argument _ | Sys_error _ -> None)
-      [ Sys.sigint; Sys.sigterm ]
-  in
-  serve_loop t ~listener:(Some listener);
-  (try Unix.close listener with Unix.Unix_error _ -> ());
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
-  List.iter (fun c -> close_conn t c) t.conns;
-  t.conns <- [];
-  List.iter (fun (s, behaviour) -> Sys.set_signal s behaviour) previous;
-  shutdown_pool t;
-  Option.iter Wal.detach t.wal;
-  flush_snapshot t
+  Conn.listen_unix t.conns ~path
+    ~stop:(fun () -> stop t)
+    (fun () -> serve_loop t ~stdio:None);
+  finish t

@@ -5,22 +5,26 @@
     the community — they speak the {!Protocol} against a session held by
     the daemon, and interface classes mediate their view of it.
 
-    {b Execution model.}  A single-threaded [select] loop multiplexes
-    every connection.  Each wakeup reads a connection until a read comes
-    back short, into the connection's one reused {!Inbuf}: no buffer is
-    allocated per read and the pending input is never copied.  Every
-    complete frame, decoded where it lies in that buffer, is drained
-    (decode-ahead) into a per-connection FIFO of admitted jobs, bounded
-    by [queue_capacity] across all connections;
-    the turn then executes the queued jobs — round-robin across
-    connections, one job per connection per cycle, so a deeply
+    {b Execution model.}  One single-threaded loop multiplexes every
+    connection through the connection core, {!Conn}: its select turn
+    reads each ready connection dry and frames its input in place, its
+    frame-error rule answers bad lines, and its output policy coalesces
+    writes and applies backpressure ([out_high_water], [out_low_water]
+    and [evict_after] set it).  Each turn runs: select, flush the
+    writable buffers, accept and read; execute the turn's jobs;
+    group-fsync; ship WAL records; flush and police (which evicts).
+    Every complete frame is admitted (decode-ahead) into a
+    per-connection FIFO of jobs, bounded by [queue_capacity] across all
+    connections; the turn then executes the queued jobs — round-robin
+    across connections, one job per connection per cycle, so a deeply
     pipelined client never starves the others, while each connection's
     own requests stay FIFO — against the journaled engine.  Every
     mutating request is one transaction and a rejected request leaves
     the community bit-identical.  A request whose deadline passes while
     it is still queued is answered [deadline_expired] without touching
     the engine; a request arriving on a full queue is answered
-    [overloaded] immediately.
+    [overloaded] immediately.  Pauses, resumes, evictions and batch
+    sizes are reported in the [pipeline] block of the [stats] frame.
 
     {b Batched execution.}  Maximal contiguous runs of the turn's job
     order coalesce.  A run of read-only probe requests ([enabled],
@@ -39,18 +43,6 @@
     session is unsharded).  The pool is created lazily on the first
     probe batch, so a server that never needs it never spawns a domain
     and stays fork-safe.
-
-    {b Write coalescing and backpressure.}  Responses append to a
-    per-connection output buffer; the loop flushes each buffer once per
-    turn through a nonblocking descriptor, so one turn's answers leave
-    in one [write] and a peer that stops draining can never block the
-    loop (partial writes resume from the select write set).  A backlog
-    past [out_high_water] pauses reading that connection — admission
-    stops, kernel backpressure propagates to the client — and reading
-    resumes once the backlog drains to [out_low_water].  A connection
-    paused for [evict_after] seconds straight is evicted.  Pauses,
-    resumes, evictions and batch sizes are reported in the [pipeline]
-    block of the [stats] frame.
 
     {b Durability.}  With a {!Wal.t} attached, every mutating request
     appends its committed effect delta through the community's commit
@@ -81,19 +73,16 @@ type config = {
   jobs : int;
       (** probe-pool size ([--jobs]); 1 = probe sequentially on the
           loop thread, never spawning a domain *)
-  out_high_water : int;
-      (** output-backlog bytes beyond which the connection's reads
-          pause (backpressure instead of unbounded buffering) *)
-  out_low_water : int;
-      (** backlog bytes at which a paused connection resumes reading *)
+  out_high_water : int;  (** {!Conn.policy}'s [high_water] *)
+  out_low_water : int;  (** {!Conn.policy}'s [low_water] *)
   evict_after : float;
-      (** seconds a connection may stay paused before it is evicted;
-          also bounds how long a drain waits for slow readers *)
+      (** {!Conn.policy}'s [evict_after]; also bounds how long a drain
+          waits for slow readers *)
 }
 
 val default_config : config
-(** Queue of 1024, no default deadline, no snapshot, one job; 1 MiB
-    high water, 64 KiB low water, 30 s eviction. *)
+(** Queue of 1024, no default deadline, no snapshot, one job, and
+    {!Conn.default_policy}. *)
 
 type t
 
@@ -108,6 +97,11 @@ val execute :
     deadlines — the loop's core, exposed for direct use and testing.
     [Shutdown] only reports; draining is the caller's business. *)
 
+val save_file :
+  Community.t -> string -> (Json.t, Protocol.Wire_error.t) result
+(** The result of a [save] request with a path: the dump written by
+    {!Persist.save_file} (temp file, fsync, rename), or [io_error]. *)
+
 val serve_fds : t -> Unix.file_descr -> Unix.file_descr -> unit
 (** Serve one connection reading from the first and writing to the
     second descriptor (the [--stdio] mode).  Returns once the input is
@@ -115,10 +109,8 @@ val serve_fds : t -> Unix.file_descr -> Unix.file_descr -> unit
     request has been answered. *)
 
 val listen_unix : t -> path:string -> unit
-(** Bind a Unix-domain socket at [path] (replacing a stale socket
-    file), serve until shutdown, then close every connection and
-    remove the socket file.  Installs SIGINT/SIGTERM handlers that
-    trigger {!stop}, and ignores SIGPIPE. *)
+(** Serve on a Unix-domain socket at [path] until shutdown, through
+    {!Conn.listen_unix} (SIGINT/SIGTERM trigger {!stop}). *)
 
 val stop : t -> unit
 (** Begin draining: stop admitting, finish the queue, return from the

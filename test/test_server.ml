@@ -1221,8 +1221,9 @@ let await_close buf fd =
 
 (* The cases every connection's input buffer must frame alike: several
    frames in one read, a frame split at every byte offset across two
-   reads (a UTF-8 "é" in it), CRLF terminators and blank lines, and an
-   unterminated frame past the limit, answered [bad_request] and
+   reads (a UTF-8 "é" in it), CRLF terminators and blank lines, a
+   malformed line answered [bad_request] with the next line served, and
+   an unterminated frame past the limit, answered [bad_request] and
    closed.  A ping that shares the first read's write proves the split
    really straddled two reads: it is answered only once that read was
    framed. *)
@@ -1247,6 +1248,16 @@ let framing_cases connect =
   fd_write_all fd ("\n\r\n" ^ ping "4" ^ "\r\n\n\r\n" ^ ping "5" ^ "\n");
   expect_id "CRLF frame" (Json.Int 4);
   expect_id "frame after blank lines" (Json.Int 5);
+  fd_write_all fd ("this is not json\n" ^ ping "7" ^ "\n");
+  let r = read_frame buf fd in
+  check_code "malformed line" "bad_request" r;
+  Alcotest.check json "malformed line answered with a null id" Json.Null
+    (Json.member "id" r);
+  Alcotest.(check bool) "malformed line message" true
+    (String.starts_with ~prefix:"malformed frame: "
+       (Option.value ~default:""
+          (Json.to_string_opt (Json.member "message" (Json.member "error" r)))));
+  expect_id "the line after a malformed one" (Json.Int 7);
   let doomed = connect () in
   let dbuf = Buffer.create 256 in
   fd_write_all doomed (String.make (Frame.max_frame_bytes + 1) 'x');
@@ -1262,6 +1273,22 @@ let framing_cases connect =
   Unix.close fd
 
 let test_framing_server () = with_socket_server framing_cases
+
+(* Whether a forked child exits within 5 s; one that does not is
+   killed. *)
+let exits_promptly pid =
+  let rec returned i =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when i < 500 ->
+        Unix.sleepf 0.01;
+        returned (i + 1)
+    | 0, _ ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        false
+    | _ -> true
+  in
+  returned 0
 
 (* In stdio mode an over-long frame ends the session: the server
    answers it, stops reading and returns while the peer still holds its
@@ -1281,29 +1308,18 @@ let test_framing_stdio_overlong () =
       fd_write_all req_w (String.make (Frame.max_frame_bytes + 1) 'x');
       check_code "over-long frame" "bad_request"
         (read_frame (Buffer.create 256) resp_r);
-      let rec returned i =
-        match Unix.waitpid [ Unix.WNOHANG ] pid with
-        | 0, _ when i < 500 ->
-            Unix.sleepf 0.01;
-            returned (i + 1)
-        | 0, _ ->
-            Unix.kill pid Sys.sigkill;
-            ignore (Unix.waitpid [] pid);
-            false
-        | _ -> true
-      in
-      let ok = returned 0 in
+      let ok = exits_promptly pid in
       Unix.close req_w;
       Unix.close resp_r;
       Alcotest.(check bool) "serve_fds returned" true ok
+
+let open_fds pid = Array.length (Sys.readdir (Printf.sprintf "/proc/%d/fd" pid))
 
 (* The router closes the descriptor of every client that went away
    (end of input, or closed after an over-long frame). *)
 let test_framing_router () =
   with_socket_router (fun ~router connect ->
-      let open_fds () =
-        Array.length (Sys.readdir (Printf.sprintf "/proc/%d/fd" router))
-      in
+      let open_fds () = open_fds router in
       let ping fd =
         let buf = Buffer.create 64 in
         check_ok "ping" (rpc_fd buf fd {|{"id":1,"op":"ping"}|})
@@ -1347,12 +1363,13 @@ let backpressure_config =
     Server.evict_after = 30.;
   }
 
-let test_serve_slow_reader () =
-  with_socket_server ~config:backpressure_config @@ fun connect ->
+(* A client that pipelines [people]-object saves and stops reading is
+   paused without blocking anyone, then drains FIFO and intact. *)
+let slow_reader_cases ~people connect =
   let slow = connect () and normal = connect () in
   let sbuf = Buffer.create 256 and nbuf = Buffer.create 256 in
   (* fatten the state so save responses dwarf the high-water mark *)
-  for i = 1 to 100 do
+  for i = 1 to people do
     check_ok "create"
       (rpc_fd sbuf slow
          (Printf.sprintf {|{"id":%d,"op":"create","cls":"PERSON","key":"p%03d"}|} i i))
@@ -1428,11 +1445,16 @@ let test_serve_slow_reader () =
   Unix.close slow;
   Unix.close normal
 
-let test_serve_killed_with_backlog () =
-  with_socket_server ~config:backpressure_config @@ fun connect ->
+let test_serve_slow_reader () =
+  with_socket_server ~config:backpressure_config (slow_reader_cases ~people:100)
+
+(* A client that pipelines saves and vanishes leaves a backlog for a
+   dead peer: the loop survives and reaps the session ([reaped] runs
+   once it has). *)
+let killed_with_backlog_cases ~people ?(reaped = ignore) connect =
   let doomed = connect () in
   let dbuf = Buffer.create 256 in
-  for i = 1 to 100 do
+  for i = 1 to people do
     check_ok "create"
       (rpc_fd dbuf doomed
          (Printf.sprintf {|{"id":%d,"op":"create","cls":"PERSON","key":"q%03d"}|} i i))
@@ -1461,8 +1483,167 @@ let test_serve_killed_with_backlog () =
     end
   in
   await_reap 0;
+  reaped ();
   check_ok "shutdown" (rpc_fd nbuf normal {|{"id":3,"op":"shutdown"}|});
   Unix.close normal
+
+let test_serve_killed_with_backlog () =
+  with_socket_server ~config:backpressure_config
+    (killed_with_backlog_cases ~people:100)
+
+(* In stdio mode a session whose connection is evicted ends: nobody
+   reads the answers, the backlog pauses the connection, the eviction
+   window passes, and the serve call returns while the peer still holds
+   both pipes open. *)
+let test_serve_stdio_evicted () =
+  let req_r, req_w = Unix.pipe () in
+  let resp_r, resp_w = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+      Unix.close req_w;
+      Unix.close resp_r;
+      Server.serve_fds
+        (Server.create
+           ~config:{ backpressure_config with Server.evict_after = 0.3 }
+           (load_session ()))
+        req_r resp_w;
+      Unix._exit 0
+  | pid ->
+      Unix.close req_r;
+      Unix.close resp_w;
+      (* fatten the state so the save answers overfill the pipe *)
+      fd_write_all req_w
+        (String.concat ""
+           (List.init 20 (fun i ->
+                Printf.sprintf {|{"id":%d,"op":"create","cls":"PERSON","key":"e%02d"}|} i i
+                ^ "\n")
+           @ List.init 100 (fun i ->
+                 Printf.sprintf {|{"id":%d,"op":"save"}|} (100 + i) ^ "\n")));
+      let ok = exits_promptly pid in
+      Unix.close req_w;
+      Unix.close resp_r;
+      Alcotest.(check bool) "serve_fds returned" true ok
+
+(* ---------------------------------------------------------------- *)
+(* The router's clients and shard links                              *)
+(* ---------------------------------------------------------------- *)
+
+(* The router's clients get the server's default water marks, so the
+   state must be fat enough for 200 save replies to pass 1 MiB beyond
+   what the socket buffers hold. *)
+let router_people = 400
+
+let test_router_slow_reader () =
+  with_socket_router (fun ~router:_ connect ->
+      slow_reader_cases ~people:router_people connect)
+
+let test_router_killed_with_backlog () =
+  with_socket_router (fun ~router connect ->
+      (* count once the router is up, with one client connected *)
+      let probe = connect () in
+      check_ok "ping" (rpc_fd (Buffer.create 64) probe {|{"id":1,"op":"ping"}|});
+      let one_client = open_fds router in
+      Unix.close probe;
+      killed_with_backlog_cases ~people:router_people connect
+        ~reaped:(fun () ->
+          Alcotest.(check int) "the vanished client's descriptor is closed"
+            one_client (open_fds router)))
+
+(* [save] with a path writes the state a path-less [save] returns (on
+   a router: the merged state); a path that cannot be written is
+   answered [io_error], and the loop keeps serving. *)
+let save_file_cases connect =
+  let fd = connect () in
+  let buf = Buffer.create 256 in
+  List.iter
+    (fun line -> check_ok "setup" (rpc_fd buf fd line))
+    (setup_frames @ [ hire_frame 3 "ada" ]);
+  let state =
+    match
+      Json.to_string_opt
+        (Json.member "state"
+           (Json.member "result" (rpc_fd buf fd {|{"id":4,"op":"save"}|})))
+    with
+    | Some s -> s
+    | None -> Alcotest.fail "save without a state"
+  in
+  let save_to id path =
+    rpc_fd buf fd
+      (Printf.sprintf {|{"id":%d,"op":"save","path":%s}|} id
+         (Json.to_string (Json.String path)))
+  in
+  let path = Filename.temp_file "troll_save" ".dump" in
+  check_ok "save to a path" (save_to 5 path);
+  let written = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  Alcotest.(check string) "the file holds the state" state written;
+  let dir = Filename.temp_file "troll_save" ".dir" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  check_code "save onto a directory" "io_error" (save_to 6 dir);
+  Sys.rmdir dir;
+  check_ok "still serving" (rpc_fd buf fd {|{"id":7,"op":"ping"}|});
+  Unix.close fd
+
+let test_serve_save_file () = with_socket_server save_file_cases
+
+let test_router_save_file () =
+  with_socket_router (fun ~router:_ connect -> save_file_cases connect)
+
+(* A stand-in shard answers the router's [hello], then answers its
+   [save] with a line the router cannot read and holds the connection
+   open: the router must give up on the link at once, not after its
+   60 s synchronous timeout. *)
+let test_router_link_fails_fast () =
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  let community = Troll.Session.community (load_session ()) in
+  let map = Shard.auto community ~shards:1 in
+  List.iter
+    (fun (what, reply) ->
+      let path = Filename.temp_file "troll_fake_shard" ".sock" in
+      Unix.unlink path;
+      let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.bind listener (Unix.ADDR_UNIX path);
+      Unix.listen listener 1;
+      match Unix.fork () with
+      | 0 ->
+          (try
+             let fd, _ = Unix.accept listener in
+             let buf = Buffer.create 256 in
+             let hello = read_frame buf fd in
+             fd_write_all fd
+               (Frame.to_line
+                  (Json.Obj
+                     [
+                       ("id", Json.member "id" hello);
+                       ("ok", Json.Bool true);
+                       ("result", Json.Obj [ ("version", Json.Int Protocol.version) ]);
+                     ]));
+             ignore (read_frame buf fd);
+             fd_write_all fd reply;
+             ignore (Unix.read fd (Bytes.create 1) 0 1)
+           with _ -> ());
+          Unix._exit 0
+      | pid ->
+          Unix.close listener;
+          let t0 = Unix.gettimeofday () in
+          let result =
+            Router.listen_unix
+              (Router.create ~community ~map ~paths:[| path |] ())
+              ~path:(path ^ ".router")
+          in
+          let elapsed = Unix.gettimeofday () -. t0 in
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          ignore (Unix.waitpid [] pid);
+          (try Unix.unlink path with Unix.Unix_error _ -> ());
+          Alcotest.(check bool) (what ^ ": listen_unix fails") true
+            (Result.is_error result);
+          if elapsed >= 5. then
+            Alcotest.failf "%s: the router gave up only after %.1f s" what elapsed)
+    [
+      ("malformed save reply", "this is not json\n");
+      ("over-long save reply", String.make (Frame.max_frame_bytes + 1) 'x');
+    ]
 
 (* ---------------------------------------------------------------- *)
 
@@ -1536,6 +1717,9 @@ let () =
             test_serve_slow_reader;
           Alcotest.test_case "peer killed with backlogged output" `Quick
             test_serve_killed_with_backlog;
+          Alcotest.test_case "stdio session ends when evicted" `Quick
+            test_serve_stdio_evicted;
+          Alcotest.test_case "save to a path" `Quick test_serve_save_file;
         ] );
       ( "framing",
         [
@@ -1543,5 +1727,15 @@ let () =
           Alcotest.test_case "stdio session ends after an over-long frame"
             `Quick test_framing_stdio_overlong;
           Alcotest.test_case "router client" `Quick test_framing_router;
+        ] );
+      ( "router",
+        [
+          Alcotest.test_case "link fails fast on an unreadable line" `Quick
+            test_router_link_fails_fast;
+          Alcotest.test_case "slow client pauses and resumes" `Quick
+            test_router_slow_reader;
+          Alcotest.test_case "client killed with backlogged output" `Quick
+            test_router_killed_with_backlog;
+          Alcotest.test_case "save to a path" `Quick test_router_save_file;
         ] );
     ]
