@@ -177,8 +177,12 @@ let set_elem_args v1 v2 =
   | _ -> None
 
 (* Every [Value.Set] is canonical (built by [Value.set], an
-   order-preserving filter, or empty), so inserting is one ordered walk
-   instead of re-sorting; the result equals [Value.set (e :: s)]. *)
+   order-preserving filter, or empty), so inserting, removing and
+   membership are one ordered walk that stops at the first element not
+   below the operand, instead of a re-sort or a scan of the whole set.
+   Each result equals its [Value.set] definition, and each is a fresh
+   [Value.Set] even when the elements are unchanged, as a re-sort's
+   would be. *)
 let set_insert e s =
   let rec go = function
     | [] -> [ e ]
@@ -189,6 +193,23 @@ let set_insert e s =
         else x :: go rest
   in
   Value.Set (try go s with Exit -> s)
+
+let set_remove e s =
+  let rec go = function
+    | [] -> raise_notrace Exit
+    | x :: rest ->
+        let c = Value.compare e x in
+        if c < 0 then raise_notrace Exit
+        else if c = 0 then rest
+        else x :: go rest
+  in
+  Value.Set (try go s with Exit -> s)
+
+let rec set_mem e = function
+  | [] -> false
+  | x :: rest ->
+      let c = Value.compare e x in
+      if c > 0 then set_mem e rest else c = 0
 
 let rec aggregate name vs =
   match (name, vs) with
@@ -285,15 +306,14 @@ let apply name (args : Value.t list) : (Value.t, error) result =
           | None -> err "insert: no set operand")
       | ("remove" | "delete"), [ a; b ] -> (
           match set_elem_args a b with
-          | Some (s, e) ->
-              Ok (Value.Set (List.filter (fun x -> not (Value.equal x e)) s))
+          | Some (s, e) -> Ok (set_remove e s)
           | None -> err "%s: no set operand" name)
       | "in", [ a; b ] -> (
           match (a, b) with
           | e, Value.List l -> Ok (bool (List.exists (Value.equal e) l))
           | _ -> (
               match set_elem_args a b with
-              | Some (s, e) -> Ok (bool (List.exists (Value.equal e) s))
+              | Some (s, e) -> Ok (bool (set_mem e s))
               | None -> err "in: no collection operand"))
       | "union", [ Value.Set a; Value.Set b ] -> Ok (Value.set (a @ b))
       | "intersect", [ Value.Set a; Value.Set b ] ->

@@ -23,34 +23,40 @@ type t =
       (** the unobservable value: attributes before initialisation, failed
           lookups; propagates through strict operations *)
 
+let tag = function
+  | Bool _ -> 0 | Int _ -> 1 | String _ -> 2 | Date _ -> 3 | Money _ -> 4
+  | Enum _ -> 5 | Id _ -> 6 | Set _ -> 7 | List _ -> 8 | Map _ -> 9
+  | Tuple _ -> 10 | Undefined -> 11
+
+(* Physically equal values compare 0 at once.  The shortcut is exact
+   because a value holds no float (a NaN is not equal to itself), and it
+   is what makes comparing a shared identity or key against itself
+   cheap. *)
 let rec compare a b =
-  let tag = function
-    | Bool _ -> 0 | Int _ -> 1 | String _ -> 2 | Date _ -> 3 | Money _ -> 4
-    | Enum _ -> 5 | Id _ -> 6 | Set _ -> 7 | List _ -> 8 | Map _ -> 9
-    | Tuple _ -> 10 | Undefined -> 11
-  in
-  match (a, b) with
-  | Bool x, Bool y -> Bool.compare x y
-  | Int x, Int y -> Int.compare x y
-  | String x, String y -> String.compare x y
-  | Date x, Date y -> Date_adt.compare x y
-  | Money x, Money y -> Money.compare x y
-  | Enum (n1, c1), Enum (n2, c2) ->
-      let c = String.compare n1 n2 in
-      if c <> 0 then c else String.compare c1 c2
-  | Id (c1, k1), Id (c2, k2) ->
-      let c = String.compare c1 c2 in
-      if c <> 0 then c else compare k1 k2
-  | Set x, Set y | List x, List y -> compare_list x y
-  | Map x, Map y -> compare_pairs x y
-  | Tuple x, Tuple y ->
-      let cmp (n1, v1) (n2, v2) =
+  if a == b then 0
+  else
+    match (a, b) with
+    | Bool x, Bool y -> Bool.compare x y
+    | Int x, Int y -> Int.compare x y
+    | String x, String y -> String.compare x y
+    | Date x, Date y -> Date_adt.compare x y
+    | Money x, Money y -> Money.compare x y
+    | Enum (n1, c1), Enum (n2, c2) ->
         let c = String.compare n1 n2 in
-        if c <> 0 then c else compare v1 v2
-      in
-      List.compare cmp x y
-  | Undefined, Undefined -> 0
-  | _ -> Int.compare (tag a) (tag b)
+        if c <> 0 then c else String.compare c1 c2
+    | Id (c1, k1), Id (c2, k2) ->
+        let c = String.compare c1 c2 in
+        if c <> 0 then c else compare k1 k2
+    | Set x, Set y | List x, List y -> compare_list x y
+    | Map x, Map y -> compare_pairs x y
+    | Tuple x, Tuple y ->
+        let cmp (n1, v1) (n2, v2) =
+          let c = String.compare n1 n2 in
+          if c <> 0 then c else compare v1 v2
+        in
+        List.compare cmp x y
+    | Undefined, Undefined -> 0
+    | _ -> Int.compare (tag a) (tag b)
 
 and compare_list x y = List.compare compare x y
 

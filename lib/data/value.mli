@@ -23,7 +23,9 @@ type t =
           failed lookups; propagates through strict operations *)
 
 val compare : t -> t -> int
-(** A total order (used for canonical collections). *)
+(** A total order (used for canonical collections).  Physically equal
+    values compare 0 without a walk, which is exact because no value
+    holds a float. *)
 
 val equal : t -> t -> bool
 

@@ -56,24 +56,29 @@ type journal_entry =
 
 (** The open journal of a community.  [entries]/[count] are the live
     undo log; [total]/[bytes] count everything ever recorded (for the
-    statistics); [touched]/[epoch] implement per-scope snapshot
-    deduplication — an object is re-snapshotted only when a new scope
-    (transaction, savepoint or probe) has opened since its last
-    snapshot. *)
+    statistics); [gen]/[epoch] implement per-scope snapshot
+    deduplication through the stamp each snapshotted object carries
+    ([Obj_state.snap_gen], [snap_epoch]) — an object is re-snapshotted
+    only when a new scope (transaction, savepoint or probe) has opened
+    since its last snapshot.  A journal holds no table, so opening one
+    is a small allocation. *)
 type journal = {
   mutable entries : journal_entry list;  (** newest first *)
   mutable count : int;  (** = length of [entries] *)
   mutable total : int;  (** entries ever recorded *)
   mutable bytes : int;  (** approx. bytes snapshotted *)
-  touched : (Ident.t, int) Hashtbl.t;  (** object → epoch of last snap *)
-  mutable epoch : int;
+  gen : int;
+      (** process-unique journal generation, stamped on every object
+          the journal snapshots *)
+  mutable epoch : int;  (** bumped when a scope opens or unwinds *)
 }
 
 type t = {
   templates : (string, Template.t) Hashtbl.t;
   enum_of_const : (string, string) Hashtbl.t;  (** constant → enum name *)
   enum_defs : (string, string list) Hashtbl.t;  (** enum name → constants *)
-  objects : (Ident.t, Obj_state.t) Hashtbl.t;
+  objects : Obj_state.t Ident.Tbl.t;
+      (** keyed by identity, on its cached hash *)
   mutable index : Obj_state.t Btree.t;
       (** ordered object index (storage layer), keyed by identity value;
           kept in sync with [objects] and rolled back through the same
@@ -105,7 +110,7 @@ let create ?(config = default_config) () =
     templates = Hashtbl.create 16;
     enum_of_const = Hashtbl.create 16;
     enum_defs = Hashtbl.create 16;
-    objects = Hashtbl.create 64;
+    objects = Ident.Tbl.create 64;
     index = Btree.empty;
     extensions = Smap.empty;
     globals = [];
@@ -135,10 +140,10 @@ let journal_record t e =
 let undo_entry t = function
   | J_obj (o, s) -> Obj_state.restore o s
   | J_register id ->
-      Hashtbl.remove t.objects id;
+      Ident.Tbl.remove t.objects id;
       t.index <- Btree.remove t.index (Ident.to_value id)
   | J_remove o ->
-      Hashtbl.replace t.objects o.Obj_state.id o;
+      Ident.Tbl.replace t.objects o.Obj_state.id o;
       t.index <- Btree.add t.index (Ident.to_value o.Obj_state.id) o
   | J_extensions ext -> t.extensions <- ext
 
@@ -173,7 +178,7 @@ let add_global t ~vars rule =
   t.staged <- None;
   bump_version t
 
-let find_object t id = Hashtbl.find_opt t.objects id
+let find_object t id = Ident.Tbl.find_opt t.objects id
 
 let object_exn t id =
   match find_object t id with
@@ -189,15 +194,15 @@ let living t id =
 let register_object t (o : Obj_state.t) =
   journal_record t (J_register o.Obj_state.id);
   if t.journal = None then bump_version t;
-  Hashtbl.replace t.objects o.Obj_state.id o;
+  Ident.Tbl.replace t.objects o.Obj_state.id o;
   t.index <- Btree.add t.index (Ident.to_value o.Obj_state.id) o
 
 let remove_object t id =
-  (match Hashtbl.find_opt t.objects id with
+  (match Ident.Tbl.find_opt t.objects id with
   | Some o -> journal_record t (J_remove o)
   | None -> ());
   if t.journal = None then bump_version t;
-  Hashtbl.remove t.objects id;
+  Ident.Tbl.remove t.objects id;
   t.index <- Btree.remove t.index (Ident.to_value id)
 
 (** Current extension (living members) of a class. *)
@@ -273,13 +278,13 @@ let phases_born_by t cls ev_name =
     open journal.  For speculative "try and roll back" questions use
     {!Txn.probe} instead: it is O(touched state), not O(society). *)
 let clone t =
-  let objects = Hashtbl.create (Hashtbl.length t.objects) in
+  let objects = Ident.Tbl.create (Ident.Tbl.length t.objects) in
   let index = ref Btree.empty in
-  Hashtbl.iter
+  Ident.Tbl.iter
     (fun id (o : Obj_state.t) ->
       let o' = Obj_state.create id o.Obj_state.template in
       Obj_state.restore o' (Obj_state.snapshot o);
-      Hashtbl.replace objects id o';
+      Ident.Tbl.replace objects id o';
       index := Btree.add !index (Ident.to_value id) o')
     t.objects;
   {
@@ -301,18 +306,18 @@ let clone t =
     globals stay).  Used when reloading persisted state; must not be
     called with an open journal. *)
 let reset_instance_state t =
-  Hashtbl.reset t.objects;
+  Ident.Tbl.reset t.objects;
   t.index <- Btree.empty;
   t.extensions <- Smap.empty;
   bump_version t
 
-let iter_objects t f = Hashtbl.iter (fun _ o -> f o) t.objects
+let iter_objects t f = Ident.Tbl.iter (fun _ o -> f o) t.objects
 
 (** All objects in identity order, straight off the ordered index. *)
 let objects_sorted t = List.map snd (Btree.bindings t.index)
 
 let living_objects t =
-  Hashtbl.fold
+  Ident.Tbl.fold
     (fun _ o acc -> if o.Obj_state.alive then o :: acc else acc)
     t.objects []
 

@@ -42,23 +42,27 @@ type journal_entry =
   | J_remove of Obj_state.t  (** object was removed: put it back *)
   | J_extensions of Ident.Set.t Smap.t  (** previous extensions map *)
 
-(** The open journal of a community — the live undo log plus lifetime
-    counters and the epoch-based snapshot-dedup table.  Owned by
-    {!Txn}; the mutators below feed it. *)
+(** The open journal of a community — the live undo log, lifetime
+    counters, and the generation and epoch that snapshot deduplication
+    compares with the stamp on each object.  Owned by {!Txn}; the
+    mutators below feed it. *)
 type journal = {
   mutable entries : journal_entry list;  (** newest first *)
   mutable count : int;  (** = length of [entries] *)
   mutable total : int;  (** entries ever recorded *)
   mutable bytes : int;  (** approx. bytes snapshotted *)
-  touched : (Ident.t, int) Hashtbl.t;  (** object → epoch of last snap *)
-  mutable epoch : int;
+  gen : int;
+      (** process-unique journal generation, stamped on every object
+          the journal snapshots *)
+  mutable epoch : int;  (** bumped when a scope opens or unwinds *)
 }
 
 type t = {
   templates : (string, Template.t) Hashtbl.t;
   enum_of_const : (string, string) Hashtbl.t;
   enum_defs : (string, string list) Hashtbl.t;
-  objects : (Ident.t, Obj_state.t) Hashtbl.t;
+  objects : Obj_state.t Ident.Tbl.t;
+      (** keyed by identity, on its cached hash *)
   mutable index : Obj_state.t Btree.t;
       (** ordered object index (storage layer), kept in sync with
           [objects] and rolled back through the same journal *)

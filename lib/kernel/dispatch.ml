@@ -136,6 +136,11 @@ type centry = {
       (** the valuation rules write pairwise-distinct known slots — a
           single occurrence of the event cannot produce a write
           conflict, so conflict detection is statically discharged *)
+  ce_solo : bool;
+      (** the template declares the event, and nothing calls another
+          event when it occurs: no local calling rule, no global
+          interaction on its name, no phase birth — its calling closure
+          is itself *)
 }
 
 let empty_entry =
@@ -145,6 +150,7 @@ let empty_entry =
     ce_perms = [];
     ce_callings = [];
     ce_distinct_slots = true;
+    ce_solo = false;
   }
 
 (** Compiled form of a monitored atom. *)
@@ -377,6 +383,12 @@ let build_tpl (c : Community.t) (tpl : Template.t) : tpl_index =
     (fun (ed : Template.event_def) ->
       add ed.Template.ed_name (fun e -> { e with ce_ed = Some ed }))
     tpl.Template.t_events;
+  let called_globally name =
+    List.exists
+      (fun (gr : Community.global_rule) ->
+        String.equal gr.Community.gr_rule.Ast.i_caller.Ast.ev_name name)
+      c.Community.globals
+  in
   List.iter
     (fun name ->
       let e = Hashtbl.find by_event name in
@@ -385,7 +397,13 @@ let build_tpl (c : Community.t) (tpl : Template.t) : tpl_index =
         List.for_all (fun s -> s >= 0) slots
         && List.length (List.sort_uniq compare slots) = List.length slots
       in
-      Hashtbl.replace by_event name { e with ce_distinct_slots = distinct })
+      let solo =
+        e.ce_ed <> None && e.ce_callings = []
+        && (not (called_globally name))
+        && Community.phases_born_by c tpl.Template.t_name name = []
+      in
+      Hashtbl.replace by_event name
+        { e with ce_distinct_slots = distinct; ce_solo = solo })
     (Hashtbl.fold (fun k _ acc -> k :: acc) by_event []);
   let monitored_bodies =
     List.filter_map

@@ -75,6 +75,11 @@ type centry = {
   ce_distinct_slots : bool;
       (** the valuation rules write pairwise-distinct known slots, so a
           single occurrence of the event cannot conflict with itself *)
+  ce_solo : bool;
+      (** the template declares the event, and nothing calls another
+          event when it occurs: no local calling rule, no global
+          interaction on its name, no phase birth — its calling closure
+          is itself *)
 }
 
 type catom =

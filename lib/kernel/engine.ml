@@ -148,39 +148,51 @@ let resolve_called_c (c : Community.t) ~env ~self (cd : Dispatch.ccalled) :
   Event.make target cd.Dispatch.cd_term.Ast.ev_name args
 
 (** Staged fast-path resolution of a singleton micro-step: a single
-    event with no calling rules indexed under its name, no global rules
-    and no phase births closes over itself.  Returns the located event,
-    the target object when it already exists, and its staged index
-    entry, so callers skip the work-list machinery — and {!exec_txn} can
-    hand the resolution straight to execution. *)
+    event whose staged entry is [ce_solo] — no calling rules indexed
+    under its name, no global rules and no phase births — closes over
+    itself.  Returns the located event, the target object when it
+    already exists, and its staged index entry, so callers skip the
+    work-list machinery — and {!exec_txn} can hand the resolution
+    straight to execution.
+
+    An existing target whose own template declares the event needs no
+    retargeting, so its entry comes from that template's index without
+    {!locate_event}'s template lookup. *)
 let expand_sync_singleton (c : Community.t) (init : Event.t list) :
     (Event.t * Obj_state.t option * Dispatch.centry) option =
   if Dispatch.enabled c then
     match init with
-    | [ ev0 ] when c.Community.config.Community.max_sync_set >= 1 -> (
-        let ev = locate_event c ev0 in
-        let existing = Community.find_object c ev.Event.target in
-        let tpl =
-          match existing with
-          | Some o -> o.Obj_state.template
-          | None -> Community.template_exn c ev.Event.target.Ident.cls
+    | [ ev0 ] when c.Community.config.Community.max_sync_set >= 1 ->
+        let name = ev0.Event.name in
+        let declared =
+          match Community.find_object c ev0.Event.target with
+          | Some o ->
+              let ti = Dispatch.template_index c o.Obj_state.template in
+              let entry = Dispatch.entry ti name in
+              if Option.is_some entry.Dispatch.ce_ed then
+                Some (ev0, Some o, entry)
+              else None
+          | None -> None
         in
-        let ti = Dispatch.template_index c tpl in
-        let entry = Dispatch.entry ti ev.Event.name in
-        match entry.Dispatch.ce_callings with
-        | _ :: _ -> None
-        | [] ->
-            let ci = Dispatch.community_index c in
-            if
-              Dispatch.globals_for ci ev.Event.name = []
-              && Dispatch.phases_for ci ~cls:ev.Event.target.Ident.cls
-                   ~event:ev.Event.name
-                 = []
-            then begin
-              Dispatch.note_hit ();
-              Some (ev, existing, entry)
-            end
-            else None)
+        let ((_, _, entry) as resolved) =
+          match declared with
+          | Some r -> r
+          | None ->
+              let ev = locate_event c ev0 in
+              let existing = Community.find_object c ev.Event.target in
+              let tpl =
+                match existing with
+                | Some o -> o.Obj_state.template
+                | None -> Community.template_exn c ev.Event.target.Ident.cls
+              in
+              let ti = Dispatch.template_index c tpl in
+              (ev, existing, Dispatch.entry ti name)
+        in
+        if entry.Dispatch.ce_solo then begin
+          Dispatch.note_hit ();
+          Some resolved
+        end
+        else None
     | _ -> None
   else None
 

@@ -266,7 +266,8 @@ and query (c : Community.t) ~env ~self (q : Ast.query) : Value.t =
   match q with
   | Ast.Q_expr e -> expr c ~env ~self e
   | Ast.Q_select (cond, sub) ->
-      let xs = elements (query c ~env ~self sub) in
+      let src = query c ~env ~self sub in
+      let xs = elements src in
       let keep x =
         (* tuple fields of the element are in scope inside the condition *)
         let env' =
@@ -280,7 +281,11 @@ and query (c : Community.t) ~env ~self (q : Ast.query) : Value.t =
         | Value.Undefined -> false
         | v -> value_error "selection condition is not boolean: %a" Value.pp v
       in
-      Value.set (List.filter keep xs)
+      (* a filter keeps a canonical set canonical; a list's selection
+         still has to be sorted into one *)
+      (match src with
+      | Value.Set _ -> Value.Set (List.filter keep xs)
+      | _ -> Value.set (List.filter keep xs))
   | Ast.Q_project (fields, sub) ->
       let xs = elements (query c ~env ~self sub) in
       let proj x =

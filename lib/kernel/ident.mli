@@ -2,9 +2,15 @@
     built from the class's [identification] section.  Aspects of one
     object (a PERSON and its MANAGER role) share the key and differ in
     the class name; {!same_key} is the relation inheritance morphisms
-    preserve. *)
+    preserve.
 
-type t = { cls : string; key : Value.t }
+    An identity carries its hash, computed once from [(cls, key)] by
+    every constructor below.  The hash is a pure function of the class
+    and the key, so equal identities have equal hashes, and polymorphic
+    equality, comparison and [Hashtbl.hash] keep their meaning on
+    identities. *)
+
+type t = private { cls : string; key : Value.t; hash : int }
 
 val make : string -> Value.t -> t
 
@@ -12,7 +18,16 @@ val singleton : string -> t
 (** The identity of a single named object ([object TheCompany …]). *)
 
 val compare : t -> t -> int
+(** Class name first, then key ([Value.compare]): the order of
+    {!Map}, {!Set}, state dumps and the storage index. *)
+
 val equal : t -> t -> bool
+(** Physical equality, then the cached hashes, then class and key. *)
+
+val hash : t -> int
+(** The cached hash.  [equal a b] implies [hash a = hash b]; identities
+    whose keys differ only beyond what [Hashtbl.hash] reads share a
+    hash and are told apart by {!equal}. *)
 
 val same_key : t -> t -> bool
 (** Do two identities denote aspects of the same underlying object? *)
@@ -31,3 +46,7 @@ val to_string : t -> string
 
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t
+
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by identity: they use the cached hash and
+    {!equal}, so a lookup hashes nothing. *)

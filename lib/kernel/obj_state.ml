@@ -33,6 +33,9 @@ type t = {
       (** parallel to temporal constraints *)
   mutable history : history_entry list;  (** newest first; only if enabled *)
   mutable steps : int;  (** number of life-cycle steps so far *)
+  mutable snap_gen : int;
+      (** generation of the journal that last snapshotted this object *)
+  mutable snap_epoch : int;  (** that journal's epoch at the time *)
 }
 
 let initial_pstate (p : Template.permission) =
@@ -59,6 +62,8 @@ let create id (template : Template.t) =
            template.t_constraints);
     history = [];
     steps = 0;
+    snap_gen = -1;
+    snap_epoch = 0;
   }
 
 let attr t name =

@@ -36,6 +36,12 @@ type t = {
       (** newest first; recorded only when the community's
           [record_history] is set *)
   mutable steps : int;  (** life-cycle steps so far *)
+  mutable snap_gen : int;
+      (** generation of the journal that last snapshotted this object
+          ([-1]: none); with [snap_epoch], the stamp {!Txn.touch}
+          dedupes snapshots by.  Not part of the state: snapshots,
+          dumps and logs leave it out. *)
+  mutable snap_epoch : int;  (** that journal's epoch at the time *)
 }
 
 val create : Ident.t -> Template.t -> t

@@ -25,10 +25,21 @@
     Tables built from outside a step (a state dump, a replayed log
     record) conservatively mark every key hot and dirty. *)
 
+(* A key carries the hash of its binding, computed once where the key
+   enters the table, and keys order by that hash first: a lookup
+   compares ints until it meets the key itself (or a collision).  The
+   order a caller sees — {!bindings}, {!changes} — stays
+   [List.compare Value.compare]. *)
 module Key = struct
-  type t = Value.t list
+  type t = { h : int; k : Value.t list }
 
-  let compare = List.compare Value.compare
+  let make k = { h = Hashtbl.hash k; k }
+
+  let compare a b =
+    if a == b then 0
+    else
+      let c = Int.compare a.h b.h in
+      if c <> 0 then c else List.compare Value.compare a.k b.k
 end
 
 module Kmap = Map.Make (Key)
@@ -42,86 +53,118 @@ type t = {
   hot : keys;
   since : int;
   dirty : keys;
+  n_dirty : int;  (** cardinal of [dirty] when it is [Keys] *)
 }
 
 let empty =
-  { insts = Kmap.empty; hot = Keys Kset.empty; since = max_int; dirty = All }
+  {
+    insts = Kmap.empty;
+    hot = Keys Kset.empty;
+    since = max_int;
+    dirty = All;
+    n_dirty = 0;
+  }
 
-let find key t = Kmap.find_opt key t.insts
+let by_binding (a, _) (b, _) = List.compare Value.compare a b
+let find key t = Kmap.find_opt (Key.make key) t.insts
 let cardinal t = Kmap.cardinal t.insts
-let bindings t = Kmap.bindings t.insts
+
+let bindings t =
+  List.sort by_binding
+    (Kmap.fold (fun k s acc -> (k.Key.k, s) :: acc) t.insts [])
+
 let for_all p t = Kmap.for_all (fun _ s -> p s) t.insts
 let exists p t = Kmap.exists (fun _ s -> p s) t.insts
 
+let add_all m kvs =
+  List.fold_left (fun m (k, s) -> Kmap.add (Key.make k) s m) m kvs
+
 let of_bindings kvs =
   {
-    insts = List.fold_left (fun m (k, s) -> Kmap.add k s m) Kmap.empty kvs;
+    insts = add_all Kmap.empty kvs;
     hot = All;
     since = max_int;
     dirty = All;
+    n_dirty = 0;
   }
 
 let upsert t kvs =
   match kvs with
   | [] -> t
   | _ ->
+      let insts = add_all t.insts kvs in
       let hot =
         match t.hot with
         | All -> All
         | Keys h ->
-            Keys (List.fold_left (fun h (k, _) -> Kset.add k h) h kvs)
+            Keys
+              (List.fold_left (fun h (k, _) -> Kset.add (Key.make k) h) h kvs)
       in
-      {
-        insts = List.fold_left (fun m (k, s) -> Kmap.add k s m) t.insts kvs;
-        hot;
-        since = max_int;
-        dirty = All;
-      }
+      { insts; hot; since = max_int; dirty = All; n_dirty = 0 }
 
 (* Past this many keys the dirty set restarts at the current stamp: a
    transaction steps an object a handful of times, so a small set still
-   reaches back to its first step. *)
+   reaches back to its first step.  The test adds the two sets' sizes
+   (not the size of their union), as it always has: which steps restart
+   the set decides what the redo log writes. *)
 let dirty_cap = 64
 
-let note_changes t ~stamp changed =
+(* [changed] holds the [n_changed] keys a step gave a new state. *)
+let note_changes t ~stamp changed n_changed =
   match (t.dirty, changed) with
-  | Keys d, Keys ch
-    when t.since <= stamp && Kset.cardinal d + Kset.cardinal ch <= dirty_cap
+  | Keys d, Keys ch when t.since <= stamp && t.n_dirty + n_changed <= dirty_cap
     ->
-      (t.since, Keys (Kset.union d ch))
-  | _ -> (stamp, changed)
+      let n = ref t.n_dirty in
+      let d =
+        Kset.fold
+          (fun k d ->
+            let d' = Kset.add k d in
+            if d' != d then incr n;
+            d')
+          ch d
+      in
+      (t.since, Keys d, !n)
+  | _ -> (stamp, changed, n_changed)
 
 let spawn_fresh compiled ~atom_eval insts key =
+  let key = Key.make key in
   if Kmap.mem key insts then insts
   else
-    Kmap.add key (Monitor.step compiled ~atom_eval:(atom_eval key) None) insts
+    Kmap.add key
+      (Monitor.step compiled ~atom_eval:(atom_eval key.Key.k) None)
+      insts
 
 let step_full compiled ~atom_eval ~spawn ~stamp t =
   let stepped =
     Kmap.mapi
-      (fun k s -> Monitor.step compiled ~atom_eval:(atom_eval k) (Some s))
+      (fun k s ->
+        Monitor.step compiled ~atom_eval:(atom_eval k.Key.k) (Some s))
       t.insts
   in
   let insts = List.fold_left (spawn_fresh compiled ~atom_eval) stepped spawn in
   if Kmap.is_empty insts then t
   else
-    let since, dirty = note_changes t ~stamp All in
-    { insts; hot = All; since; dirty }
+    let since, dirty, n_dirty = note_changes t ~stamp All 0 in
+    { insts; hot = All; since; dirty; n_dirty }
 
 let step_sliced compiled ~atom_eval ~matched ~spawn ~stamp t =
   let insts = ref t.insts in
   (* keys given a new state this step: the new hot set *)
   let touched = ref Kset.empty in
-  let set k s =
+  let n_touched = ref 0 in
+  let set (k : Key.t) s =
     insts := Kmap.add k s !insts;
-    touched := Kset.add k !touched
+    touched := Kset.add k !touched;
+    incr n_touched
   in
   List.iter
     (fun k ->
+      let k = Key.make k in
       if not (Kset.mem k !touched) then
         match Kmap.find_opt k t.insts with
         | Some s ->
-            set k (Monitor.step compiled ~atom_eval:(atom_eval k) (Some s))
+            set k
+              (Monitor.step compiled ~atom_eval:(atom_eval k.Key.k) (Some s))
         | None -> ())
     matched;
   let settle k s =
@@ -134,17 +177,20 @@ let step_sliced compiled ~atom_eval ~matched ~spawn ~stamp t =
   | Keys h -> Kset.iter (fun k -> settle k (Kmap.find k t.insts)) h);
   List.iter
     (fun k ->
+      let k = Key.make k in
       if not (Kmap.mem k t.insts || Kset.mem k !touched) then
-        set k (Monitor.step compiled ~atom_eval:(atom_eval k) None))
+        set k (Monitor.step compiled ~atom_eval:(atom_eval k.Key.k) None))
     spawn;
-  if Kset.is_empty !touched then
+  if !n_touched = 0 then
     (* every hot key proved a fixpoint: only the hot set shrinks *)
     match t.hot with
     | Keys h when Kset.is_empty h -> t
     | _ -> { t with hot = Keys Kset.empty }
   else
-    let since, dirty = note_changes t ~stamp (Keys !touched) in
-    { insts = !insts; hot = Keys !touched; since; dirty }
+    let since, dirty, n_dirty =
+      note_changes t ~stamp (Keys !touched) !n_touched
+    in
+    { insts = !insts; hot = Keys !touched; since; dirty; n_dirty }
 
 let changes ~old ~stamp t =
   if t.insts == old.insts then Some []
@@ -152,14 +198,14 @@ let changes ~old ~stamp t =
     match t.dirty with
     | Keys d when t.since <= stamp ->
         Some
-          (List.rev
+          (List.sort by_binding
              (Kset.fold
                 (fun k acc ->
                   match
                     (Kmap.find_opt k t.insts, Kmap.find_opt k old.insts)
                   with
                   | Some s, Some s0 when s == s0 -> acc
-                  | Some s, _ -> (k, s) :: acc
+                  | Some s, _ -> (k.Key.k, s) :: acc
                   | None, _ -> acc)
                 d []))
     | _ -> None

@@ -10,19 +10,28 @@
     event does not bind, and a {e dirty} set of the keys changed since a
     step stamp, which lets {!changes} name the instances a transaction
     changed without walking the table.  Tables built by {!of_bindings}
-    or {!upsert} mark every key hot and dirty. *)
+    or {!upsert} mark every key hot and dirty.
+
+    Inside the table each key carries the [Hashtbl.hash] of its binding,
+    computed once where the key enters, and keys are ordered by that
+    hash first: a lookup compares ints until it meets its key or a
+    collision, and only then compares values.  That order is never
+    shown: {!bindings} and {!changes} answer in
+    [List.compare Value.compare] order, the order dumps and the redo log
+    write. *)
 
 type t
 
 val empty : t
 
 val find : Value.t list -> t -> Monitor.state option
-(** O(log n). *)
+(** O(log n): one hash of the key, then int comparisons. *)
 
 val cardinal : t -> int
 
 val bindings : t -> (Value.t list * Monitor.state) list
-(** In increasing key order ([List.compare Value.compare]). *)
+(** In increasing key order ([List.compare Value.compare]) — not the
+    table's own hash-first order, so this sorts: O(n log n). *)
 
 val for_all : (Monitor.state -> bool) -> t -> bool
 val exists : (Monitor.state -> bool) -> t -> bool

@@ -5,9 +5,16 @@
 
     The journal is a LIFO undo log ({!Community.journal}).  Obj_state
     keeps immutable values in mutable slots, so an undo entry is a
-    pointer restore; snapshots are deduplicated per scope with an epoch
-    counter (redundant snapshots would still be *correct* — LIFO replay
-    ends on the oldest one — just wasteful).
+    pointer restore.  Snapshots are deduplicated per scope by a stamp on
+    the object itself — the generation of the journal that last
+    snapshotted it and that journal's epoch — so the journal keeps no
+    table of touched objects (redundant snapshots would still be
+    *correct* — LIFO replay ends on the oldest one — just wasteful).
+    Generations come from one process-wide atomic counter, since pool
+    domains open journals too.  A journal is then a small record,
+    allocated by the outermost scope and dropped when it closes; no
+    spare is kept for reuse, so nested probes of two communities never
+    compete for one.
 
     Scopes nest: a [begin_] under an open journal, a {!savepoint}, and a
     {!probe} all mark the current journal length and unwind back to it.
@@ -87,47 +94,26 @@ let pp_stats ppf s =
 (* Scopes                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let fresh_journal () : Community.journal =
-  {
-    Community.entries = [];
-    count = 0;
-    total = 0;
-    bytes = 0;
-    touched = Hashtbl.create 16;
-    epoch = 0;
-  }
-
-(* One detached journal per domain is kept for reuse so the
-   per-transaction cost is a reset, not a record + hashtable
-   allocation.  The slot is domain-local: parallel probe workers each
-   recycle their own journal and never contend on (or corrupt) a shared
-   one.  A slot only ever holds a journal that no community points
-   to. *)
-let spare_journal : Community.journal option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let take_journal () =
-  let slot = Domain.DLS.get spare_journal in
-  match !slot with
-  | Some j ->
-      slot := None;
-      j
-  | None -> fresh_journal ()
-
-let release_journal (j : Community.journal) =
-  j.Community.entries <- [];
-  j.Community.count <- 0;
-  j.Community.total <- 0;
-  j.Community.bytes <- 0;
-  Hashtbl.reset j.Community.touched;
-  j.Community.epoch <- 0;
-  (Domain.DLS.get spare_journal) := Some j
+(* Journal generations are process-wide because pool domains open
+   journals on their thawed communities too: two journals never share a
+   generation, so an object's stamp can only match the journal that set
+   it. *)
+let next_gen = Atomic.make 0
 
 let begin_ (c : Community.t) =
   incr n_begun;
   match c.Community.journal with
   | None ->
-      c.Community.journal <- Some (take_journal ());
+      c.Community.journal <-
+        Some
+          {
+            Community.entries = [];
+            count = 0;
+            total = 0;
+            bytes = 0;
+            gen = Atomic.fetch_and_add next_gen 1;
+            epoch = 0;
+          };
       { c; owner = true; base = 0; t_created = []; t_destroyed = [] }
   | Some j ->
       (* nested scope: new epoch so touched objects are re-snapshotted
@@ -146,20 +132,19 @@ let journal_exn t =
   | Some j -> j
   | None -> invalid_arg "Txn: scope already closed"
 
-(** Snapshot [o] unless this scope (epoch) already holds one. *)
+(** Snapshot [o] unless this scope (epoch) already holds one: the
+    object's stamp names the journal and epoch of its last snapshot. *)
 let touch t (o : Obj_state.t) =
   let j = journal_exn t in
-  let id = o.Obj_state.id in
-  let fresh =
-    match Hashtbl.find_opt j.Community.touched id with
-    | Some e -> e < j.Community.epoch
-    | None -> true
-  in
-  if fresh then begin
+  if
+    o.Obj_state.snap_gen <> j.Community.gen
+    || o.Obj_state.snap_epoch < j.Community.epoch
+  then begin
     let snap = Obj_state.snapshot o in
     Community.journal_record t.c (Community.J_obj (o, snap));
     j.Community.bytes <- j.Community.bytes + Obj_state.snapshot_cost snap;
-    Hashtbl.replace j.Community.touched id j.Community.epoch
+    o.Obj_state.snap_gen <- j.Community.gen;
+    o.Obj_state.snap_epoch <- j.Community.epoch
   end
 
 let note_created t id = t.t_created <- id :: t.t_created
@@ -202,8 +187,7 @@ let commit t =
     | Some hook when j.Community.count > 0 -> hook j
     | _ -> ());
     account j;
-    t.c.Community.journal <- None;
-    release_journal j
+    t.c.Community.journal <- None
   end
 (* nested commit: keep the entries — the outer scope may still roll
    everything back *)
@@ -214,8 +198,7 @@ let rollback t =
   pop_to t.c j t.base;
   if t.owner then begin
     account j;
-    t.c.Community.journal <- None;
-    release_journal j
+    t.c.Community.journal <- None
   end
 
 (* ------------------------------------------------------------------ *)

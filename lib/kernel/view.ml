@@ -113,7 +113,7 @@ let version v = v.v_version
 let thaw (v : t) : Community.t =
   Atomic.incr n_thaws;
   let src = v.source in
-  let objects = Hashtbl.create (max 16 (2 * Array.length v.entries)) in
+  let objects = Ident.Tbl.create (max 16 (2 * Array.length v.entries)) in
   let index = ref Btree.empty in
   Array.iter
     (fun e ->
@@ -122,7 +122,7 @@ let thaw (v : t) : Community.t =
          ones, and probes mutate them in place — the frozen snapshot
          must keep private copies per thaw *)
       Obj_state.restore o (Obj_state.copy_snapshot e.e_snap);
-      Hashtbl.replace objects e.e_id o;
+      Ident.Tbl.replace objects e.e_id o;
       index := Btree.add !index (Ident.to_value e.e_id) o)
     v.entries;
   {

@@ -24,159 +24,188 @@ let error ~line ~col fmt =
 
 type lexeme = { tok : Token.t; loc : Loc.t }
 
+(* The lexer reads the source by index and cuts each token's text out
+   of it once: peeking allocates nothing, and neither does scanning a
+   number, a comment or an escape-free string. *)
 type state = {
   src : string;
+  len : int;
   mutable off : int;
   mutable line : int;
   mutable col : int;
 }
 
-let make src = { src; off = 0; line = 1; col = 1 }
+let make src = { src; len = String.length src; off = 0; line = 1; col = 1 }
+let at_end st = st.off >= st.len
 
-let peek_char st =
-  if st.off < String.length st.src then Some st.src.[st.off] else None
-
-let peek2 st =
-  if st.off + 1 < String.length st.src then Some st.src.[st.off + 1] else None
+(* The character [k] places ahead, or ['\000'] past the end.  Only a
+   test for a specific character (never NUL) or class may rely on the
+   filler; wherever "any character" and "end of input" differ, the
+   caller asks {!at_end} first. *)
+let peek_at st k =
+  let i = st.off + k in
+  if i < st.len then String.unsafe_get st.src i else '\000'
 
 let advance st =
-  (match peek_char st with
-  | Some '\n' ->
+  if st.off < st.len then begin
+    if String.unsafe_get st.src st.off = '\n' then begin
       st.line <- st.line + 1;
       st.col <- 1
-  | Some _ -> st.col <- st.col + 1
-  | None -> ());
+    end
+    else st.col <- st.col + 1
+  end;
   st.off <- st.off + 1
 
 let is_digit c = c >= '0' && c <= '9'
 let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 let is_ident_char c = is_alpha c || is_digit c || c = '_'
 
+let rec to_eol st =
+  if not (at_end st || peek_at st 0 = '\n') then begin
+    advance st;
+    to_eol st
+  end
+
+(* Inside [depth] nested block comments, the outermost opened at
+   [line]:[col]. *)
+let rec skip_comment st ~line ~col depth =
+  if at_end st then error ~line ~col "unterminated comment"
+  else
+    match (peek_at st 0, peek_at st 1) with
+    | '*', ')' ->
+        advance st;
+        advance st;
+        if depth > 1 then skip_comment st ~line ~col (depth - 1)
+    | '(', '*' ->
+        advance st;
+        advance st;
+        skip_comment st ~line ~col (depth + 1)
+    | _ ->
+        advance st;
+        skip_comment st ~line ~col depth
+
 let rec skip_ws st =
-  match peek_char st with
-  | Some (' ' | '\t' | '\r' | '\n') ->
+  match peek_at st 0 with
+  | ' ' | '\t' | '\r' | '\n' ->
       advance st;
       skip_ws st
-  | Some '-' when peek2 st = Some '-' ->
-      let rec to_eol () =
-        match peek_char st with
-        | Some '\n' | None -> ()
-        | Some _ ->
-            advance st;
-            to_eol ()
-      in
-      to_eol ();
+  | '-' when peek_at st 1 = '-' ->
+      to_eol st;
       skip_ws st
-  | Some '(' when peek2 st = Some '*' ->
-      let start_line = st.line and start_col = st.col in
+  | '(' when peek_at st 1 = '*' ->
+      let line = st.line and col = st.col in
       advance st;
       advance st;
-      let rec skip_comment depth =
-        match (peek_char st, peek2 st) with
-        | Some '*', Some ')' ->
-            advance st;
-            advance st;
-            if depth > 1 then skip_comment (depth - 1)
-        | Some '(', Some '*' ->
-            advance st;
-            advance st;
-            skip_comment (depth + 1)
-        | Some _, _ ->
-            advance st;
-            skip_comment depth
-        | None, _ ->
-            error ~line:start_line ~col:start_col "unterminated comment"
-      in
-      skip_comment 1;
+      skip_comment st ~line ~col 1;
       skip_ws st
   | _ -> ()
 
-let lex_string st =
-  (* opening quote already seen *)
-  let start_line = st.line and start_col = st.col - 1 in
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek_char st with
-    | Some '"' ->
+(* The rest of a string literal opened at [line]:[col], once an escape
+   has made it differ from its source text. *)
+let rec lex_escaped st buf ~line ~col =
+  if at_end st then error ~line ~col "unterminated string"
+  else
+    match peek_at st 0 with
+    | '"' ->
         advance st;
         Buffer.contents buf
-    | Some '\\' -> (
+    | '\\' ->
         advance st;
-        match peek_char st with
-        | Some 'n' ->
-            Buffer.add_char buf '\n';
-            advance st;
-            go ()
-        | Some 't' ->
-            Buffer.add_char buf '\t';
-            advance st;
-            go ()
-        | Some (('"' | '\\') as c) ->
-            Buffer.add_char buf c;
-            advance st;
-            go ()
-        | Some c ->
-            error ~line:st.line ~col:st.col "invalid escape \\%c" c
-        | None ->
-            error ~line:start_line ~col:start_col "unterminated string")
-    | Some c ->
+        if at_end st then error ~line ~col "unterminated string";
+        (match peek_at st 0 with
+        | 'n' -> Buffer.add_char buf '\n'
+        | 't' -> Buffer.add_char buf '\t'
+        | ('"' | '\\') as c -> Buffer.add_char buf c
+        | c -> error ~line:st.line ~col:st.col "invalid escape \\%c" c);
+        advance st;
+        lex_escaped st buf ~line ~col
+    | c ->
         Buffer.add_char buf c;
         advance st;
-        go ()
-    | None -> error ~line:start_line ~col:start_col "unterminated string"
+        lex_escaped st buf ~line ~col
+
+let lex_string st =
+  (* opening quote already seen *)
+  let line = st.line and col = st.col - 1 in
+  let start = st.off in
+  let rec plain () =
+    if at_end st then error ~line ~col "unterminated string"
+    else
+      match peek_at st 0 with
+      | '"' ->
+          let s = String.sub st.src start (st.off - start) in
+          advance st;
+          s
+      | '\\' ->
+          let buf = Buffer.create (st.off - start + 16) in
+          Buffer.add_substring buf st.src start (st.off - start);
+          lex_escaped st buf ~line ~col
+      | _ ->
+          advance st;
+          plain ()
   in
-  go ()
+  plain ()
+
+(* The value of the decimal digits [src.[i .. j - 1]], or [-1] past
+   [max_int]. *)
+let digits_value src i j =
+  let rec go acc i =
+    if i >= j then acc
+    else
+      let d = Char.code src.[i] - Char.code '0' in
+      if acc > (max_int - d) / 10 then -1 else go ((acc * 10) + d) (i + 1)
+  in
+  go 0 i
+
+(* [a * m + b] for non-negative operands, or [-1] when [a] is [-1] or
+   the result would wrap *)
+let scale a m b = if a < 0 || a > (max_int - b) / m then -1 else (a * m) + b
 
 let lex_number st =
   let start = st.off and line = st.line and col = st.col in
-  let too_large () =
-    error ~line ~col "numeric literal %s is out of range"
-      (String.sub st.src start (st.off - start))
+  let checked n =
+    if n >= 0 then n
+    else
+      error ~line ~col "numeric literal %s is out of range"
+        (String.sub st.src start (st.off - start))
   in
-  (* [a * m + b] for non-negative operands, refusing to wrap *)
-  let scale a m b = if a > (max_int - b) / m then too_large () else (a * m) + b in
-  while (match peek_char st with Some c -> is_digit c | None -> false) do
+  while is_digit (peek_at st 0) do
     advance st
   done;
-  let int_part = String.sub st.src start (st.off - start) in
-  let units () =
-    match int_of_string_opt int_part with Some n -> n | None -> too_large ()
-  in
+  let units = digits_value st.src start st.off in
   (* A '.' followed by a digit makes it a money literal; a '.' followed
      by anything else (field selection, end of sentence) stays with the
      integer. *)
-  match (peek_char st, peek2 st) with
-  | Some '.', Some c when is_digit c ->
-      advance st;
-      let fstart = st.off in
-      while (match peek_char st with Some c -> is_digit c | None -> false) do
-        advance st
-      done;
-      let frac = String.sub st.src fstart (st.off - fstart) in
-      let cents =
-        match String.length frac with
-        | 1 -> scale (units ()) 100 (int_of_string frac * 10)
-        | 2 -> scale (units ()) 100 (int_of_string frac)
-        | 3 ->
-            (* thousands grouping, e.g. the paper's [5.000] *)
-            scale (scale (units ()) 1000 (int_of_string frac)) 100 0
-        | n ->
-            error ~line:st.line ~col:st.col
-              "money literal with %d fraction digits (use 1-3)" n
-      in
-      Token.MONEY cents
-  | _ -> Token.INT (units ())
+  if peek_at st 0 = '.' && is_digit (peek_at st 1) then begin
+    advance st;
+    let fstart = st.off in
+    while is_digit (peek_at st 0) do
+      advance st
+    done;
+    let frac = digits_value st.src fstart st.off in
+    let cents =
+      match st.off - fstart with
+      | 1 -> scale units 100 (frac * 10)
+      | 2 -> scale units 100 frac
+      | 3 ->
+          (* thousands grouping, e.g. the paper's [5.000] *)
+          scale (scale units 1000 frac) 100 0
+      | n ->
+          error ~line:st.line ~col:st.col
+            "money literal with %d fraction digits (use 1-3)" n
+    in
+    Token.MONEY (checked cents)
+  end
+  else Token.INT (checked units)
 
 let lex_ident_or_keyword st =
   let start = st.off in
-  while
-    match peek_char st with Some c -> is_ident_char c | None -> false
-  do
+  while is_ident_char (peek_at st 0) do
     advance st
   done;
-  let word = String.sub st.src start (st.off - start) in
+  let len = st.off - start in
   (* Date literal [d"…"] *)
-  if String.equal word "d" && peek_char st = Some '"' then begin
+  if len = 1 && st.src.[start] = 'd' && peek_at st 0 = '"' then begin
     advance st;
     let s = lex_string st in
     match Date_adt.of_string s with
@@ -184,6 +213,7 @@ let lex_ident_or_keyword st =
     | None -> error ~line:st.line ~col:st.col "invalid date literal %S" s
   end
   else
+    let word = String.sub st.src start len in
     match Token.keyword word with
     | Some kw -> Token.KW kw
     | None -> Token.IDENT word
@@ -212,107 +242,108 @@ let try_unicode st =
   end
   else None
 
+let finish st start_pos tok =
+  { tok; loc = Loc.make start_pos { Loc.line = st.line; col = st.col } }
+
 let next_token st : lexeme =
   skip_ws st;
   let start_pos = { Loc.line = st.line; col = st.col } in
-  let finish tok =
-    { tok; loc = Loc.make start_pos { Loc.line = st.line; col = st.col } }
-  in
-  match peek_char st with
-  | None -> finish Token.EOF
-  | Some c -> (
-      match c with
-      | '(' ->
+  if at_end st then finish st start_pos Token.EOF
+  else
+    match peek_at st 0 with
+    | '(' ->
+        advance st;
+        finish st start_pos Token.LPAREN
+    | ')' ->
+        advance st;
+        finish st start_pos Token.RPAREN
+    | '{' ->
+        advance st;
+        finish st start_pos Token.LBRACE
+    | '}' ->
+        advance st;
+        finish st start_pos Token.RBRACE
+    | '[' ->
+        advance st;
+        finish st start_pos Token.LBRACKET
+    | ']' ->
+        advance st;
+        finish st start_pos Token.RBRACKET
+    | '|' ->
+        advance st;
+        finish st start_pos Token.BAR
+    | ',' ->
+        advance st;
+        finish st start_pos Token.COMMA
+    | ';' ->
+        advance st;
+        finish st start_pos Token.SEMI
+    | ':' ->
+        advance st;
+        finish st start_pos Token.COLON
+    | '.' ->
+        advance st;
+        finish st start_pos Token.DOT
+    | '=' ->
+        advance st;
+        if peek_at st 0 = '>' then (
           advance st;
-          finish Token.LPAREN
-      | ')' ->
-          advance st;
-          finish Token.RPAREN
-      | '{' ->
-          advance st;
-          finish Token.LBRACE
-      | '}' ->
-          advance st;
-          finish Token.RBRACE
-      | '[' ->
-          advance st;
-          finish Token.LBRACKET
-      | ']' ->
-          advance st;
-          finish Token.RBRACKET
-      | '|' ->
-          advance st;
-          finish Token.BAR
-      | ',' ->
-          advance st;
-          finish Token.COMMA
-      | ';' ->
-          advance st;
-          finish Token.SEMI
-      | ':' ->
-          advance st;
-          finish Token.COLON
-      | '.' ->
-          advance st;
-          finish Token.DOT
-      | '=' ->
-          advance st;
-          if peek_char st = Some '>' then (
+          finish st start_pos Token.ARROW)
+        else finish st start_pos Token.EQ
+    | '<' -> (
+        advance st;
+        match peek_at st 0 with
+        | '>' ->
             advance st;
-            finish Token.ARROW)
-          else finish Token.EQ
-      | '<' -> (
-          advance st;
-          match peek_char st with
-          | Some '>' ->
-              advance st;
-              finish Token.NEQ
-          | Some '=' ->
-              advance st;
-              finish Token.LE
-          | Some '-' ->
-              advance st;
-              finish Token.BORNBY
-          | _ -> finish Token.LT)
-      | '>' -> (
-          advance st;
-          match peek_char st with
-          | Some '=' ->
-              advance st;
-              finish Token.GE
-          | Some '>' ->
-              advance st;
-              finish Token.CALLS
-          | _ -> finish Token.GT)
-      | '+' ->
-          advance st;
-          if peek_char st = Some '+' then (
+            finish st start_pos Token.NEQ
+        | '=' ->
             advance st;
-            finish Token.CONCAT)
-          else finish Token.PLUS
-      | '-' ->
+            finish st start_pos Token.LE
+        | '-' ->
+            advance st;
+            finish st start_pos Token.BORNBY
+        | _ -> finish st start_pos Token.LT)
+    | '>' -> (
+        advance st;
+        match peek_at st 0 with
+        | '=' ->
+            advance st;
+            finish st start_pos Token.GE
+        | '>' ->
+            advance st;
+            finish st start_pos Token.CALLS
+        | _ -> finish st start_pos Token.GT)
+    | '+' ->
+        advance st;
+        if peek_at st 0 = '+' then (
           advance st;
-          finish Token.MINUS
-      | '*' ->
-          advance st;
-          finish Token.STAR
-      | '"' ->
-          advance st;
-          finish (Token.STRING (lex_string st))
-      | c when is_digit c -> finish (lex_number st)
-      | c when is_alpha c || c = '_' -> finish (lex_ident_or_keyword st)
-      | c -> (
-          match try_unicode st with
-          | Some tok -> finish tok
-          | None ->
-              error ~line:st.line ~col:st.col "unexpected character %C" c))
+          finish st start_pos Token.CONCAT)
+        else finish st start_pos Token.PLUS
+    | '-' ->
+        advance st;
+        finish st start_pos Token.MINUS
+    | '*' ->
+        advance st;
+        finish st start_pos Token.STAR
+    | '"' ->
+        advance st;
+        finish st start_pos (Token.STRING (lex_string st))
+    | c when is_digit c -> finish st start_pos (lex_number st)
+    | c when is_alpha c || c = '_' ->
+        finish st start_pos (lex_ident_or_keyword st)
+    | c -> (
+        match try_unicode st with
+        | Some tok -> finish st start_pos tok
+        | None ->
+            error ~line:st.line ~col:st.col "unexpected character %C" c)
 
 (** Tokenize a whole source string. *)
 let tokenize src =
   let st = make src in
   let rec go acc =
     let lx = next_token st in
-    if Token.equal lx.tok Token.EOF then List.rev (lx :: acc)
-    else go (lx :: acc)
+    match lx.tok with
+    | Token.EOF -> List.rev (lx :: acc)
+    | _ -> go (lx :: acc)
   in
   go []

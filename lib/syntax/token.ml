@@ -54,15 +54,38 @@ let keywords =
     "else"; "fi"; "set"; "list"; "map"; "tuple"; "select"; "project";
   ]
 
+(* Keywords match case-insensitively, so the table hashes and compares
+   words with their case folded in place rather than on a lower-cased
+   copy. *)
+module Ci_table = Hashtbl.Make (struct
+  type t = string
+
+  let equal a b =
+    let n = String.length a in
+    let rec go i =
+      i = n
+      || Char.equal (Char.lowercase_ascii a.[i]) (Char.lowercase_ascii b.[i])
+         && go (i + 1)
+    in
+    n = String.length b && go 0
+
+  let hash s =
+    let rec go h i =
+      if i = String.length s then h
+      else go ((h * 31) + Char.code (Char.lowercase_ascii s.[i])) (i + 1)
+    in
+    go 0 0
+end)
+
 let keyword_table =
-  let t = Hashtbl.create 128 in
-  List.iter (fun k -> Hashtbl.replace t k k) keywords;
+  let t = Ci_table.create 128 in
+  List.iter (fun k -> Ci_table.replace t k k) keywords;
   t
 
 (** [keyword word]: the lower-cased keyword [word] spells, if it spells
     one (case-insensitively).  One hash lookup per identifier — the
     lexer asks this of every word it reads. *)
-let keyword word = Hashtbl.find_opt keyword_table (String.lowercase_ascii word)
+let keyword word = Ci_table.find_opt keyword_table word
 
 let pp ppf = function
   | IDENT s -> Format.fprintf ppf "identifier %s" s

@@ -502,6 +502,99 @@ let test_env () =
 
 (* ------------------------------------------------------------------ *)
 
+(* The set builtins lean on every set being canonical ([insert],
+   [remove] and [in] walk it only up to the operand); they must agree
+   with the naive definitions on every set, and every result must stay
+   strictly increasing.  The elements include
+   tuple-keyed identities, and every operand is handed over as a
+   structurally equal but physically distinct copy, so no answer can
+   rest on sharing. *)
+let set_elem_gen =
+  let open QCheck.Gen in
+  oneof
+    [
+      map (fun i -> Value.Int i) (int_range 0 12);
+      map (fun s -> Value.String s) (oneofl [ "a"; "b"; "ab"; "" ]);
+      map2
+        (fun n d ->
+          Value.Id
+            ( "PERSON",
+              Value.Tuple
+                [ ("Name", Value.String n); ("Birthdate", Value.Date d) ] ))
+        (oneofl [ "ada"; "bob"; "cy" ])
+        (int_range 0 2);
+      map
+        (fun i -> Value.Id ("DEPT", Value.String (string_of_int i)))
+        (int_range 0 3);
+    ]
+
+let copy_value v =
+  match Value_codec.decode (Value_codec.encode v) with
+  | Ok v' -> v'
+  | Error m -> failwith m
+
+let rec strictly_increasing = function
+  | x :: (y :: _ as rest) -> Value.compare x y < 0 && strictly_increasing rest
+  | _ -> true
+
+let prop_set_kernels_naive =
+  let elems = QCheck.Gen.(list_size (int_range 0 9) set_elem_gen) in
+  QCheck.Test.make ~name:"builtin: set kernels equal their naive definitions"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (xs, ys, e) ->
+         Printf.sprintf "A=%s B=%s e=%s"
+           (Value.to_string (Value.set xs))
+           (Value.to_string (Value.set ys))
+           (Value.to_string e))
+       QCheck.Gen.(triple elems elems set_elem_gen))
+    (fun (xs, ys, e) ->
+      let elements = function Value.Set s -> s | _ -> assert false in
+      let a = elements (Value.set xs) in
+      let b = elements (Value.set (List.map copy_value ys)) in
+      (* often an element of A, so the hit paths run too *)
+      let e =
+        copy_value
+          (match a with
+          | [] -> e
+          | _ when Value.compare e (List.hd a) > 0 ->
+              List.nth a (List.length a / 2)
+          | _ -> e)
+      in
+      let mem x l = List.exists (Value.equal x) l in
+      let apply op args = ok_value (Builtin.apply op args) in
+      let same_set got want =
+        match got with
+        | Value.Set l ->
+            strictly_increasing l && Value.equal got (Value.Set want)
+        | _ -> false
+      in
+      let select =
+        match Parser.expr_of_string "select[it < P](S)" with
+        | Ok q ->
+            Eval.expr (Community.create ()) ~self:None
+              ~env:(Env.bind "S" (Value.Set a) (Env.bind "P" e Env.empty))
+              q
+        | Error err -> failwith (Parse_error.to_string err)
+      in
+      same_set (apply "insert" [ e; Value.Set a ])
+        (match Value.set (e :: a) with Value.Set l -> l | _ -> [])
+      && same_set (apply "insert" [ Value.Set a; e ])
+           (match Value.set (e :: a) with Value.Set l -> l | _ -> [])
+      && same_set (apply "remove" [ e; Value.Set a ])
+           (List.filter (fun x -> not (Value.equal x e)) a)
+      && same_set (apply "delete" [ Value.Set a; e ])
+           (List.filter (fun x -> not (Value.equal x e)) a)
+      && Value.equal (apply "in" [ e; Value.Set a ]) (Value.Bool (mem e a))
+      && Value.equal (apply "in" [ Value.Set b; e ]) (Value.Bool (mem e b))
+      && same_set (apply "union" [ Value.Set a; Value.Set b ])
+           (match Value.set (a @ b) with Value.Set l -> l | _ -> [])
+      && same_set (apply "intersect" [ Value.Set a; Value.Set b ])
+           (List.filter (fun x -> mem x b) a)
+      && same_set (apply "minus" [ Value.Set a; Value.Set b ])
+           (List.filter (fun x -> not (mem x b)) a)
+      && same_set select (List.filter (fun x -> Value.compare x e < 0) a))
+
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest) tests)
 
 let () =
@@ -562,6 +655,7 @@ let () =
         ] );
       qsuite "builtin-properties"
         [ prop_builtin_min_max; prop_builtin_insert_member;
-          prop_builtin_remove_not_member; prop_builtin_typing_soundness ];
+          prop_builtin_remove_not_member; prop_builtin_typing_soundness;
+          prop_set_kernels_naive ];
       ("env", [ Alcotest.test_case "bindings" `Quick test_env ]);
     ]

@@ -1221,7 +1221,7 @@ exception Boom
 
 (* The exception branch of Txn.probe: the raise must pass through with
    every speculative mutation undone, the community's journal slot
-   released (a later transaction takes the pooled journal, not a leaked
+   released (a later transaction opens a fresh journal, not a leaked
    live one), and — when the probe runs nested inside an open
    transaction — the outer journal and its savepoint LIFO untouched. *)
 let test_probe_exception_branch () =
@@ -1240,7 +1240,7 @@ let test_probe_exception_branch () =
   | exception Boom -> ());
   check Alcotest.string "raising probe leaves no trace" before (Persist.save c);
   check tbool "journal slot released" true (c.Community.journal = None);
-  (* the pooled journal is reusable, not corrupted: a real step works *)
+  (* nothing of the probe's journal lingers: a real step works *)
   check tbool "engine still works" true (accepted (fire c x "decr" []));
   ignore (fire c x "incr" []);
   (* nested: a raising probe between two savepoints, with a dangling
@@ -1302,6 +1302,361 @@ let test_txn_stats_counters () =
   check tbool "snapshot bytes accounted" true (s.Txn.bytes_snapshotted > 0);
   check tint "stats rows" 8 (List.length (Trace.txn_stats_rows ()))
 
+(* Journal entry counts, read off [Txn.stats] (accounted when the owning
+   scope closes): snapshot dedup by the per-object stamp. *)
+let journal_entries f =
+  Txn.reset_stats ();
+  f ();
+  (Txn.stats ()).Txn.journal_entries
+
+let counter_object () =
+  let c = load counter_spec in
+  ignore (Engine.create c ~cls:"COUNTER" ~key:(Value.String "x") ());
+  (c, Community.object_exn c (ident "COUNTER" "x"))
+
+let test_journal_touch_twice () =
+  let c, o = counter_object () in
+  check tint "one snapshot for two touches in one scope" 1
+    (journal_entries (fun () ->
+         Txn.probe c (fun () ->
+             let t = Txn.begin_ c in
+             Txn.touch t o;
+             Obj_state.set_attr o "n" (Value.Int 5);
+             Txn.touch t o;
+             Txn.commit t)));
+  check value "probe unwound" (Value.Int 0) (Obj_state.attr o "n")
+
+let test_journal_resnapshot_after_savepoint_rollback () =
+  let c, o = counter_object () in
+  check tint "the touch after a savepoint rollback snapshots again" 2
+    (journal_entries (fun () ->
+         let t = Txn.begin_ c in
+         let sp = Txn.savepoint t in
+         Txn.touch t o;
+         Obj_state.set_attr o "n" (Value.Int 1);
+         Txn.rollback_to t sp;
+         check value "savepoint unwound" (Value.Int 0) (Obj_state.attr o "n");
+         Txn.touch t o;
+         Obj_state.set_attr o "n" (Value.Int 2);
+         Txn.rollback t));
+  check value "the second snapshot restores the pre-state" (Value.Int 0)
+    (Obj_state.attr o "n")
+
+let test_journal_two_communities () =
+  let c1, o1 = counter_object () in
+  let c2, o2 = counter_object () in
+  check tint "each community's journal dedupes its own objects" 2
+    (journal_entries (fun () ->
+         Txn.probe c1 (fun () ->
+             let t1 = Txn.begin_ c1 in
+             Txn.probe c2 (fun () ->
+                 let t2 = Txn.begin_ c2 in
+                 Txn.touch t1 o1;
+                 Txn.touch t2 o2;
+                 Obj_state.set_attr o1 "n" (Value.Int 1);
+                 Obj_state.set_attr o2 "n" (Value.Int 2);
+                 Txn.touch t1 o1;
+                 Txn.touch t2 o2;
+                 Txn.commit t2);
+             Txn.touch t1 o1;
+             Txn.commit t1)));
+  check value "first community unwound" (Value.Int 0) (Obj_state.attr o1 "n");
+  check value "second community unwound" (Value.Int 0) (Obj_state.attr o2 "n")
+
+let test_journal_fresh_after_release () =
+  let c, o = counter_object () in
+  check tint "a new journal snapshots an object the last one stamped" 2
+    (journal_entries (fun () ->
+         let t = Txn.begin_ c in
+         Txn.touch t o;
+         Obj_state.set_attr o "n" (Value.Int 1);
+         Txn.commit t;
+         let t = Txn.begin_ c in
+         Txn.touch t o;
+         Obj_state.set_attr o "n" (Value.Int 2);
+         Txn.rollback t));
+  check value "rolled back to the committed state" (Value.Int 1)
+    (Obj_state.attr o "n")
+
+(* ------------------------------------------------------------------ *)
+(* Identity hashing                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Two lists of twelve ints that differ only in the last: [Hashtbl.hash]
+   reads ten meaningful words, so their hashes are equal. *)
+let twelve last =
+  Value.List (List.init 12 (fun i -> Value.Int (if i = 11 then last else i)))
+
+(* A structurally equal, physically distinct copy. *)
+let copy v =
+  match Value_codec.decode (Value_codec.encode v) with
+  | Ok v' -> v'
+  | Error m -> Alcotest.failf "codec: %s" m
+
+let cells_spec = {|
+object class CELL
+  identification k: list(integer);
+  template
+    attributes v: integer;
+    events
+      birth make;
+      put(integer);
+    valuation
+      variables x: integer;
+      [make] v = 0;
+      [put(x)] v = x;
+end object class CELL;
+|}
+
+let test_ident_hash_collision () =
+  let a = Ident.make "CELL" (twelve 0) and b = Ident.make "CELL" (twelve 1) in
+  check tint "the two identities' hashes collide" (Ident.hash a)
+    (Ident.hash b);
+  check tbool "Ident.equal keeps them apart" false (Ident.equal a b);
+  check tbool "Ident.compare keeps them apart" true (Ident.compare a b <> 0);
+  let tbl = Ident.Tbl.create 4 in
+  Ident.Tbl.replace tbl a "a";
+  Ident.Tbl.replace tbl b "b";
+  check tint "two table entries" 2 (Ident.Tbl.length tbl);
+  let entry = Alcotest.(option string) in
+  check entry "a's entry" (Some "a") (Ident.Tbl.find_opt tbl a);
+  check entry "b's entry" (Some "b") (Ident.Tbl.find_opt tbl b);
+  (* the community's object table *)
+  let c = load cells_spec in
+  ignore (Engine.create c ~cls:"CELL" ~key:(twelve 0) ());
+  ignore (Engine.create c ~cls:"CELL" ~key:(twelve 1) ());
+  ignore (fire c b "put" [ Value.Int 7 ]);
+  check value "a untouched" (Value.Int 0) (attr c a "v");
+  check value "b written" (Value.Int 7) (attr c b "v");
+  check tint "two objects" 2 (List.length (Community.objects_sorted c));
+  (* a parametric monitor table: one instance per key *)
+  let ka = [ twelve 0 ] and kb = [ twelve 1 ] in
+  check tint "the two bindings' hashes collide" (Hashtbl.hash ka)
+    (Hashtbl.hash kb);
+  let f = Monitor.compile (Formula.Sometime (Formula.Atom ())) in
+  let tbl =
+    Param_table.step_full f
+      ~atom_eval:(fun k () -> k == ka)
+      ~spawn:[ ka; kb ] ~stamp:0 Param_table.empty
+  in
+  let holds k =
+    Option.map (Monitor.value f) (Param_table.find k tbl)
+  in
+  check tint "two instances" 2 (Param_table.cardinal tbl);
+  check Alcotest.(option bool) "a's instance" (Some true) (holds ka);
+  check Alcotest.(option bool) "b's instance" (Some false) (holds kb)
+
+let test_ident_lookup_shares_nothing () =
+  let key =
+    Value.Tuple
+      [ ("Name", Value.String "ada"); ("Birthdate", Value.Date 7749) ]
+  in
+  let c = load cells_spec in
+  let k = twelve 3 in
+  ignore (Engine.create c ~cls:"CELL" ~key:k ());
+  let k' = copy k in
+  check tbool "decoded key is a distinct copy" true
+    (k' != k && Value.equal k k');
+  check tbool "object found by a copied key" true
+    (Community.find_object c (Ident.make "CELL" k') <> None);
+  let id = Ident.make "PERSON" key and id' = Ident.make "PERSON" (copy key) in
+  check tbool "equal identities, equal hashes" true
+    (Ident.equal id id' && Ident.hash id = Ident.hash id');
+  let tbl = Ident.Tbl.create 4 in
+  Ident.Tbl.replace tbl id 1;
+  check Alcotest.(option int) "table hit" (Some 1)
+    (Ident.Tbl.find_opt tbl id');
+  let f = Monitor.compile (Formula.Sometime (Formula.Atom ())) in
+  let pk = [ Ident.to_value id ] in
+  let tbl =
+    Param_table.step_full f ~atom_eval:(fun _ () -> true) ~spawn:[ pk ]
+      ~stamp:0 Param_table.empty
+  in
+  check tbool "monitor instance found by a copied key" true
+    (Param_table.find (List.map copy pk) tbl <> None)
+
+(* [Param_table] against an association-list model: random steps
+   (full, sliced) and upserts over a key pool that holds colliding keys,
+   tuple-keyed identities and plain ints, every key handed over as a
+   fresh copy.  [find], [bindings] and [changes] must match the model,
+   in [List.compare Value.compare] order. *)
+let param_model_formula = Monitor.compile (Formula.Sometime (Formula.Atom ()))
+
+let param_pool =
+  Array.of_list
+    (List.map (fun i -> [ twelve i ]) [ 0; 1; 2; 3 ]
+    @ List.map
+        (fun n ->
+          [
+            Value.Id
+              ( "PERSON",
+                Value.Tuple
+                  [ ("Name", Value.String n); ("Birthdate", Value.Date 0) ] );
+          ])
+        [ "ada"; "bob"; "cy" ]
+    @ List.map (fun i -> [ Value.Int i; Value.String "x" ]) [ 1; 2 ])
+
+type param_op =
+  | P_full of int list * int list  (** true keys, spawned keys *)
+  | P_sliced of int list * int list  (** matched (= true) keys, spawned *)
+  | P_upsert of (int * bool) list
+
+let param_op_gen =
+  let open QCheck.Gen in
+  let key = int_range 0 (Array.length param_pool - 1) in
+  let keys = list_size (int_range 0 4) key in
+  frequency
+    [
+      (3, map2 (fun t s -> P_full (t, s)) keys keys);
+      (4, map2 (fun t s -> P_sliced (t, s)) keys keys);
+      ( 1,
+        map
+          (fun kvs -> P_upsert kvs)
+          (list_size (int_range 1 3) (pair key bool)) );
+    ]
+
+let param_op_to_string = function
+  | P_full (t, s) ->
+      Printf.sprintf "full(true=%s spawn=%s)"
+        (String.concat "," (List.map string_of_int t))
+        (String.concat "," (List.map string_of_int s))
+  | P_sliced (t, s) ->
+      Printf.sprintf "sliced(matched=%s spawn=%s)"
+        (String.concat "," (List.map string_of_int t))
+        (String.concat "," (List.map string_of_int s))
+  | P_upsert kvs ->
+      Printf.sprintf "upsert(%s)"
+        (String.concat ","
+           (List.map (fun (k, b) -> Printf.sprintf "%d:%b" k b) kvs))
+
+let key_order a b = List.compare Value.compare a b
+
+let prop_param_table_model =
+  let f = param_model_formula in
+  let fresh k = List.map copy param_pool.(k) in
+  let step_model truth model spawn =
+    let mem k ks = List.exists (fun k' -> key_order k k' = 0) ks in
+    let stepped =
+      List.map
+        (fun (k, s) ->
+          (k, Monitor.step f ~atom_eval:(fun () -> mem k truth) (Some s)))
+        model
+    in
+    let born =
+      List.fold_left
+        (fun acc k ->
+          if mem k (List.map fst stepped) || mem k (List.map fst acc) then acc
+          else
+            (k, Monitor.step f ~atom_eval:(fun () -> mem k truth) None) :: acc)
+        [] spawn
+    in
+    List.sort (fun (a, _) (b, _) -> key_order a b) (stepped @ born)
+  in
+  let bools s = Monitor.state_to_bools s in
+  let same_rows a b =
+    List.length a = List.length b
+    && List.for_all2
+         (fun (k, s) (k', s') -> key_order k k' = 0 && bools s = bools s')
+         a b
+  in
+  QCheck.Test.make ~name:"param table: find/bindings/changes match a model"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map param_op_to_string ops))
+       QCheck.Gen.(list_size (int_range 1 12) param_op_gen))
+    (fun ops ->
+      let tbl = ref Param_table.empty and model = ref [] and stamp = ref 0 in
+      (* the table at the start of the current "transaction", whose
+         changes [changes] must name *)
+      let base = ref (!tbl, 0) in
+      List.iter
+        (fun op ->
+          let prev = !tbl in
+          (match op with
+          | P_full (truth, spawn) ->
+              let truth = List.map fresh truth
+              and spawn = List.map fresh spawn in
+              let atom_eval k () =
+                List.exists (fun k' -> key_order k k' = 0) truth
+              in
+              tbl :=
+                Param_table.step_full f ~atom_eval ~spawn ~stamp:!stamp !tbl;
+              model := step_model truth !model spawn;
+              incr stamp
+          | P_sliced (matched, spawn) ->
+              let matched = List.map fresh matched
+              and spawn = List.map fresh spawn in
+              let atom_eval k () =
+                List.exists (fun k' -> key_order k k' = 0) matched
+              in
+              tbl :=
+                Param_table.step_sliced f ~atom_eval ~matched ~spawn
+                  ~stamp:!stamp !tbl;
+              model := step_model matched !model spawn;
+              incr stamp
+          | P_upsert kvs ->
+              let kvs =
+                List.map
+                  (fun (k, b) ->
+                    ( fresh k,
+                      Monitor.step f ~atom_eval:(fun () -> b) None ))
+                  kvs
+              in
+              tbl := Param_table.upsert !tbl kvs;
+              model :=
+                List.sort (fun (a, _) (b, _) -> key_order a b)
+                  (List.fold_left
+                     (fun m (k, s) ->
+                       (k, s)
+                       :: List.filter (fun (k', _) -> key_order k k' <> 0) m)
+                     !model kvs);
+              base := (!tbl, !stamp));
+          let bs = Param_table.bindings !tbl in
+          if not (same_rows bs !model) then
+            QCheck.Test.fail_reportf "bindings differ from the model after %s"
+              (param_op_to_string op);
+          Array.iteri
+            (fun i _ ->
+              let k = fresh i in
+              let want =
+                List.find_opt (fun (k', _) -> key_order k k' = 0) !model
+              in
+              match (Param_table.find k !tbl, want) with
+              | None, None -> ()
+              | Some s, Some (_, s') when bools s = bools s' -> ()
+              | _ -> QCheck.Test.fail_reportf "find %d differs" i)
+            param_pool;
+          (* [changes] names exactly the instances that differ
+             physically from [old]'s, in key order *)
+          List.iter
+            (fun (old, since) ->
+              match Param_table.changes ~old ~stamp:since !tbl with
+              | None -> ()
+              | Some got ->
+                  let old_rows = Param_table.bindings old in
+                  let want =
+                    List.filter
+                      (fun (k, s) ->
+                        not
+                          (List.exists
+                             (fun (k', s') -> key_order k k' = 0 && s == s')
+                             old_rows))
+                      bs
+                  in
+                  if
+                    not
+                      (List.length got = List.length want
+                      && List.for_all2
+                           (fun (k, s) (k', s') ->
+                             key_order k k' = 0 && s == s')
+                           got want)
+                  then
+                    QCheck.Test.fail_reportf "changes differ after %s"
+                      (param_op_to_string op))
+            [ !base; (prev, !stamp - 1) ])
+        ops;
+      true)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -1358,7 +1713,21 @@ let () =
           Alcotest.test_case "raising probe: no leak, LIFO intact" `Quick
             test_probe_exception_branch;
           Alcotest.test_case "stats counters" `Quick test_txn_stats_counters;
+          Alcotest.test_case "journal: two touches, one snapshot" `Quick
+            test_journal_touch_twice;
+          Alcotest.test_case "journal: re-snapshot after savepoint rollback"
+            `Quick test_journal_resnapshot_after_savepoint_rollback;
+          Alcotest.test_case "journal: two communities, nested probes"
+            `Quick test_journal_two_communities;
+          Alcotest.test_case "journal: fresh after release" `Quick
+            test_journal_fresh_after_release;
         ] );
+      ( "identity-hashing",
+        Alcotest.test_case "hash collisions kept apart" `Quick
+          test_ident_hash_collision
+        :: Alcotest.test_case "copied keys hit" `Quick
+             test_ident_lookup_shares_nothing
+        :: List.map QCheck_alcotest.to_alcotest [ prop_param_table_model ] );
       ( "constraints",
         [
           Alcotest.test_case "static" `Quick test_static_constraint;

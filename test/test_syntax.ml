@@ -133,15 +133,31 @@ let test_lex_out_of_range () =
   check at "one cent more" (Some (1, 1)) (error_at "46116860184273879.04")
 
 let test_lex_errors () =
-  let fails src =
+  let error_of src =
     match Lexer.tokenize src with
-    | exception Lexer.Error _ -> true
-    | _ -> false
+    | exception Lexer.Error e ->
+        Printf.sprintf "%d:%d %s" e.Lexer.pos.Loc.line e.Lexer.pos.Loc.col
+          e.Lexer.message
+    | _ -> "no error"
   in
-  check tbool "unterminated string" true (fails {|"abc|});
-  check tbool "unterminated comment" true (fails "(* abc");
-  check tbool "bad escape" true (fails {|"a\q"|});
-  check tbool "stray char" true (fails "#")
+  List.iter
+    (fun (src, want) -> check tstr (String.escaped src) want (error_of src))
+    [
+      ({|"abc|}, "1:1 unterminated string");
+      ({|"ab\|}, "1:1 unterminated string");
+      ({|d"abc|}, "1:2 unterminated string");
+      ("(* abc", "1:1 unterminated comment");
+      ("(* (* *)", "1:1 unterminated comment");
+      ("(*)", "1:1 unterminated comment");
+      ("ab\n(*\n x", "2:1 unterminated comment");
+      ({|"a\q"|}, "1:4 invalid escape \\q");
+      ("\"a\nb\\z\"", "2:3 invalid escape \\z");
+      ("#", "1:1 unexpected character '#'");
+      ("a\000b", "1:2 unexpected character '\\000'");
+      ("\226\137", "1:1 unexpected character '\\226'");
+      ("1.2345", "1:7 money literal with 4 fraction digits (use 1-3)");
+      ({|d"1991-13-45"|}, {|1:14 invalid date literal "1991-13-45"|});
+    ]
 
 let test_lex_positions () =
   let lexemes = Lexer.tokenize "ab\n  cd" in
