@@ -84,7 +84,7 @@ let engine_tests () =
              let id = ids.(!i mod m) in
              incr i;
              ignore_outcome
-               (Engine.fire c (Event.make id "fund" [ Value.Money 100 ])))))
+               (Engine.step c (Step.Fire (Event.make id "fund" [ Value.Money 100 ]))))))
     [ 10; 100; 1000 ]
 
 let engine_quantified_tests () =
@@ -97,7 +97,7 @@ let engine_quantified_tests () =
              incr i;
              let name = if !i mod 2 = 0 then "hire" else "fire" in
              (* alternating hire/fire keeps the state bounded *)
-             match Engine.fire c (Event.make q name [ Ident.to_value p ]) with
+             match Engine.step c (Step.Fire (Event.make q name [ Ident.to_value p ])) with
              | Ok _ | Error _ -> ())))
     [ 10; 100 ]
 
@@ -108,8 +108,8 @@ let engine_quantified_tests () =
 let e3p_sizes = [ 32; 256; 1024 ]
 
 let hire_fire_pair c dept p =
-  ignore_outcome (Engine.fire c (Event.make dept "hire" [ p ]));
-  ignore_outcome (Engine.fire c (Event.make dept "fire" [ p ]))
+  ignore_outcome (Engine.step c (Step.Fire (Event.make dept "hire" [ p ])));
+  ignore_outcome (Engine.step c (Step.Fire (Event.make dept "fire" [ p ])))
 
 let engine_parametric_tests () =
   List.concat_map
@@ -194,9 +194,9 @@ let view_tests () =
            ignore (Interface.attr sal2 inst "CurrentIncomePerYear" [])));
     ("E5 direct-event", (fun () ->
            ignore_outcome
-             (Engine.fire c
-                (Event.make alice "ChangeSalary"
-                   [ Value.Money (Money.of_units 6000) ]))));
+             (Engine.step c
+                (Step.Fire (Event.make alice "ChangeSalary"
+                   [ Value.Money (Money.of_units 6000) ])))));
     ("E5 view-event", (fun () ->
            ignore
              (Interface.fire sal inst "ChangeSalary"
@@ -239,7 +239,7 @@ let cascade_tests () =
     (fun d ->
       let c, head = Workload.cascade_community d in
       ((Printf.sprintf "E8 cascade/%d" d), (fun () ->
-             ignore_outcome (Engine.fire c (Event.make head "pulse" [])))))
+             ignore_outcome (Engine.step c (Step.Fire (Event.make head "pulse" []))))))
     [ 1; 4; 16; 64 ]
 
 (* E9 *)
@@ -272,21 +272,21 @@ let rollback_tests () =
     ( "E10 accepted-step",
       fun () ->
         ignore_outcome
-          (Engine.fire c (Event.make d "fund" [ Value.Money 100 ])) );
+          (Engine.step c (Step.Fire (Event.make d "fund" [ Value.Money 100 ]))) );
     ( "E10 rejected-step",
       fun () ->
         (* hiring the same employee twice violates the permission *)
         match
-          Engine.fire c (Event.make d "hire" [ Value.String "emp" ])
+          Engine.step c (Step.Fire (Event.make d "hire" [ Value.String "emp" ]))
         with
         | Error _ -> ()
         | Ok _ -> failwith "expected rejection" );
     ( "E10 rejected-transaction",
       fun () ->
         match
-          Engine.fire_seq c
-            [ Event.make d "fund" [ Value.Money 100 ];
-              Event.make d "hire" [ Value.String "emp" ] ]
+          Engine.step c
+            (Step.Seq [ Event.make d "fund" [ Value.Money 100 ];
+              Event.make d "hire" [ Value.String "emp" ] ])
         with
         | Error _ -> ()
         | Ok _ -> failwith "expected rejection" );
@@ -311,7 +311,7 @@ let probe_tests () =
         ( Printf.sprintf "E10 probe-journal/%d" m,
           fun () -> ignore (Engine.enabled c (next ())) );
         ( Printf.sprintf "E10 probe-clone/%d" m,
-          fun () -> ignore_outcome (Engine.fire (Community.clone c) (next ()))
+          fun () -> ignore_outcome (Engine.step (Community.clone c) (Step.Fire (next ())))
         );
       ])
     [ 10; 100; 1000 ]
@@ -374,14 +374,14 @@ let dispatch_tests () =
             let id = cids.(!ci mod m) in
             incr ci;
             ignore_outcome
-              (Engine.fire compiled
-                 (Event.make id "fund" [ Value.Money 100 ])) );
+              (Engine.step compiled
+                 (Step.Fire (Event.make id "fund" [ Value.Money 100 ]))) );
         ( Printf.sprintf "E12 interpreted/%d" m,
           fun () ->
             let id = iids.(!ii mod m) in
             incr ii;
             ignore_outcome
-              (Engine.fire interp (Event.make id "fund" [ Value.Money 100 ]))
+              (Engine.step interp (Step.Fire (Event.make id "fund" [ Value.Money 100 ])))
         );
       ])
     [ 10; 100; 1000 ]
@@ -451,7 +451,9 @@ let parallel_tests () =
                   (fun (ed : Template.event_def) ->
                     Event.make o.Obj_state.id ed.Template.ed_name [])
                   (Engine.nullary_descriptors c o.Obj_state.template)))
-           (Community.living_objects c)
+           (List.filter
+              (fun (o : Obj_state.t) -> o.Obj_state.alive)
+              (Community.objects_sorted c))
          |> Array.of_list
        in
        if Array.length base = 0 then

@@ -158,7 +158,7 @@ let dept_community ?config m =
         | Error r -> failwith (Runtime_error.reason_to_string r));
         let id = Ident.make "DEPT0" key in
         (match
-           Engine.fire c (Event.make id "hire" [ Value.String "emp" ])
+           Engine.step c (Step.Fire (Event.make id "hire" [ Value.String "emp" ]))
          with
         | Ok _ -> ()
         | Error r -> failwith (Runtime_error.reason_to_string r));
@@ -211,8 +211,8 @@ let parametric_dept_community n =
   let dept = Ident.make "DEPT" (Value.String "D") in
   Array.iter
     (fun p ->
-      ok (Engine.fire c (Event.make dept "hire" [ p ]));
-      ok (Engine.fire c (Event.make dept "fire" [ p ])))
+      ok (Engine.step c (Step.Fire (Event.make dept "hire" [ p ])));
+      ok (Engine.step c (Step.Fire (Event.make dept "fire" [ p ]))))
     persons;
   (c, dept, persons)
 
@@ -274,11 +274,11 @@ let history_object len =
   | Ok _ -> ()
   | Error r -> failwith (Runtime_error.reason_to_string r));
   let id = Ident.make "DEPT0" key in
-  (match Engine.fire c (Event.make id "hire" [ Value.String "emp" ]) with
+  (match Engine.step c (Step.Fire (Event.make id "hire" [ Value.String "emp" ])) with
   | Ok _ -> ()
   | Error r -> failwith (Runtime_error.reason_to_string r));
   for _ = 1 to len do
-    match Engine.fire c (Event.make id "fund" [ Value.Money 100 ]) with
+    match Engine.step c (Step.Fire (Event.make id "fund" [ Value.Money 100 ])) with
     | Ok _ -> ()
     | Error r -> failwith (Runtime_error.reason_to_string r)
   done;

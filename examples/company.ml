@@ -13,7 +13,7 @@ let load_exn src =
   | Error e -> failwith (Troll.Error.to_string e)
 
 let fire sys target name args =
-  Engine.fire sys.Troll.community (Event.make target name args)
+  Engine.step sys.Troll.community (Step.Fire (Event.make target name args))
 
 let create_exn sys ~cls ~key ?event ?(args = []) () =
   match Engine.step sys.Troll.community (Step.Create { cls; key; event; args })

@@ -108,17 +108,17 @@ let () =
   ignore (Engine.create community ~cls:"STUDENT" ~key:ada.Ident.key ());
   ignore (Engine.create community ~cls:"COURSE" ~key:fp.Ident.key ());
   show_result "FP101 admits ada"
-    (Engine.fire community (Event.make fp "admit" [ Ident.to_value ada ]));
+    (Engine.step community (Step.Fire (Event.make fp "admit" [ Ident.to_value ada ])));
   show_result "FP101 admits ada again"
-    (Engine.fire community (Event.make fp "admit" [ Ident.to_value ada ]));
+    (Engine.step community (Step.Fire (Event.make fp "admit" [ Ident.to_value ada ])));
   let o = Community.object_exn community ada in
   Printf.printf "  ada.Enrolled = %s\n"
     (Value.to_string (Eval.read_attr community o "Enrolled" []));
   show_result "graduation (too few credits)"
     (Engine.destroy community ~id:ada ());
   show_result "FP101 passes ada with 180 credits"
-    (Engine.fire community
-       (Event.make fp "pass" [ Ident.to_value ada; Value.Int 180 ]));
+    (Engine.step community
+       (Step.Fire (Event.make fp "pass" [ Ident.to_value ada; Value.Int 180 ])));
   Printf.printf "  ada.Credits  = %s\n"
     (Value.to_string (Eval.read_attr community o "Credits" []));
 

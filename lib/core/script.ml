@@ -214,7 +214,7 @@ let rec exec_cmd sys (cmd : cmd) : (string list, string) result =
       | Error r -> Error (Runtime_error.reason_to_string r))
   | C_fire term -> (
       let ev = resolve_event sys term in
-      match Engine.fire sys.Troll.community ev with
+      match Engine.step sys.Troll.community (Step.Fire ev) with
       | Ok o ->
           Ok
             [ Printf.sprintf "ok: %s"
@@ -226,7 +226,7 @@ let rec exec_cmd sys (cmd : cmd) : (string list, string) result =
       | Error r -> Error (Runtime_error.reason_to_string r))
   | C_seq terms -> (
       let evs = List.map (resolve_event sys) terms in
-      match Engine.fire_seq sys.Troll.community evs with
+      match Engine.step sys.Troll.community (Step.Seq evs) with
       | Ok _ -> Ok [ Printf.sprintf "ok: transaction of %d" (List.length evs) ]
       | Error r -> Error (Runtime_error.reason_to_string r))
   | C_show e -> (

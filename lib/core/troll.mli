@@ -81,7 +81,7 @@ module Session : sig
     (t, Error.t) result
   (** In-process sharded session: one full engine cell per shard, every
       step routed through {!Shard.coordinate} (cross-shard steps commit
-      by two-phase protocol on {!Txn} savepoints).  [map] is a partition
+      by two-phase protocol on open {!Txn} transactions).  [map] is a partition
       map in {!Shard.to_string}'s wire form, validated against the
       specification; by default {!Shard.auto} spreads the class groups
       round-robin.  Each single object is instantiated only in its
@@ -116,7 +116,8 @@ module Session : sig
 
   val step : t -> Step.t -> Engine.step_result
   (** Execute one step request as one atomic transaction — the single
-      entry point behind [fire]/[fire_seq]/[fire_sync]/[create]. *)
+      entry point, {!Engine.step}, for every firing shape and for
+      creation and destruction. *)
 
   val attr : t -> Ident.t -> string -> (Value.t, Error.t) result
   (** Observe an attribute (derived attributes are computed; inherited

@@ -395,7 +395,8 @@ let replay src trace =
             else Ok ())
 
 (* ---------------------------------------------------------------- *)
-(* Oracle 4: rejected steps leave the journal clean; probe = clone   *)
+(* Oracle 4: rejected steps leave the journal clean; probe = clone;  *)
+(* prepare + commit = step, prepare + rollback = nothing             *)
 (* ---------------------------------------------------------------- *)
 
 let journal src trace =
@@ -409,8 +410,22 @@ let journal src trace =
         if Persist.save c <> pre then
           failf "journal" "%s: probe dirtied the community" (step_label i st)
         else
+          let aborted = Engine.prepare c st in
+          Result.iter Engine.rollback_prepared aborted;
+          if Persist.save c <> pre then
+            failf "journal" "%s: prepare + rollback dirtied the community"
+              (step_label i st)
+          else
           let c2 = Community.clone c in
           let r2 = Engine.step c2 st in
+          let c3 = Community.clone c in
+          let r3 =
+            Result.map
+              (fun p ->
+                Engine.commit_prepared p;
+                Engine.outcome_of_prepared p)
+              (Engine.prepare c3 st)
+          in
           let r1 = Engine.step c st in
           if code_of r1 <> code_of probe_r then
             failf "journal" "%s: probe verdict %s, execution verdict %s"
@@ -418,14 +433,22 @@ let journal src trace =
           else if code_of r1 <> code_of r2 then
             failf "journal" "%s: clone verdict %s, execution verdict %s"
               (step_label i st) (code_of r2) (code_of r1)
+          else if code_of r1 <> code_of r3 then
+            failf "journal" "%s: prepare verdict %s, execution verdict %s"
+              (step_label i st) (code_of r3) (code_of r1)
           else
             match r1 with
             | Error _ when Persist.save c <> pre ->
                 failf "journal" "%s: rejected step left the community dirty"
                   (step_label i st)
             | _ ->
-                if Persist.save c <> Persist.save c2 then
+                let img = Persist.save c in
+                if img <> Persist.save c2 then
                   failf "journal" "%s: clone and community images diverge"
+                    (step_label i st)
+                else if img <> Persist.save c3 then
+                  failf "journal"
+                    "%s: prepare + commit and step images diverge"
                     (step_label i st)
                 else loop (i + 1) rest)
   in
@@ -639,7 +662,7 @@ let recovery src trace =
    assigned by a hash of (src, group index), so the split is a pure
    function of the spec and failures replay exactly — routes the trace
    through {!Shard.coordinate}: single-owner steps take the fast path,
-   cross-shard steps commit by two-phase protocol on Txn savepoints.
+   cross-shard steps commit by two-phase protocol on open transactions.
    A plain session animates the same trace.  Error codes must agree
    step by step, and the merged sharded dump must be bit-identical to
    the single-engine dump.  Outcome shapes are NOT compared: a

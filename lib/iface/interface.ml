@@ -195,14 +195,16 @@ let fire t (inst : instance) (ename : string) (args : Value.t list) :
                 match
                   Option.bind tpl (fun tp -> Template.find_event tp ename)
                 with
-                | Some _ -> Engine.fire t.community (Event.make id ename args)
+                | Some _ ->
+                    Engine.step t.community
+                      (Step.Fire (Event.make id ename args))
                 | None -> (
                     (* event may live higher in the inheritance chain *)
                     match
                       Engine.locate_event t.community
                         (Event.make id ename args)
                     with
-                    | ev -> Engine.fire t.community ev
+                    | ev -> Engine.step t.community (Step.Fire ev)
                     | exception Error (Unknown_event _) -> search rest))
           in
           search inst
@@ -250,7 +252,7 @@ let fire t (inst : instance) (ename : string) (args : Value.t list) :
                             Engine.resolve_called t.community ~env ~self term)
                           rule.Ast.i_called
                       in
-                      Engine.fire_seq t.community events
+                      Engine.step t.community (Step.Seq events)
                     with Error r -> Error r)))
 
 (* ------------------------------------------------------------------ *)

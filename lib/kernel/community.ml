@@ -59,7 +59,7 @@ type journal_entry =
     statistics); [gen]/[epoch] implement per-scope snapshot
     deduplication through the stamp each snapshotted object carries
     ([Obj_state.snap_gen], [snap_epoch]) — an object is re-snapshotted
-    only when a new scope (transaction, savepoint or probe) has opened
+    only when a new scope (transaction or probe) has opened
     since its last snapshot.  A journal holds no table, so opening one
     is a small allocation. *)
 type journal = {
@@ -315,11 +315,6 @@ let iter_objects t f = Ident.Tbl.iter (fun _ o -> f o) t.objects
 
 (** All objects in identity order, straight off the ordered index. *)
 let objects_sorted t = List.map snd (Btree.bindings t.index)
-
-let living_objects t =
-  Ident.Tbl.fold
-    (fun _ o acc -> if o.Obj_state.alive then o :: acc else acc)
-    t.objects []
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";

@@ -160,7 +160,6 @@ val reset_instance_state : t -> unit
     journal. *)
 
 val iter_objects : t -> (Obj_state.t -> unit) -> unit
-val living_objects : t -> Obj_state.t list
 
 val objects_sorted : t -> Obj_state.t list
 (** All objects in identity order, read off the ordered index. *)

@@ -68,17 +68,74 @@ let set_id_attrs (o : Obj_state.t) =
             fields
       | _ -> ())
 
-(** Object state for evaluation purposes; for an event that will create
-    the object, a detached fresh state is used (with identification
-    attributes already populated, so calling rules of birth events can
-    refer to [self.<id-field>]). *)
-let eval_object (c : Community.t) (id : Ident.t) : Obj_state.t =
-  match Community.find_object c id with
-  | Some o -> o
-  | None ->
-      let o = Obj_state.create id (Community.template_exn c id.Ident.cls) in
-      set_id_attrs o;
-      o
+(* ------------------------------------------------------------------ *)
+(* Members and the step's working state                                *)
+(* ------------------------------------------------------------------ *)
+
+(** One event of a synchronous set, resolved once for every phase of
+    the step: located at the aspect that declares it, with that
+    aspect's template and event definition, the target object when it
+    already exists, and its staged index entry under compiled dispatch
+    ([None] on the interpreted path). *)
+type member = {
+  ev : Event.t;
+  tpl : Template.t;
+  ed : Template.event_def;
+  existing : Obj_state.t option;
+  ce : Dispatch.centry option;
+}
+
+(** The working state of one step: the transaction, the called events
+    awaiting closure and the follow-up micro-steps awaiting execution
+    (both newest first), and the current micro-step's valuation writes
+    (newest first) with their conflict index, created on first need. *)
+type run = {
+  c : Community.t;
+  txn : Txn.t;
+  mutable pending : Event.t list;
+  mutable later : Event.t list list;
+  mutable writes : (Obj_state.t * string * int * Value.t) list;
+  mutable index : (Ident.t * string, Value.t) Hashtbl.t option;
+}
+
+let located (c : Community.t) (ev0 : Event.t) : member =
+  let ev = locate_event c ev0 in
+  let existing = Community.find_object c ev.Event.target in
+  let tpl =
+    match existing with
+    | Some o -> o.Obj_state.template
+    | None -> Community.template_exn c ev.Event.target.Ident.cls
+  in
+  let ce =
+    if Dispatch.enabled c then
+      Some (Dispatch.entry (Dispatch.template_index c tpl) ev.Event.name)
+    else None
+  in
+  let ed =
+    match ce with
+    | Some { Dispatch.ce_ed = Some ed; _ } -> ed
+    | _ -> (
+        match Template.find_event tpl ev.Event.name with
+        | Some ed -> ed
+        | None -> fail (Unknown_event (tpl.Template.t_name, ev.Event.name)))
+  in
+  { ev; tpl; ed; existing; ce }
+
+(** Resolve an event into a member.  An existing target whose own
+    template declares the event needs no retargeting, so under compiled
+    dispatch its entry comes from that template's index without
+    {!locate_event}'s template lookups. *)
+let resolve (c : Community.t) (ev : Event.t) : member =
+  if Dispatch.enabled c then
+    match Community.find_object c ev.Event.target with
+    | Some o as existing -> (
+        let tpl = o.Obj_state.template in
+        let ce = Dispatch.entry (Dispatch.template_index c tpl) ev.Event.name in
+        match ce.Dispatch.ce_ed with
+        | Some ed -> { ev; tpl; ed; existing; ce = Some ce }
+        | None -> located c ev)
+    | None -> located c ev
+  else located c ev
 
 (* ------------------------------------------------------------------ *)
 (* Calling closure                                                     *)
@@ -147,90 +204,40 @@ let resolve_called_c (c : Community.t) ~env ~self (cd : Dispatch.ccalled) :
   let args = List.map (fun ca -> ca c env self) cd.Dispatch.cd_args in
   Event.make target cd.Dispatch.cd_term.Ast.ev_name args
 
-(** Staged fast-path resolution of a singleton micro-step: a single
-    event whose staged entry is [ce_solo] — no calling rules indexed
-    under its name, no global rules and no phase births — closes over
-    itself.  Returns the located event, the target object when it
-    already exists, and its staged index entry, so callers skip the
-    work-list machinery — and {!exec_txn} can hand the resolution
-    straight to execution.
+(** What a calling rule calls: a single event joins the synchronous set;
+    each event of a called sequence becomes its own follow-up
+    micro-step. *)
+let call r resolve_one = function
+  | [ one ] -> r.pending <- resolve_one one :: r.pending
+  | seq -> List.iter (fun t -> r.later <- [ resolve_one t ] :: r.later) seq
 
-    An existing target whose own template declares the event needs no
-    retargeting, so its entry comes from that template's index without
-    {!locate_event}'s template lookup. *)
-let expand_sync_singleton (c : Community.t) (init : Event.t list) :
-    (Event.t * Obj_state.t option * Dispatch.centry) option =
-  if Dispatch.enabled c then
-    match init with
-    | [ ev0 ] when c.Community.config.Community.max_sync_set >= 1 ->
-        let name = ev0.Event.name in
-        let declared =
-          match Community.find_object c ev0.Event.target with
-          | Some o ->
-              let ti = Dispatch.template_index c o.Obj_state.template in
-              let entry = Dispatch.entry ti name in
-              if Option.is_some entry.Dispatch.ce_ed then
-                Some (ev0, Some o, entry)
-              else None
-          | None -> None
-        in
-        let ((_, _, entry) as resolved) =
-          match declared with
-          | Some r -> r
-          | None ->
-              let ev = locate_event c ev0 in
-              let existing = Community.find_object c ev.Event.target in
-              let tpl =
-                match existing with
-                | Some o -> o.Obj_state.template
-                | None -> Community.template_exn c ev.Event.target.Ident.cls
-              in
-              let ti = Dispatch.template_index c tpl in
-              (ev, existing, Dispatch.entry ti name)
-        in
-        if entry.Dispatch.ce_solo then begin
-          Dispatch.note_hit ();
-          Some resolved
-        end
-        else None
-    | _ -> None
-  else None
-
-(** Compute the synchronous closure of an initial event set.  Returns
-    the closed set plus follow-up micro-steps contributed by transaction
-    calling (each called sequence element becomes its own micro-step). *)
-let expand_sync (c : Community.t) (init : Event.t list) :
-    Event.t list * Event.t list list =
-  match expand_sync_singleton c init with
-  | Some (ev, _, _) -> ([ ev ], [])
+(** The object a member's calling rules read: the target, or for an
+    event that will create it a detached fresh state (with
+    identification attributes already populated, so calling rules of
+    birth events can refer to [self.<id-field>]). *)
+let eval_object (m : member) : Obj_state.t =
+  match m.existing with
+  | Some o -> o
   | None ->
-  let sync : Event.t list ref = ref [] in
-  let followups : Event.t list list ref = ref [] in
-  let pending = Queue.create () in
-  List.iter (fun e -> Queue.add e pending) init;
-  while not (Queue.is_empty pending) do
-    let ev = locate_event c (Queue.pop pending) in
-    if not (List.exists (Event.equal ev) !sync) then begin
-      sync := !sync @ [ ev ];
-      if List.length !sync > c.Community.config.Community.max_sync_set then
-        fail
-          (Unsupported
-             (Printf.sprintf
-                "event-calling closure exceeds %d events (calling cycle?)"
-                c.Community.config.Community.max_sync_set));
-      let o = eval_object c ev.Event.target in
-      let tpl = o.Obj_state.template in
-      if Dispatch.enabled c then begin
-        (* staged path: only rules indexed under this event name *)
-        Dispatch.note_hit ();
-        let ti = Dispatch.template_index c tpl in
-        let ci = Dispatch.community_index c in
-        let entry = Dispatch.entry ti ev.Event.name in
+      let o = Obj_state.create m.ev.Event.target m.tpl in
+      set_id_attrs o;
+      o
+
+(** Queue what one new member calls: local calling rules, global
+    interactions and phase births.  A [ce_solo] entry calls nothing. *)
+let expand r (m : member) =
+  let c = r.c and ev = m.ev in
+  match m.ce with
+  | Some entry ->
+      (* staged path: only rules indexed under this event name *)
+      Dispatch.note_hit ();
+      if not entry.Dispatch.ce_solo then begin
+        let o = eval_object m in
         List.iter
           (fun (cc : Dispatch.ccalling) ->
             match
-              Eval.match_compiled_event c o ~env:Env.empty
-                cc.Dispatch.cc_pat ev
+              Eval.match_compiled_event c o ~env:Env.empty cc.Dispatch.cc_pat
+                ev
             with
             | None -> ()
             | Some env ->
@@ -239,20 +246,11 @@ let expand_sync (c : Community.t) (init : Event.t list) :
                   | None -> true
                   | Some g -> g c env (Some o)
                 in
-                if guard_ok then begin
-                  match cc.Dispatch.cc_called with
-                  | [ one ] ->
-                      Queue.add (resolve_called_c c ~env ~self:(Some o) one)
-                        pending
-                  | seq ->
-                      followups :=
-                        !followups
-                        @ List.map
-                            (fun t ->
-                              [ resolve_called_c c ~env ~self:(Some o) t ])
-                            seq
-                end)
+                if guard_ok then
+                  call r (resolve_called_c c ~env ~self:(Some o))
+                    cc.Dispatch.cc_called)
           entry.Dispatch.ce_callings;
+        let ci = Dispatch.community_index c in
         List.iter
           (fun (cg : Dispatch.cglobal) ->
             let gvars = List.map fst cg.Dispatch.cg_rule.Community.gr_vars in
@@ -265,19 +263,9 @@ let expand_sync (c : Community.t) (init : Event.t list) :
                   | None -> true
                   | Some g -> g c env None
                 in
-                if guard_ok then begin
-                  match cg.Dispatch.cg_called with
-                  | [ one ] ->
-                      Queue.add (resolve_called_c c ~env ~self:None one)
-                        pending
-                  | seq ->
-                      followups :=
-                        !followups
-                        @ List.map
-                            (fun t ->
-                              [ resolve_called_c c ~env ~self:None t ])
-                            seq
-                end)
+                if guard_ok then
+                  call r (resolve_called_c c ~env ~self:None)
+                    cg.Dispatch.cg_called)
           (Dispatch.globals_for ci ev.Event.name);
         List.iter
           (fun ((ptpl : Template.t), (ed : Template.event_def)) ->
@@ -287,81 +275,91 @@ let expand_sync (c : Community.t) (init : Event.t list) :
             match Community.living c phase_id with
             | Some _ -> ()
             | None ->
-                Queue.add (Event.make phase_id ed.Template.ed_name []) pending)
+                r.pending <-
+                  Event.make phase_id ed.Template.ed_name [] :: r.pending)
           (Dispatch.phases_for ci ~cls:ev.Event.target.Ident.cls
              ~event:ev.Event.name)
       end
+  | None ->
+      let o = eval_object m in
+      let vars = List.map fst m.tpl.Template.t_vars in
+      (* local calling rules *)
+      List.iter
+        (fun (rule : Ast.calling_rule) ->
+          match
+            Eval.match_local_event c o ~env:Env.empty ~vars rule.Ast.i_caller
+              ev
+          with
+          | None -> ()
+          | Some env ->
+              let guard_ok =
+                match rule.Ast.i_guard with
+                | None -> true
+                | Some g -> Eval.formula_state c ~env ~self:(Some o) g
+              in
+              if guard_ok then
+                call r (resolve_called c ~env ~self:(Some o)) rule.Ast.i_called)
+        m.tpl.Template.t_callings;
+      (* global interaction rules *)
+      List.iter
+        (fun (gr : Community.global_rule) ->
+          let gvars = List.map fst gr.Community.gr_vars in
+          let rule = gr.Community.gr_rule in
+          match match_global_caller c ~vars:gvars rule.Ast.i_caller ev with
+          | None -> ()
+          | Some env ->
+              let guard_ok =
+                match rule.Ast.i_guard with
+                | None -> true
+                | Some g -> Eval.formula_state c ~env ~self:None g
+              in
+              if guard_ok then
+                call r (resolve_called c ~env ~self:None) rule.Ast.i_called)
+        c.Community.globals;
+      (* phase births: classes whose birth is this base event *)
+      List.iter
+        (fun ((ptpl : Template.t), (ed : Template.event_def)) ->
+          let phase_id =
+            Ident.make ptpl.Template.t_name ev.Event.target.Ident.key
+          in
+          (* re-birth of a phase an object already plays is ignored *)
+          match Community.living c phase_id with
+          | Some _ -> ()
+          | None ->
+              r.pending <-
+                Event.make phase_id ed.Template.ed_name [] :: r.pending)
+        (Community.phases_born_by c ev.Event.target.Ident.cls ev.Event.name)
+
+let rec has_member (ev : Event.t) = function
+  | [] -> false
+  | m :: ms -> Event.equal m.ev ev || has_member ev ms
+
+(** Close a micro-step's events under calling, breadth first: [sync]
+    holds the members so far (newest first, [n] of them), [todo] the
+    events to resolve next; what they call waits in [r.pending]. *)
+let rec close r sync n = function
+  | ev :: todo ->
+      let m = resolve r.c ev in
+      if has_member m.ev sync then close r sync n todo
       else begin
-        let vars = List.map fst tpl.Template.t_vars in
-        (* local calling rules *)
-        List.iter
-          (fun (r : Ast.calling_rule) ->
-            match
-              Eval.match_local_event c o ~env:Env.empty ~vars r.Ast.i_caller
-                ev
-            with
-            | None -> ()
-            | Some env ->
-                let guard_ok =
-                  match r.Ast.i_guard with
-                  | None -> true
-                  | Some g -> Eval.formula_state c ~env ~self:(Some o) g
-                in
-                if guard_ok then begin
-                  match r.Ast.i_called with
-                  | [ one ] ->
-                      Queue.add (resolve_called c ~env ~self:(Some o) one)
-                        pending
-                  | seq ->
-                      followups :=
-                        !followups
-                        @ List.map
-                            (fun t ->
-                              [ resolve_called c ~env ~self:(Some o) t ])
-                            seq
-                end)
-          tpl.Template.t_callings;
-        (* global interaction rules *)
-        List.iter
-          (fun (gr : Community.global_rule) ->
-            let gvars = List.map fst gr.Community.gr_vars in
-            let rule = gr.Community.gr_rule in
-            match match_global_caller c ~vars:gvars rule.Ast.i_caller ev with
-            | None -> ()
-            | Some env ->
-                let guard_ok =
-                  match rule.Ast.i_guard with
-                  | None -> true
-                  | Some g -> Eval.formula_state c ~env ~self:None g
-                in
-                if guard_ok then begin
-                  match rule.Ast.i_called with
-                  | [ one ] ->
-                      Queue.add (resolve_called c ~env ~self:None one) pending
-                  | seq ->
-                      followups :=
-                        !followups
-                        @ List.map
-                            (fun t -> [ resolve_called c ~env ~self:None t ])
-                            seq
-                end)
-          c.Community.globals;
-        (* phase births: classes whose birth is this base event *)
-        List.iter
-          (fun ((ptpl : Template.t), (ed : Template.event_def)) ->
-            let phase_id =
-              Ident.make ptpl.Template.t_name ev.Event.target.Ident.key
-            in
-            (* re-birth of a phase an object already plays is ignored *)
-            match Community.living c phase_id with
-            | Some _ -> ()
-            | None ->
-                Queue.add (Event.make phase_id ed.Template.ed_name []) pending)
-          (Community.phases_born_by c ev.Event.target.Ident.cls ev.Event.name)
+        let n = n + 1 in
+        let max = r.c.Community.config.Community.max_sync_set in
+        if n > max then
+          fail
+            (Unsupported
+               (Printf.sprintf
+                  "event-calling closure exceeds %d events (calling cycle?)"
+                  max));
+        expand r m;
+        close r (m :: sync) n todo
       end
-    end
-  done;
-  (!sync, !followups)
+  | [] -> (
+      match (r.pending, sync) with
+      | [], [ _ ] -> sync
+      | [], _ -> List.rev sync
+      | pending, _ ->
+          r.pending <- [];
+          close r sync n (List.rev pending))
 
 (* ------------------------------------------------------------------ *)
 (* Permission checking                                                 *)
@@ -790,126 +788,23 @@ let validate_event_args (ev : Event.t) (ed : Template.event_def) =
                 ev.Event.name (Value.to_string v) (Vtype.to_string pty))))
     ev.Event.args ed.Template.ed_params
 
-(** Run the staged valuation rules of one event occurrence, feeding each
-    matching rule's value into [record]. *)
-let staged_vrules (c : Community.t) (o : Obj_state.t) record (ev : Event.t)
-    (ce : Dispatch.centry) =
-  Dispatch.note_hit ();
-  List.iter
-    (fun (cv : Dispatch.cvrule) ->
-      match
-        Eval.match_compiled_event c o ~env:Env.empty cv.Dispatch.cv_pat ev
-      with
-      | None -> ()
-      | Some env ->
-          let guard_ok =
-            match cv.Dispatch.cv_guard with
-            | None -> true
-            | Some g -> g c env (Some o)
-          in
-          if guard_ok then
-            let v = cv.Dispatch.cv_rhs c env (Some o) in
-            record o cv.Dispatch.cv_attr cv.Dispatch.cv_slot v)
-    ce.Dispatch.ce_vrules
-
-let exec_sync (c : Community.t) (txn : Txn.t) (sync : Event.t list) : unit =
-  (* group events by target object *)
-  let groups : (Ident.t * Event.t list) list =
-    List.fold_left
-      (fun acc (ev : Event.t) ->
-        let id = ev.Event.target in
-        match List.assoc_opt id acc with
-        | Some evs ->
-            (id, evs @ [ ev ]) :: List.remove_assoc id acc
-        | None -> (id, [ ev ]) :: acc)
-      [] sync
-    |> List.rev
-  in
-  (* phase 1: materialise objects, validate life-cycle stage.  When
-     staging is on, the event's index entry is fetched once here and
-     threaded through every later phase. *)
-  let participants =
-    List.map
-      (fun (id, evs) ->
-        let tpl = Community.template_exn c id.Ident.cls in
-        let ti =
-          if Dispatch.enabled c then Some (Dispatch.template_index c tpl)
-          else None
-        in
-        let evs =
-          List.map
-            (fun (ev : Event.t) ->
-              match ti with
-              | Some ti -> (ev, Some (Dispatch.entry ti ev.Event.name))
-              | None -> (ev, None))
-            evs
-        in
-        let event_def (ev : Event.t) = function
-          | Some ce -> ce.Dispatch.ce_ed
-          | None -> Template.find_event tpl ev.Event.name
-        in
-        let has_birth =
-          List.exists
-            (fun (ev, ce) ->
-              match event_def ev ce with
-              | Some ed -> ed.Template.ed_kind = Ast.Ev_birth
-              | None -> false)
-            evs
-        in
-        let o =
-          match Community.find_object c id with
-          | Some o -> o
-          | None ->
-              if not has_birth then fail (Unknown_object id)
-              else begin
-                let o = Obj_state.create id tpl in
-                Community.register_object c o;
-                Txn.note_created txn id;
-                o
-              end
-        in
-        Txn.touch txn o;
-        (* closure under inheritance: an aspect needs its base aspect —
-           phases (view of) and static specializations alike *)
-        (match (tpl.Template.t_view_of, tpl.Template.t_spec_of) with
-        | (Some base, _ | None, Some base) when has_birth -> (
-            match Community.living c (Ident.make base id.Ident.key) with
-            | Some _ -> ()
-            | None -> fail (Not_alive (Ident.make base id.Ident.key)))
-        | _ -> ());
-        List.iter
-          (fun ((ev : Event.t), ce) ->
-            match event_def ev ce with
-            | None -> fail (Unknown_event (tpl.Template.t_name, ev.Event.name))
-            | Some ed ->
-                validate_event_args ev ed;
-                (match ed.Template.ed_kind with
-                | Ast.Ev_birth ->
-                    if o.Obj_state.alive || o.Obj_state.dead then
-                      fail (Already_alive id)
-                | Ast.Ev_death | Ast.Ev_normal ->
-                    if not o.Obj_state.alive then fail (Not_alive id)))
-          evs;
-        (o, evs, has_birth))
-      groups
-  in
-  (* phase 2: permissions on pre-states *)
-  List.iter
-    (fun ((o : Obj_state.t), evs, _) ->
-      List.iter (fun (ev, ce) -> check_permissions c o ev ce) evs)
-    participants;
-  (* phase 3: valuations on pre-states.  Conflicting writes are detected
-     in O(1) through a hashtable keyed by (identity, attribute); the
-     list preserves a deterministic application order and carries the
-     resolved slot for the apply phase.  An object receiving a single
-     staged event whose rules write pairwise-distinct slots cannot
-     conflict at all, so its writes skip the hashtable. *)
-  let write_index : (Ident.t * string, Value.t) Hashtbl.t Lazy.t =
-    lazy (Hashtbl.create 16)
-  in
-  let write_list : (Obj_state.t * string * int * Value.t) list ref = ref [] in
-  let record_write (o : Obj_state.t) attr slot v =
-    let index = Lazy.force write_index in
+(** Record one valuation write.  [checked] writes go through the
+    conflict index: two events of one synchronous set writing different
+    values to one attribute reject the step, an equal second write is
+    dropped.  An object receiving a single staged event whose rules
+    write pairwise-distinct slots cannot conflict at all, so its writes
+    skip the index. *)
+let record_write r ~checked (o : Obj_state.t) attr slot v =
+  if not checked then r.writes <- (o, attr, slot, v) :: r.writes
+  else
+    let index =
+      match r.index with
+      | Some index -> index
+      | None ->
+          let index = Hashtbl.create 16 in
+          r.index <- Some index;
+          index
+    in
     let key = (o.Obj_state.id, attr) in
     match Hashtbl.find_opt index key with
     | Some v' when not (Value.equal v v') ->
@@ -917,264 +812,273 @@ let exec_sync (c : Community.t) (txn : Txn.t) (sync : Event.t list) : unit =
     | Some _ -> ()
     | None ->
         Hashtbl.add index key v;
-        write_list := (o, attr, slot, v) :: !write_list
-  in
-  List.iter
-    (fun ((o : Obj_state.t), evs, _) ->
-      match evs with
-      | [ (ev, Some ce) ] when ce.Dispatch.ce_distinct_slots ->
-          staged_vrules c o
-            (fun o attr slot v ->
-              write_list := (o, attr, slot, v) :: !write_list)
-            ev ce
-      | _ ->
-          let tpl = o.Obj_state.template in
-          List.iter
-            (fun ((ev : Event.t), ce) ->
-              match ce with
-              | Some ce -> staged_vrules c o record_write ev ce
-              | None ->
-                  let vars = List.map fst tpl.Template.t_vars in
-                  List.iter
-                    (fun (rule : Ast.valuation_rule) ->
-                      match
-                        Eval.match_local_event c o ~env:Env.empty ~vars
-                          rule.Ast.v_event ev
-                      with
-                      | None -> ()
-                      | Some env ->
-                          let guard_ok =
-                            match rule.Ast.v_guard with
-                            | None -> true
-                            | Some g ->
-                                Eval.formula_state c ~env ~self:(Some o) g
-                          in
-                          if guard_ok then
-                            let v =
-                              Eval.expr c ~env ~self:(Some o) rule.Ast.v_rhs
-                            in
-                            record_write o rule.Ast.v_attr (-1) v)
-                    tpl.Template.t_valuations)
-            evs)
-    participants;
-  (* phase 4: apply — births, identification attributes, valuations,
-     deaths, extension updates *)
-  let event_def_of (o : Obj_state.t) ((ev : Event.t), ce) =
-    match ce with
-    | Some ce -> ce.Dispatch.ce_ed
-    | None -> Template.find_event o.Obj_state.template ev.Event.name
-  in
-  List.iter
-    (fun ((o : Obj_state.t), evs, _) ->
-      List.iter
-        (fun evce ->
-          match event_def_of o evce with
-          | Some ed when ed.Template.ed_kind = Ast.Ev_birth ->
-              o.Obj_state.alive <- true;
-              set_id_attrs o;
-              Community.extension_add c o.Obj_state.id
-          | _ -> ())
-        evs)
-    participants;
-  List.iter
-    (fun ((o : Obj_state.t), attr, slot, v) ->
-      if slot >= 0 then Obj_state.set_attr_slot o slot v
-      else Obj_state.set_attr o attr v)
-    (List.rev !write_list);
-  (* a death ends the object's life cycle — and, because all aspects of
-     one object share it, the death of a base aspect also ends every
-     living phase (view) aspect depending on it, transitively *)
-  let rec kill (o : Obj_state.t) =
-    if o.Obj_state.alive then begin
-      Txn.touch txn o;
-      o.Obj_state.alive <- false;
-      o.Obj_state.dead <- true;
-      Community.extension_remove c o.Obj_state.id;
-      Txn.note_destroyed txn o.Obj_state.id;
-      Hashtbl.iter
-        (fun _ (tpl : Template.t) ->
-          match (tpl.Template.t_view_of, tpl.Template.t_spec_of) with
-          | (Some base, _ | None, Some base)
-            when String.equal base o.Obj_state.id.Ident.cls -> (
-              match
-                Community.living c
-                  (Ident.make tpl.Template.t_name o.Obj_state.id.Ident.key)
-              with
-              | Some dependent -> kill dependent
-              | None -> ())
-          | _ -> ())
-        c.Community.templates
-    end
-  in
-  List.iter
-    (fun ((o : Obj_state.t), evs, _) ->
-      List.iter
-        (fun evce ->
-          match event_def_of o evce with
-          | Some ed when ed.Template.ed_kind = Ast.Ev_death -> kill o
-          | _ -> ())
-        evs)
-    participants;
-  (* phase 5: post-state constraints and monitor advancement *)
-  List.iter
-    (fun ((o : Obj_state.t), evs, born) ->
-      let written =
-        List.filter_map
-          (fun ((o' : Obj_state.t), _, slot, _) ->
-            if o' == o && slot >= 0 then Some slot else None)
-          !write_list
-      in
-      step_monitors c o ~occurred:(List.map fst evs) ~born ~written)
-    participants
+        r.writes <- (o, attr, slot, v) :: r.writes
 
-(** Specialised execution of one normal (non-birth, non-death) event on
-    an existing object, with the staged index entry already resolved by
-    {!expand_sync_singleton}: the grouping, object lookup and index
-    fetches of {!exec_sync} are skipped, but phase order, failure order
-    and observable effects are identical. *)
-let exec_sync_resolved (c : Community.t) (txn : Txn.t) (ev : Event.t)
-    (o : Obj_state.t) (entry : Dispatch.centry) (ed : Template.event_def) :
-    unit =
-  Txn.touch txn o;
-  (* phase 1: validation *)
-  validate_event_args ev ed;
-  if not o.Obj_state.alive then fail (Not_alive o.Obj_state.id);
-  (* phase 2: permissions on the pre-state *)
-  check_permissions c o ev (Some entry);
-  (* phase 3: valuations on the pre-state *)
-  let write_list : (Obj_state.t * string * int * Value.t) list ref = ref [] in
-  (if entry.Dispatch.ce_distinct_slots then
-     staged_vrules c o
-       (fun o attr slot v -> write_list := (o, attr, slot, v) :: !write_list)
-       ev entry
-   else begin
-     let index = Hashtbl.create 8 in
-     staged_vrules c o
-       (fun o attr slot v ->
-         let key = (o.Obj_state.id, attr) in
-         match Hashtbl.find_opt index key with
-         | Some v' when not (Value.equal v v') ->
-             fail (Valuation_conflict (o.Obj_state.id, attr, v', v))
-         | Some _ -> ()
-         | None ->
-             Hashtbl.add index key v;
-             write_list := (o, attr, slot, v) :: !write_list)
-       ev entry
-   end);
-  (* phase 4: apply *)
+(** The staged valuation rules of one event occurrence. *)
+let rec staged_vrules r ~checked (o : Obj_state.t) (ev : Event.t) = function
+  | [] -> ()
+  | (cv : Dispatch.cvrule) :: rest ->
+      (match
+         Eval.match_compiled_event r.c o ~env:Env.empty cv.Dispatch.cv_pat ev
+       with
+      | None -> ()
+      | Some env ->
+          let guard_ok =
+            match cv.Dispatch.cv_guard with
+            | None -> true
+            | Some g -> g r.c env (Some o)
+          in
+          if guard_ok then
+            record_write r ~checked o cv.Dispatch.cv_attr cv.Dispatch.cv_slot
+              (cv.Dispatch.cv_rhs r.c env (Some o)));
+      staged_vrules r ~checked o ev rest
+
+let interpreted_vrules r (o : Obj_state.t) (ev : Event.t) =
+  let c = r.c and tpl = o.Obj_state.template in
+  let vars = List.map fst tpl.Template.t_vars in
   List.iter
-    (fun ((o : Obj_state.t), attr, slot, v) ->
-      if slot >= 0 then Obj_state.set_attr_slot o slot v
-      else Obj_state.set_attr o attr v)
-    (List.rev !write_list);
-  (* phase 5: post-state constraints and monitor advancement *)
-  let written =
-    List.filter_map
-      (fun (_, _, slot, _) -> if slot >= 0 then Some slot else None)
-      !write_list
+    (fun (rule : Ast.valuation_rule) ->
+      match
+        Eval.match_local_event c o ~env:Env.empty ~vars rule.Ast.v_event ev
+      with
+      | None -> ()
+      | Some env ->
+          let guard_ok =
+            match rule.Ast.v_guard with
+            | None -> true
+            | Some g -> Eval.formula_state c ~env ~self:(Some o) g
+          in
+          if guard_ok then
+            record_write r ~checked:true o rule.Ast.v_attr (-1)
+              (Eval.expr c ~env ~self:(Some o) rule.Ast.v_rhs))
+    tpl.Template.t_valuations
+
+(** One object of a synchronous set and its members, in closure
+    order. *)
+type participant = {
+  o : Obj_state.t;
+  members : member list;
+  born : bool;  (** a member is a birth event *)
+}
+
+let is_birth m = m.ed.Template.ed_kind = Ast.Ev_birth
+let member_event m = m.ev
+
+(** Group a synchronous set by target object.  A group that receives a
+    later member moves behind the others, so groups run in the order of
+    their last member — which decides the violation a step reports. *)
+let group (sync : member list) : member list list =
+  match sync with
+  | [ _ ] -> [ sync ]
+  | _ ->
+      let same m g =
+        Ident.equal (List.hd g).ev.Event.target m.ev.Event.target
+      in
+      List.fold_left
+        (fun groups m ->
+          match List.find_opt (same m) groups with
+          | Some g -> (m :: g) :: List.filter (fun g' -> g' != g) groups
+          | None -> [ m ] :: groups)
+        [] sync
+      |> List.rev_map List.rev
+
+let rec validate_members (o : Obj_state.t) = function
+  | [] -> ()
+  | m :: ms ->
+      validate_event_args m.ev m.ed;
+      (match m.ed.Template.ed_kind with
+      | Ast.Ev_birth ->
+          if o.Obj_state.alive || o.Obj_state.dead then
+            fail (Already_alive o.Obj_state.id)
+      | Ast.Ev_death | Ast.Ev_normal ->
+          if not o.Obj_state.alive then fail (Not_alive o.Obj_state.id));
+      validate_members o ms
+
+(** Phase 1 for one group: materialise the object (a birth creates it),
+    snapshot it, and validate every member's arguments and life-cycle
+    stage. *)
+let participant r (members : member list) : participant =
+  let m0 = List.hd members in
+  let id = m0.ev.Event.target and tpl = m0.tpl in
+  let born = List.exists is_birth members in
+  let o =
+    match m0.existing with
+    | Some o -> o
+    | None ->
+        if not born then fail (Unknown_object id);
+        let o = Obj_state.create id tpl in
+        Community.register_object r.c o;
+        Txn.note_created r.txn id;
+        o
   in
-  step_monitors c o ~occurred:[ ev ] ~born:false ~written
+  Txn.touch r.txn o;
+  (* closure under inheritance: an aspect needs its base aspect —
+     phases (view of) and static specializations alike *)
+  (match (tpl.Template.t_view_of, tpl.Template.t_spec_of) with
+  | (Some base, _ | None, Some base) when born -> (
+      let base_id = Ident.make base id.Ident.key in
+      match Community.living r.c base_id with
+      | Some _ -> ()
+      | None -> fail (Not_alive base_id))
+  | _ -> ());
+  validate_members o members;
+  { o; members; born }
+
+let rec participants r = function
+  | [] -> []
+  | g :: gs ->
+      let p = participant r g in
+      p :: participants r gs
+
+(* Each phase is one loop over the participants calling its helpers
+   directly: a generic iterator taking the phase as an argument costs a
+   one-event step tens of nanoseconds. *)
+
+(** Phase 2: permissions on the pre-state. *)
+let rec permit_members c (o : Obj_state.t) = function
+  | [] -> ()
+  | m :: ms ->
+      check_permissions c o m.ev m.ce;
+      permit_members c o ms
+
+let rec permit r = function
+  | [] -> ()
+  | p :: ps ->
+      permit_members r.c p.o p.members;
+      permit r ps
+
+(** Phase 3: valuations on the pre-state. *)
+let rec valuate r = function
+  | [] -> ()
+  | p :: ps ->
+      (match p.members with
+      | [ { ev; ce = Some ce; _ } ] when ce.Dispatch.ce_distinct_slots ->
+          Dispatch.note_hit ();
+          staged_vrules r ~checked:false p.o ev ce.Dispatch.ce_vrules
+      | members ->
+          List.iter
+            (fun m ->
+              match m.ce with
+              | Some ce ->
+                  Dispatch.note_hit ();
+                  staged_vrules r ~checked:true p.o m.ev ce.Dispatch.ce_vrules
+              | None -> interpreted_vrules r p.o m.ev)
+            members);
+      valuate r ps
+
+(** Phase 4: births, then the writes (oldest first), then deaths.  A
+    death ends the object's life cycle — and, because all aspects of
+    one object share it, the death of a base aspect also ends every
+    living phase (view) aspect depending on it, transitively. *)
+let rec birth r = function
+  | [] -> ()
+  | p :: ps ->
+      if p.born then
+        List.iter
+          (fun m ->
+            if is_birth m then begin
+              p.o.Obj_state.alive <- true;
+              set_id_attrs p.o;
+              Community.extension_add r.c p.o.Obj_state.id
+            end)
+          p.members;
+      birth r ps
+
+let rec apply_writes = function
+  | [] -> ()
+  | ((o : Obj_state.t), attr, slot, v) :: older ->
+      apply_writes older;
+      if slot >= 0 then Obj_state.set_attr_slot o slot v
+      else Obj_state.set_attr o attr v
+
+let rec kill r (o : Obj_state.t) =
+  if o.Obj_state.alive then begin
+    Txn.touch r.txn o;
+    o.Obj_state.alive <- false;
+    o.Obj_state.dead <- true;
+    Community.extension_remove r.c o.Obj_state.id;
+    Txn.note_destroyed r.txn o.Obj_state.id;
+    Hashtbl.iter
+      (fun _ (tpl : Template.t) ->
+        match (tpl.Template.t_view_of, tpl.Template.t_spec_of) with
+        | (Some base, _ | None, Some base)
+          when String.equal base o.Obj_state.id.Ident.cls -> (
+            match
+              Community.living r.c
+                (Ident.make tpl.Template.t_name o.Obj_state.id.Ident.key)
+            with
+            | Some dependent -> kill r dependent
+            | None -> ())
+        | _ -> ())
+      r.c.Community.templates
+  end
+
+let rec death_members r (o : Obj_state.t) = function
+  | [] -> ()
+  | m :: ms ->
+      if m.ed.Template.ed_kind = Ast.Ev_death then kill r o;
+      death_members r o ms
+
+let rec death r = function
+  | [] -> ()
+  | p :: ps ->
+      death_members r p.o p.members;
+      death r ps
+
+(** The declared slots this micro-step wrote on [o]. *)
+let rec slots_written (o : Obj_state.t) acc = function
+  | [] -> acc
+  | ((o' : Obj_state.t), _, slot, _) :: rest ->
+      slots_written o (if o' == o && slot >= 0 then slot :: acc else acc) rest
+
+(** Phase 5: post-state constraints and monitor advancement. *)
+let rec advance r = function
+  | [] -> ()
+  | p :: ps ->
+      step_monitors r.c p.o
+        ~occurred:(List.map member_event p.members)
+        ~born:p.born
+        ~written:(slots_written p.o [] r.writes);
+      advance r ps
+
+(** Execute one closed synchronous set: the five phases, each over every
+    participant before the next begins. *)
+let exec_sync r (sync : member list) =
+  r.writes <- [];
+  r.index <- None;
+  let ps = participants r (group sync) in
+  permit r ps;
+  valuate r ps;
+  birth r ps;
+  apply_writes r.writes;
+  death r ps;
+  advance r ps
+
+(** The step loop: close each micro-step under calling and execute it,
+    FIFO, with the follow-ups transaction calling contributes queued
+    behind the remaining micro-steps.  Returns the executed synchronous
+    sets, in order; a violation anywhere raises out of the whole
+    attempt. *)
+let rec exec_micro_steps r done_ = function
+  | init :: todo ->
+      let sync = close r [] 0 init in
+      exec_sync r sync;
+      exec_micro_steps r (List.map member_event sync :: done_) todo
+  | [] -> (
+      match (r.later, done_) with
+      | [], [ _ ] -> done_
+      | [], _ -> List.rev done_
+      | later, _ ->
+          r.later <- [];
+          exec_micro_steps r done_ (List.rev later))
 
 (* ------------------------------------------------------------------ *)
 (* Public API                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(** Run a list of micro-steps as one atomic transaction: each micro-step
-    is closed under calling, executed, and its transaction-calling
-    follow-ups are queued behind the remaining micro-steps.  Each
-    micro-step runs under its own savepoint, so a violation unwinds the
-    failing micro-step first and then aborts the whole attempt. *)
-let rec exec_txn (c : Community.t) (micro_steps : Event.t list list) :
-    step_result =
-  (* fast path: one micro-step whose closure contributes no follow-ups
-     needs no savepoint (the transaction rollback covers it) and no
-     work-queue *)
-  match micro_steps with
-  | [ init ] -> (
-      let txn = Txn.begin_ c in
-      match
-        match expand_sync_singleton c init with
-        | Some (ev, Some o, entry)
-          when (match entry.Dispatch.ce_ed with
-               | Some ed -> ed.Template.ed_kind = Ast.Ev_normal
-               | None -> false) ->
-            let ed = Option.get entry.Dispatch.ce_ed in
-            exec_sync_resolved c txn ev o entry ed;
-            {
-              committed = [ [ ev ] ];
-              created = Txn.created txn;
-              destroyed = Txn.destroyed txn;
-            }
-        | Some (ev, _, _) ->
-            (* singleton closure, but a birth, death or unknown event:
-               the general executor handles object creation and
-               life-cycle transitions *)
-            exec_sync c txn [ ev ];
-            {
-              committed = [ [ ev ] ];
-              created = Txn.created txn;
-              destroyed = Txn.destroyed txn;
-            }
-        | None -> (
-            let sync, followups = expand_sync c init in
-            match followups with
-            | [] ->
-                exec_sync c txn sync;
-                {
-                  committed = [ sync ];
-                  created = Txn.created txn;
-                  destroyed = Txn.destroyed txn;
-                }
-            | _ ->
-                (* transaction calling: fall back to the queued protocol,
-                   with the already-expanded first micro-step re-run
-                   under its own savepoint *)
-                exec_txn_queued c txn [ init ])
-      with
-      | outcome ->
-          Txn.commit txn;
-          Ok outcome
-      | exception Error reason ->
-          Txn.rollback txn;
-          Error reason)
-  | _ -> (
-      let txn = Txn.begin_ c in
-      match exec_txn_queued c txn micro_steps with
-      | outcome ->
-          Txn.commit txn;
-          Ok outcome
-      | exception Error reason ->
-          Txn.rollback txn;
-          Error reason)
-
-and exec_txn_queued (c : Community.t) (txn : Txn.t)
-    (micro_steps : Event.t list list) =
-  let committed = ref [] in
-  let queue = Queue.create () in
-  List.iter (fun s -> Queue.add s queue) micro_steps;
-  while not (Queue.is_empty queue) do
-    let init = Queue.pop queue in
-    let sp = Txn.savepoint txn in
-    try
-      let sync, followups = expand_sync c init in
-      exec_sync c txn sync;
-      committed := sync :: !committed;
-      List.iter (fun s -> Queue.add s queue) followups
-    with Error _ as e ->
-      Txn.rollback_to txn sp;
-      raise e
-  done;
-  {
-    committed = List.rev !committed;
-    created = Txn.created txn;
-    destroyed = Txn.destroyed txn;
-  }
-
 (** Resolve a step request to the micro-step queue it animates:
     [Create]/[Destroy] pick their default birth/death event against the
-    schema, the firing shapes pass through.  Shared by {!step} and the
-    two-phase {!prepare} so both commit paths execute the very same
-    queue. *)
+    schema, the firing shapes pass through. *)
 let normalise (c : Community.t) (s : Step.t) :
     (Event.t list list, Runtime_error.reason) result =
   match s with
@@ -1221,12 +1125,27 @@ let normalise (c : Community.t) (s : Step.t) :
           | None -> Error (Unsupported "object has no unique death event")
           | Some name -> Ok [ [ Event.make id name args ] ]))
 
+(** Run a step's micro-steps inside the open transaction [txn]. *)
+let run (c : Community.t) (txn : Txn.t) (micro_steps : Event.t list list) :
+    outcome =
+  let r = { c; txn; pending = []; later = []; writes = []; index = None } in
+  let committed = exec_micro_steps r [] micro_steps in
+  { committed; created = Txn.created txn; destroyed = Txn.destroyed txn }
+
 (** The single entry point: every way of changing the community is a
-    {!Step.t} executed here. *)
+    {!Step.t}, run as one atomic transaction. *)
 let step (c : Community.t) (s : Step.t) : step_result =
   match normalise c s with
   | Error _ as e -> e
-  | Ok micro_steps -> exec_txn c micro_steps
+  | Ok micro_steps -> (
+      let txn = Txn.begin_ c in
+      match run c txn micro_steps with
+      | outcome ->
+          Txn.commit txn;
+          Ok outcome
+      | exception Error reason ->
+          Txn.rollback txn;
+          Error reason)
 
 (* ------------------------------------------------------------------ *)
 (* Two-phase execution (shard participants)                            *)
@@ -1234,18 +1153,18 @@ let step (c : Community.t) (s : Step.t) : step_result =
 
 type prepared = { p_txn : Txn.t; p_outcome : outcome }
 
-(** Execute the step but leave its transaction open: the effects are
-    applied and the outcome known, yet nothing is owned-committed (no
-    version bump, no commit hook, no WAL record).  The caller must
-    resolve the scope with {!commit_prepared} or {!rollback_prepared}
-    before anything else animates this community. *)
+(** {!step} without the commit: the effects are applied and the outcome
+    known, yet nothing is owned-committed (no version bump, no commit
+    hook, no WAL record).  The caller must resolve the scope with
+    {!commit_prepared} or {!rollback_prepared} before anything else
+    animates this community. *)
 let prepare (c : Community.t) (s : Step.t) :
     (prepared, Runtime_error.reason) result =
   match normalise c s with
   | Error _ as e -> e
   | Ok micro_steps -> (
       let txn = Txn.begin_ c in
-      match exec_txn_queued c txn micro_steps with
+      match run c txn micro_steps with
       | outcome -> Ok { p_txn = txn; p_outcome = outcome }
       | exception Error reason ->
           Txn.rollback txn;
@@ -1254,18 +1173,6 @@ let prepare (c : Community.t) (s : Step.t) :
 let outcome_of_prepared p = p.p_outcome
 let commit_prepared p = Txn.commit p.p_txn
 let rollback_prepared p = Txn.rollback p.p_txn
-
-(** Fire a single event (with its synchronous closure). *)
-let fire c ev = step c (Step.Fire ev)
-
-(** Fire several events simultaneously (event sharing). *)
-let fire_sync c evs = step c (Step.Sync evs)
-
-(** Fire a sequence of events as one atomic transaction. *)
-let fire_seq c evs = step c (Step.Seq evs)
-
-(** General form: a queue of micro-steps as one transaction. *)
-let run_txn c micro_steps = step c (Step.Txn micro_steps)
 
 (** Create an object: fire the class's birth event.  [event] defaults to
     the unique birth event of the template. *)
@@ -1276,10 +1183,11 @@ let create c ~cls ~key ?event ?(args = []) () : step_result =
 let destroy c ~id ?event ?(args = []) () : step_result =
   step c (Step.Destroy { id; event; args })
 
-(** Fire enabled active events until quiescence or [fuel] runs out.
-    Only parameterless active events are considered (argument synthesis
-    for parameterized active events is out of scope).  Returns the
-    events fired, in order. *)
+(** Fire enabled active events until quiescence or [fuel] runs out,
+    visiting living objects in identity order.  Only parameterless
+    active events are considered (argument synthesis for parameterized
+    active events is out of scope).  Returns the events fired, in
+    order. *)
 let run_active c ~fuel : Event.t list =
   let fired = ref [] in
   let budget = ref fuel in
@@ -1289,19 +1197,21 @@ let run_active c ~fuel : Event.t list =
     let candidates =
       List.concat_map
         (fun (o : Obj_state.t) ->
-          List.filter_map
-            (fun (ed : Template.event_def) ->
-              if ed.Template.ed_active && ed.Template.ed_params = []
-                 && ed.Template.ed_kind = Ast.Ev_normal
-              then Some (Event.make o.Obj_state.id ed.Template.ed_name [])
-              else None)
-            o.Obj_state.template.Template.t_events)
-        (Community.living_objects c)
+          if not o.Obj_state.alive then []
+          else
+            List.filter_map
+              (fun (ed : Template.event_def) ->
+                if ed.Template.ed_active && ed.Template.ed_params = []
+                   && ed.Template.ed_kind = Ast.Ev_normal
+                then Some (Event.make o.Obj_state.id ed.Template.ed_name [])
+                else None)
+              o.Obj_state.template.Template.t_events)
+        (Community.objects_sorted c)
     in
     List.iter
       (fun ev ->
         if !budget > 0 then
-          match fire c ev with
+          match step c (Step.Fire ev) with
           | Ok _ ->
               fired := ev :: !fired;
               decr budget;
@@ -1319,7 +1229,7 @@ let run_active c ~fuel : Event.t list =
     which always rolls back: the community is untouched (including
     monitor states) and the cost is O(touched state), not O(society). *)
 let enabled c (ev : Event.t) : bool =
-  match Txn.probe c (fun () -> fire c ev) with
+  match Txn.probe c (fun () -> step c (Step.Fire ev)) with
   | Ok _ -> true
   | Error _ -> false
 

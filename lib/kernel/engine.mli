@@ -5,9 +5,15 @@
     pre-state (via incremental temporal monitors), evaluate *valuation*
     rules on the pre-state and apply them simultaneously, enforce
     *constraints* on the post-state, and advance the monitors.
-    Transaction calling appends micro-steps; any violation anywhere
-    rolls the whole attempt back.  See docs/SEMANTICS.md for the precise
-    phase-by-phase definition. *)
+    Transaction calling appends micro-steps, run first in first out;
+    any violation anywhere rolls the whole attempt back.
+
+    Every step runs one loop: each event is resolved once (located
+    event, template, existing object, staged entry), the set is closed
+    over these resolutions, and the five phases read them.  {!step}
+    wraps the loop in a transaction it commits; {!prepare} runs the same
+    loop and leaves the transaction open.  See docs/SEMANTICS.md for
+    the precise phase-by-phase definition. *)
 
 type outcome = {
   committed : Event.t list list;  (** micro-steps, in execution order *)
@@ -20,17 +26,12 @@ type step_result = (outcome, Runtime_error.reason) result
 (** {1 Executing steps}
 
     {!step} is the single entry point: the firing shapes, creation and
-    destruction are all constructors of {!Step.t}, and the convenience
-    functions below are thin delegators.  The wire protocol of
+    destruction are all constructors of {!Step.t}.  The wire protocol of
     [lib/server] decodes to the same type. *)
 
 val step : Community.t -> Step.t -> step_result
-(** Execute one step request as one atomic transaction. *)
-
-val normalise :
-  Community.t -> Step.t -> (Event.t list list, Runtime_error.reason) result
-(** The micro-step queue a request animates; [Create]/[Destroy] resolve
-    their default birth/death event against the schema. *)
+(** Execute one step request as one atomic transaction: open it, run the
+    micro-step loop, then commit — or roll back on any violation. *)
 
 (** {1 Two-phase execution}
 
@@ -46,8 +47,9 @@ type prepared
     its outcome. *)
 
 val prepare : Community.t -> Step.t -> (prepared, Runtime_error.reason) result
-(** Run the step, keep the transaction open.  On [Error] the community
-    is already rolled back, exactly as after a rejected {!step}. *)
+(** Run the step through the same loop as {!step}, but keep the
+    transaction open.  On [Error] the community is already rolled back,
+    exactly as after a rejected {!step}. *)
 
 val outcome_of_prepared : prepared -> outcome
 
@@ -58,21 +60,6 @@ val commit_prepared : prepared -> unit
 val rollback_prepared : prepared -> unit
 (** Undo the prepared step completely; the community is restored
     bit-identically to its pre-transaction state. *)
-
-val fire : Community.t -> Event.t -> step_result
-(** [step c (Step.Fire ev)]: a single event, with its synchronous
-    closure. *)
-
-val fire_sync : Community.t -> Event.t list -> step_result
-(** [step c (Step.Sync evs)]: several events simultaneously (event
-    sharing). *)
-
-val fire_seq : Community.t -> Event.t list -> step_result
-(** [step c (Step.Seq evs)]: a sequence of events as one atomic
-    transaction. *)
-
-val run_txn : Community.t -> Event.t list list -> step_result
-(** [step c (Step.Txn micro_steps)]: the general micro-step queue. *)
 
 val create :
   Community.t ->
@@ -93,7 +80,8 @@ val destroy :
 
 val run_active : Community.t -> fuel:int -> Event.t list
 (** Fire enabled parameterless [active] events until quiescence or fuel
-    exhaustion; returns them in order. *)
+    exhaustion, visiting living objects in identity order; returns them
+    in order. *)
 
 (** {1 Enabledness queries} *)
 
@@ -141,11 +129,6 @@ val resolve_called :
   Community.t -> env:Env.t -> self:Obj_state.t option -> Ast.event_term ->
   Event.t
 (** Resolve a called event term to an event instance. *)
-
-val expand_sync :
-  Community.t -> Event.t list -> Event.t list * Event.t list list
-(** The calling closure: the synchronous set plus follow-up micro-steps
-    contributed by transaction calling. *)
 
 val permission_holds :
   Community.t -> Obj_state.t -> int -> Template.permission -> env:Env.t ->

@@ -83,7 +83,7 @@ let audit_class (c : Community.t) ~(cls : string) (goal : Ast.formula) :
 let achieves (c : Community.t) (o : Obj_state.t) (ev : Event.t)
     (goal : Ast.formula) : bool option =
   Txn.probe c (fun () ->
-      match Engine.fire c ev with
+      match Engine.step c (Step.Fire ev) with
       | Ok _ -> Some (evaluate_at c o o.Obj_state.attrs goal)
       | Error _ -> None)
 

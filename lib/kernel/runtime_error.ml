@@ -81,11 +81,11 @@ let code = function
    them by phase lets a coordinator surface the same CLASS of error a
    single engine would.  Attribution within one phase class stays
    decomposition-dependent (each shard sees only its own events). *)
-let phase_rank = function
-  | Unknown_shard _ | Shard_unavailable _ -> 0
-  | Unknown_class _ | Unknown_object _ | Unknown_event _
-  | Unknown_attribute _ | Already_alive _ | Not_alive _ | Not_birth _ ->
+let code_rank = function
+  | "unknown_shard" | "shard_unavailable" -> 0
+  | "unknown_class" | "unknown_object" | "unknown_event" | "unknown_attribute"
+  | "already_alive" | "not_alive" | "not_birth" ->
       1
-  | Permission_denied _ | Constraint_violated _ | Valuation_conflict _
-  | Eval_error _ | Unsupported _ ->
-      2
+  | _ -> 2
+
+let phase_rank r = code_rank (code r)

@@ -38,11 +38,15 @@ val code : reason -> string
     half of a rejection, used by structured error frames on the wire;
     {!reason_to_string} is the human-facing half. *)
 
-val phase_rank : reason -> int
-(** Which engine phase (run over the whole synchronous set) a reason
-    belongs to: 0 routing/availability, 1 life cycles and name
+val code_rank : string -> int
+(** Which engine phase (run over the whole synchronous set) an error
+    code belongs to: 0 routing/availability, 1 life cycles and name
     resolution, 2 execution rejections (permissions, valuations,
-    constraints, evaluation).  A coordinator merging sub-step failures
-    from several shards reports the minimum-rank error so the same
-    class of error surfaces as in a single engine; attribution within
-    one rank stays decomposition-dependent. *)
+    constraints, evaluation) and any code that is not a {!reason}'s.  A
+    coordinator merging sub-step failures from several shards reports
+    the minimum-rank error so the same class of error surfaces as in a
+    single engine; attribution within one rank stays
+    decomposition-dependent. *)
+
+val phase_rank : reason -> int
+(** [code_rank (code r)]. *)

@@ -9,8 +9,9 @@
     expressions) are co-located; a step whose events span several shards
     therefore always decomposes into *independent* per-shard sub-steps,
     which the coordinator makes atomic with a two-phase protocol built
-    on {!Txn} savepoints ({!Engine.prepare} = journal mark,
-    {!Engine.rollback_prepared} = abort).  See [docs/SHARDING.md]. *)
+    on open {!Txn} transactions ({!Engine.prepare} = the step without
+    its commit, {!Engine.rollback_prepared} = abort).  See
+    [docs/SHARDING.md]. *)
 
 (** {1 Class groups} *)
 

@@ -1,8 +1,8 @@
 (** The unified step request: every way of asking the engine to change
     the community, as one value.
 
-    The four firing shapes ([fire]/[fire_sync]/[fire_seq]/[run_txn]) and
-    the birth/death conveniences are constructors of a single type, so a
+    The four firing shapes ([Fire]/[Sync]/[Seq]/[Txn]) and the
+    birth/death conveniences are constructors of a single type, so a
     step can be built by local code, decoded off a wire protocol frame
     ({!Protocol} in [lib/server]) or replayed from a log, and executed
     by the one entry point {!Engine.step}. *)

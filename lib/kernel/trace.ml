@@ -70,8 +70,10 @@ let txn_stats_rows () =
     ("transactions begun", s.Txn.begun);
     ("transactions committed", s.Txn.committed);
     ("transactions rolled back", s.Txn.rolled_back);
-    ("savepoints", s.Txn.savepoints);
-    ("savepoint rollbacks", s.Txn.savepoint_rollbacks);
+    (* no savepoints since every step runs as one scope; the two rows
+       stay, always 0, for readers that look them up by label *)
+    ("savepoints", 0);
+    ("savepoint rollbacks", 0);
     ("probes", s.Txn.probes);
     ("journal entries", s.Txn.journal_entries);
     ("bytes snapshotted", s.Txn.bytes_snapshotted);

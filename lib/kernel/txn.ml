@@ -16,8 +16,8 @@
     spare is kept for reuse, so nested probes of two communities never
     compete for one.
 
-    Scopes nest: a [begin_] under an open journal, a {!savepoint}, and a
-    {!probe} all mark the current journal length and unwind back to it.
+    Scopes nest: a [begin_] under an open journal and a {!probe} both
+    mark the current journal length and unwind back to it.
     Only the outermost transaction owns the journal slot and accounts
     the lifetime totals into the global {!stats}. *)
 
@@ -37,8 +37,6 @@ type stats = {
   begun : int;
   committed : int;
   rolled_back : int;
-  savepoints : int;
-  savepoint_rollbacks : int;
   probes : int;
   journal_entries : int;
   bytes_snapshotted : int;
@@ -49,8 +47,6 @@ type stats = {
 let n_begun = ref 0
 and n_committed = ref 0
 and n_rolled_back = ref 0
-and n_savepoints = ref 0
-and n_savepoint_rollbacks = ref 0
 and n_probes = ref 0
 and n_journal_entries = ref 0
 and n_bytes_snapshotted = ref 0
@@ -60,8 +56,6 @@ let stats () =
     begun = !n_begun;
     committed = !n_committed;
     rolled_back = !n_rolled_back;
-    savepoints = !n_savepoints;
-    savepoint_rollbacks = !n_savepoint_rollbacks;
     probes = !n_probes;
     journal_entries = !n_journal_entries;
     bytes_snapshotted = !n_bytes_snapshotted;
@@ -71,8 +65,6 @@ let reset_stats () =
   n_begun := 0;
   n_committed := 0;
   n_rolled_back := 0;
-  n_savepoints := 0;
-  n_savepoint_rollbacks := 0;
   n_probes := 0;
   n_journal_entries := 0;
   n_bytes_snapshotted := 0
@@ -82,13 +74,11 @@ let pp_stats ppf s =
     "@[<v>transactions begun     %d@,\
      transactions committed %d@,\
      transactions rolled back %d@,\
-     savepoints             %d@,\
-     savepoint rollbacks    %d@,\
      probes                 %d@,\
      journal entries        %d@,\
      bytes snapshotted      %d@]"
-    s.begun s.committed s.rolled_back s.savepoints s.savepoint_rollbacks
-    s.probes s.journal_entries s.bytes_snapshotted
+    s.begun s.committed s.rolled_back s.probes s.journal_entries
+    s.bytes_snapshotted
 
 (* ------------------------------------------------------------------ *)
 (* Scopes                                                              *)
@@ -181,8 +171,8 @@ let commit t =
     if j.Community.total > 0 then Community.bump_version t.c;
     (* redo-log side: hand the surviving undo entries to the commit hook
        (the WAL) while the final state is in place.  [count = 0] means
-       every recorded entry was unwound by savepoints — no net delta,
-       nothing to log. *)
+       nothing was recorded, or every entry was unwound by nested
+       scopes — no net delta, nothing to log. *)
     (match t.c.Community.commit_hook with
     | Some hook when j.Community.count > 0 -> hook j
     | _ -> ());
@@ -200,33 +190,6 @@ let rollback t =
     account j;
     t.c.Community.journal <- None
   end
-
-(* ------------------------------------------------------------------ *)
-(* Savepoints                                                          *)
-(* ------------------------------------------------------------------ *)
-
-type savepoint = {
-  sp_mark : int;
-  sp_created : Ident.t list;
-  sp_destroyed : Ident.t list;
-}
-
-let savepoint t =
-  incr n_savepoints;
-  let j = journal_exn t in
-  j.Community.epoch <- j.Community.epoch + 1;
-  {
-    sp_mark = j.Community.count;
-    sp_created = t.t_created;
-    sp_destroyed = t.t_destroyed;
-  }
-
-let rollback_to t sp =
-  incr n_savepoint_rollbacks;
-  let j = journal_exn t in
-  pop_to t.c j sp.sp_mark;
-  t.t_created <- sp.sp_created;
-  t.t_destroyed <- sp.sp_destroyed
 
 (* ------------------------------------------------------------------ *)
 (* Probes                                                              *)

@@ -8,11 +8,10 @@
     Rollback undoes the log newest-first and restores the society
     exactly.
 
-    Scopes nest: [begin_] under an open journal, {!savepoint}, and
-    {!probe} each mark the current journal length and unwind back to it,
-    so a micro-step of a transaction-calling cascade can roll back
-    individually before the whole attempt aborts.  Only the outermost
-    transaction owns the journal slot.
+    Scopes nest: [begin_] under an open journal and {!probe} each mark
+    the current journal length and unwind back to it, so an inner scope
+    can roll back on its own while the outer one stays open.  Only the
+    outermost transaction owns the journal slot.
 
     {!probe} answers speculative questions ("would this event be
     accepted?") in O(touched state); compare {!Community.clone}, which
@@ -45,18 +44,6 @@ val created : t -> Ident.t list
 val destroyed : t -> Ident.t list
 (** Objects noted as destroyed in this scope, oldest first. *)
 
-(** {1 Savepoints} *)
-
-type savepoint
-
-val savepoint : t -> savepoint
-(** Mark the current journal position (and created/destroyed lists). *)
-
-val rollback_to : t -> savepoint -> unit
-(** Undo back to the mark, keeping the scope open.  Savepoints unwind in
-    LIFO order: rolling back to an early savepoint discards later
-    ones. *)
-
 (** {1 Probes} *)
 
 val probe : Community.t -> (unit -> 'a) -> 'a
@@ -71,8 +58,6 @@ type stats = {
   begun : int;
   committed : int;
   rolled_back : int;
-  savepoints : int;
-  savepoint_rollbacks : int;
   probes : int;
   journal_entries : int;
   bytes_snapshotted : int;

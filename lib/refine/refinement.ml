@@ -123,7 +123,7 @@ let candidates ?(pool = default_pool) ?(max_per_event = 8)
 type side = { community : Community.t; id : Ident.t }
 
 let fire_candidate (s : side) ~(name : string) (c : candidate) =
-  Engine.fire s.community (Event.make s.id name c.ev_args)
+  Engine.step s.community (Step.Fire (Event.make s.id name c.ev_args))
 
 (** Check the implementation [impl] by bounded lock-step simulation.
 

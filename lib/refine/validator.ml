@@ -209,15 +209,17 @@ let validate (cert : Certificate.t) : (stats, string) result =
       Txn.probe abs_c (fun () ->
           Txn.probe conc_c (fun () ->
               let abs_r =
-                Engine.fire abs_c
-                  (Event.make abs_id e.Certificate.e_event
-                     e.Certificate.e_args)
+                Engine.step abs_c
+                  (Step.Fire
+                     (Event.make abs_id e.Certificate.e_event
+                        e.Certificate.e_args))
               in
               let conc_r =
-                Engine.fire conc_c
-                  (Event.make conc_id
-                     (Implementation.map_event impl e.Certificate.e_event)
-                     e.Certificate.e_args)
+                Engine.step conc_c
+                  (Step.Fire
+                     (Event.make conc_id
+                        (Implementation.map_event impl e.Certificate.e_event)
+                        e.Certificate.e_args))
               in
               let claims what =
                 reject "edge %s/%s claims %s but replay disagrees" (pp_pair p)

@@ -427,12 +427,7 @@ let coordinate t client ~id subs =
        permission, so when several sub-steps refuse independently the
        earliest-phase refusal must surface; ties keep shard order *)
     let rank (e : Protocol.Wire_error.t) =
-      match e.Protocol.Wire_error.code with
-      | "unknown_shard" | "shard_unavailable" -> 0
-      | "unknown_class" | "unknown_object" | "unknown_event"
-      | "unknown_attribute" | "already_alive" | "not_alive" | "not_birth" ->
-          1
-      | _ -> 2
+      Runtime_error.code_rank e.Protocol.Wire_error.code
     in
     let best_error =
       List.fold_left

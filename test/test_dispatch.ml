@@ -22,10 +22,10 @@ let load_pair src =
 (* bridges from the removed string-error wrappers to the engine API:
    every scenario below animates both systems of a [load_pair] *)
 let fire sys target name args =
-  Engine.fire sys.Troll.community (Event.make target name args)
+  Engine.step sys.Troll.community (Step.Fire (Event.make target name args))
 
-let fire_seq sys events = Engine.fire_seq sys.Troll.community events
-let fire_sync sys events = Engine.fire_sync sys.Troll.community events
+let fire_seq sys events = Engine.step sys.Troll.community (Step.Seq events)
+let fire_sync sys events = Engine.step sys.Troll.community (Step.Sync events)
 
 let create sys ~cls ~key ?event ?(args = []) () =
   Engine.step sys.Troll.community (Step.Create { cls; key; event; args })

@@ -94,9 +94,9 @@ end object class TASK;
 let test_liveness_achieved () =
   let c, id = liveness_community () in
   let o = Community.object_exn c id in
-  ignore (Engine.fire c (Event.make id "finish_one" []));
-  ignore (Engine.fire c (Event.make id "finish_one" []));
-  ignore (Engine.fire c (Event.make id "undo_one" []));
+  ignore (Engine.step c (Step.Fire (Event.make id "finish_one" [])));
+  ignore (Engine.step c (Step.Fire (Event.make id "finish_one" [])));
+  ignore (Engine.step c (Step.Fire (Event.make id "undo_one" [])));
   (* goal: at some point, two tasks were done *)
   match Liveness.audit_string c o "done_count >= 2" with
   | Error e -> Alcotest.fail e
@@ -109,7 +109,7 @@ let test_liveness_achieved () =
 let test_liveness_maintained () =
   let c, id = liveness_community () in
   let o = Community.object_exn c id in
-  ignore (Engine.fire c (Event.make id "finish_one" []));
+  ignore (Engine.step c (Step.Fire (Event.make id "finish_one" [])));
   match Liveness.audit_string c o "done_count >= 0" with
   | Error e -> Alcotest.fail e
   | Ok v ->
@@ -135,7 +135,7 @@ let test_liveness_rejects_temporal () =
 
 let test_liveness_class_audit () =
   let c, id = liveness_community () in
-  ignore (Engine.fire c (Event.make id "finish_one" []));
+  ignore (Engine.step c (Step.Fire (Event.make id "finish_one" [])));
   let goal =
     match Parser.formula_of_string "done_count > 0" with
     | Ok f -> f
@@ -197,7 +197,7 @@ let test_reuse_instantiation () =
            with
           | Ok _ -> ()
           | Error r -> Alcotest.fail (Runtime_error.reason_to_string r));
-          (match Engine.fire c (Event.make id "stock" [ Value.String "bolt" ]) with
+          (match Engine.step c (Step.Fire (Event.make id "stock" [ Value.String "bolt" ])) with
           | Ok _ -> ()
           | Error r -> Alcotest.fail (Runtime_error.reason_to_string r));
           let o = Community.object_exn c id in
@@ -240,9 +240,9 @@ let test_reuse_permissions_survive () =
           ignore
             (Engine.create c ~cls:"BOX" ~key:(Value.String "b")
                ~args:[ Value.Int 1 ] ());
-          ignore (Engine.fire c (Event.make id "put_item" [ Value.String "x" ]));
+          ignore (Engine.step c (Step.Fire (Event.make id "put_item" [ Value.String "x" ])));
           (* capacity permission survived the renaming *)
-          match Engine.fire c (Event.make id "put_item" [ Value.String "y" ]) with
+          match Engine.step c (Step.Fire (Event.make id "put_item" [ Value.String "y" ])) with
           | Error (Runtime_error.Permission_denied _) -> ()
           | _ -> Alcotest.fail "capacity permission lost"))
 
@@ -304,7 +304,7 @@ let prop_library_invariants =
             | 4 -> Event.make (member m) "leave" []
             | _ -> Event.make (book b) "discard" []
           in
-          match Engine.fire c ev with Ok _ | Error _ -> ())
+          match Engine.step c (Step.Fire ev) with Ok _ | Error _ -> ())
         actions;
       (* invariant 1: loan consistency *)
       let holders b =
@@ -370,7 +370,7 @@ let prop_rollback_is_identity =
             | _ -> Event.make d "hire" [ Ident.to_value p ]
           in
           let before = observe () in
-          match Engine.fire c ev with
+          match Engine.step c (Step.Fire ev) with
           | Ok _ -> true
           | Error _ ->
               let after = observe () in
@@ -384,8 +384,8 @@ let prop_rollback_is_identity =
 let test_trace_entries () =
   let c, id = liveness_community () in
   let o = Community.object_exn c id in
-  ignore (Engine.fire c (Event.make id "finish_one" []));
-  ignore (Engine.fire c (Event.make id "finish_one" []));
+  ignore (Engine.step c (Step.Fire (Event.make id "finish_one" [])));
+  ignore (Engine.step c (Step.Fire (Event.make id "finish_one" [])));
   let entries = Trace.of_object o in
   check tint "three steps (birth + two)" 3 (List.length entries);
   check tint "length agrees" 3 (Trace.length o);
@@ -438,7 +438,7 @@ let prop_engine_deterministic =
               | 3 -> Event.make d "closure" []
               | _ -> Event.make p "promote" [ Value.Int 3 ]
             in
-            match Engine.fire c ev with Ok _ | Error _ -> ())
+            match Engine.step c (Step.Fire ev) with Ok _ | Error _ -> ())
           actions;
         Persist.save c
       in

@@ -14,7 +14,7 @@ let load src =
 (* bridges from the removed string-error wrappers to the
    session/engine API *)
 let fire sys target name args =
-  Engine.fire sys.Troll.community (Event.make target name args)
+  Engine.step sys.Troll.community (Step.Fire (Event.make target name args))
 
 let create_exn sys ~cls ~key ?event ?(args = []) () =
   match Engine.step sys.Troll.community (Step.Create { cls; key; event; args })

@@ -17,7 +17,7 @@ let accepted = function Ok _ -> true | Error _ -> false
 (* bridges from the removed string-error wrappers to the
    session/engine API: the tests below animate a [Troll.system] *)
 let fire sys target name args =
-  Engine.fire sys.Troll.community (Event.make target name args)
+  Engine.step sys.Troll.community (Step.Fire (Event.make target name args))
 
 let create_exn sys ~cls ~key ?event ?(args = []) () =
   match Engine.step sys.Troll.community (Step.Create { cls; key; event; args })

@@ -15,7 +15,7 @@ let load ?config src =
 
 let ident cls s = Ident.make cls (Value.String s)
 
-let fire c id name args = Engine.fire c (Event.make id name args)
+let fire c id name args = Engine.step c (Step.Fire (Event.make id name args))
 
 let accepted = function
   | Ok (_ : Engine.outcome) -> true
@@ -380,8 +380,8 @@ end object class TX;
   check value "sequence applied in order" (Value.Int 2) (attr c x "n");
   (* a failing element anywhere aborts the whole chain *)
   let r =
-    Engine.fire_seq c
-      [ Event.make x "bump" []; Event.make x "explode" [] ]
+    Engine.step c
+      (Step.Seq [ Event.make x "bump" []; Event.make x "explode" [] ])
   in
   check tbool "transaction rejected" false (accepted r);
   check value "first element rolled back" (Value.Int 2) (attr c x "n")
@@ -392,9 +392,9 @@ let test_rollback_restores_monitors () =
   let c, alice, bob, d = dept_community () in
   ignore (fire c d "hire" [ Ident.to_value alice ]);
   let r =
-    Engine.fire_seq c
-      [ Event.make d "hire" [ Ident.to_value bob ];
-        Event.make d "closure" [] ]
+    Engine.step c
+      (Step.Seq [ Event.make d "hire" [ Ident.to_value bob ];
+        Event.make d "closure" [] ])
   in
   check tbool "transaction rejected" false (accepted r);
   (* bob's hire was rolled back: firing him must still be impossible *)
@@ -533,7 +533,7 @@ let test_phase_direct_birth_requires_base () =
     Ident.make "MANAGER"
       (Value.Tuple [ ("Name", Value.String "ghost"); ("Birthdate", Value.Date 0) ])
   in
-  match Engine.fire c (Event.make ghost "become_manager" []) with
+  match Engine.step c (Step.Fire (Event.make ghost "become_manager" [])) with
   | Error (Runtime_error.Not_alive _) -> ()
   | Error r -> Alcotest.failf "wrong reason %s" (Runtime_error.reason_to_string r)
   | Ok _ -> Alcotest.fail "phase born without base aspect"
@@ -585,8 +585,8 @@ end object class GADGET;
   check tbool "inherited event" true (accepted (fire c g "touch" []));
   (* aspects share the life cycle: base death ends the specialization *)
   ignore
-    (Engine.fire c
-       (Event.make (ident "THING" "g1") "disappear" []));
+    (Engine.step c
+       (Step.Fire (Event.make (ident "THING" "g1") "disappear" [])));
   check tbool "specialization died with base" true
     (Community.living c g = None)
 
@@ -641,6 +641,22 @@ end object class R;
 (* Active objects                                                      *)
 (* ------------------------------------------------------------------ *)
 
+let ticker_spec = {|
+object class TICKER
+  identification id: string;
+  template
+    attributes n: integer;
+    events
+      birth make;
+      active tick;
+    valuation
+      [make] n = 0;
+      [tick] n = n + 1;
+    permissions
+      { n < 1 } tick;
+end object class TICKER;
+|}
+
 let test_active_objects () =
   let c = load Paper_specs.library in
   ignore
@@ -655,7 +671,19 @@ let test_active_objects () =
   check tint "re-enabled" 7 (List.length (Engine.run_active c ~fuel:100));
   (* fuel is respected *)
   ignore (fire c (Ident.singleton "LibraryClock") "audit" []);
-  check tint "fuel cap" 3 (List.length (Engine.run_active c ~fuel:3))
+  check tint "fuel cap" 3 (List.length (Engine.run_active c ~fuel:3));
+  (* more candidates than fuel: the budget goes to the living objects in
+     identity order, whatever order the object table hashes them in *)
+  let c = load ticker_spec in
+  List.iter
+    (fun k -> ignore (Engine.create c ~cls:"TICKER" ~key:(Value.String k) ()))
+    [ "h"; "c"; "f"; "a"; "e"; "b"; "g"; "d" ];
+  check
+    (Alcotest.list Alcotest.string)
+    "fuel spent in identity order" [ {|"a"|}; {|"b"|}; {|"c"|} ]
+    (List.map
+       (fun (ev : Event.t) -> Value.to_string ev.Event.target.Ident.key)
+       (Engine.run_active c ~fuel:3))
 
 (* ------------------------------------------------------------------ *)
 (* Quantifier evaluation in state formulas                             *)
@@ -740,16 +768,16 @@ let test_fire_sync_shared_step () =
   (* incr and add(1) both write n from the same pre-state: both compute
      n = 0 + 1 — consistent, so the step is accepted once *)
   (match
-     Engine.fire_sync c
-       [ Event.make x "incr" []; Event.make x "add" [ Value.Int 1 ] ]
+     Engine.step c
+       (Step.Sync [ Event.make x "incr" []; Event.make x "add" [ Value.Int 1 ] ])
    with
   | Ok o -> check tint "one synchronous step" 1 (List.length o.Engine.committed)
   | Error r -> Alcotest.failf "%s" (Runtime_error.reason_to_string r));
   check value "applied once, not twice" (Value.Int 1) (attr c x "n");
   (* conflicting writes in one shared step reject *)
   match
-    Engine.fire_sync c
-      [ Event.make x "incr" []; Event.make x "add" [ Value.Int 2 ] ]
+    Engine.step c
+      (Step.Sync [ Event.make x "incr" []; Event.make x "add" [ Value.Int 2 ] ])
   with
   | Error (Runtime_error.Valuation_conflict _) -> ()
   | _ -> Alcotest.fail "conflicting shared step accepted"
@@ -762,7 +790,7 @@ let test_fire_sync_two_objects () =
   (* atomicity across objects: y's decr is forbidden at 0, so x's incr
      must roll back too *)
   (match
-     Engine.fire_sync c [ Event.make x "incr" []; Event.make y "decr" [] ]
+     Engine.step c (Step.Sync [ Event.make x "incr" []; Event.make y "decr" [] ])
    with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "forbidden shared step accepted");
@@ -821,6 +849,59 @@ end object class LOOP;
   | Error r -> Alcotest.failf "wrong reason %s" (Runtime_error.reason_to_string r)
   | Ok _ -> Alcotest.fail "runaway closure accepted");
   check value "rolled back" (Value.Int 0) (attr c x "n")
+
+
+(* Phase 2 checks the synchronous set group by group, and a group that
+   receives a later member moves behind the others: which denial a step
+   reports follows that order. *)
+let test_sync_error_precedence () =
+  let c = load Paper_specs.company in
+  let person k =
+    ignore
+      (Engine.create c ~cls:"PERSON"
+         ~key:(Value.Tuple [ ("Name", Value.String k); ("Birthdate", Value.Date 0) ])
+         ~args:[ Value.Money (Money.of_units 1000); Value.String "x" ] ());
+    Ident.to_value
+      (Ident.make "PERSON"
+         (Value.Tuple [ ("Name", Value.String k); ("Birthdate", Value.Date 0) ]))
+  in
+  let p1 = person "p1" and p2 = person "p2" and p3 = person "p3" in
+  let a = ident "DEPT" "a" and b = ident "DEPT" "b" in
+  List.iter
+    (fun k -> ignore (Engine.create c ~cls:"DEPT" ~key:(Value.String k) ()))
+    [ "a"; "b" ];
+  let denied_at evs =
+    match Engine.step c (Step.Sync evs) with
+    | Error (Runtime_error.Permission_denied (ev, _)) -> ev.Event.target
+    | Error r ->
+        Alcotest.failf "wrong reason %s" (Runtime_error.reason_to_string r)
+    | Ok _ -> Alcotest.fail "firing unhired PERSONs must be denied"
+  in
+  let ident_t = Alcotest.testable Ident.pp Ident.equal in
+  check ident_t "groups in member order" a
+    (denied_at [ Event.make a "fire" [ p1 ]; Event.make b "fire" [ p2 ] ]);
+  check ident_t "a later member moves its group last" b
+    (denied_at
+       [
+         Event.make a "fire" [ p1 ];
+         Event.make b "fire" [ p2 ];
+         Event.make a "hire" [ p3 ];
+       ])
+
+(* Transaction calling: ChangeSalary closes over itself and queues
+   DeleteEmp and InsertEmp as follow-up micro-steps.  Each of the three
+   members is resolved once, so it counts one closure, one permission
+   and one valuation dispatch hit. *)
+let test_dispatch_hits_once_per_member () =
+  let c = load Paper_specs.employee_implementation in
+  let emp = Ident.singleton "emp_rel" in
+  let args s = [ Value.String "a"; Value.Date 0; Value.Int s ] in
+  check tbool "insert" true (accepted (fire c emp "InsertEmp" (args 10)));
+  Dispatch.reset_stats ();
+  check tbool "change salary" true
+    (accepted (fire c emp "ChangeSalary" (args 20)));
+  check tint "three hits for each of three members" 9
+    (Dispatch.stats ()).Dispatch.dispatch_hits
 
 (* ------------------------------------------------------------------ *)
 (* Enabledness queries                                                 *)
@@ -920,7 +1001,7 @@ let prop_naive_equals_monitor_random =
               ~binds:[ ("P", Ident.to_value alice) ]
           in
           let monitored =
-            match Engine.fire (Community.clone c) (Event.make d "fire" [ Ident.to_value alice ]) with
+            match Engine.step (Community.clone c) (Step.Fire (Event.make d "fire" [ Ident.to_value alice ])) with
             | Ok _ -> true
             | Error (Runtime_error.Permission_denied _) -> false
             | Error _ -> naive (* other rejection reasons don't compare *)
@@ -933,7 +1014,7 @@ let prop_naive_equals_monitor_random =
             | 2 -> Event.make d "new_manager" [ Ident.to_value alice ]
             | _ -> Event.make d "hire" [ Ident.to_value alice ]
           in
-          ignore (Engine.fire c ev))
+          ignore (Engine.step c (Step.Fire ev)))
         actions;
       !ok)
 
@@ -1200,18 +1281,18 @@ let test_nested_savepoints_lifo () =
   let t = Txn.begin_ c in
   Txn.touch t o;
   Obj_state.set_attr o "n" (Value.Int 1);
-  let sp1 = Txn.savepoint t in
-  Txn.touch t o;
+  let t1 = Txn.begin_ c in
+  Txn.touch t1 o;
   Obj_state.set_attr o "n" (Value.Int 2);
-  let sp2 = Txn.savepoint t in
-  Txn.touch t o;
+  let t2 = Txn.begin_ c in
+  Txn.touch t2 o;
   Obj_state.set_attr o "n" (Value.Int 3);
   check value "innermost write applied" (Value.Int 3) (Obj_state.attr o "n");
-  Txn.rollback_to t sp2;
-  check value "inner savepoint unwound first" (Value.Int 2)
+  Txn.rollback t2;
+  check value "inner scope unwound first" (Value.Int 2)
     (Obj_state.attr o "n");
-  Txn.rollback_to t sp1;
-  check value "outer savepoint unwound second" (Value.Int 1)
+  Txn.rollback t1;
+  check value "middle scope unwound second" (Value.Int 1)
     (Obj_state.attr o "n");
   Txn.rollback t;
   check value "whole transaction unwound last" (Value.Int 0)
@@ -1223,7 +1304,8 @@ exception Boom
    every speculative mutation undone, the community's journal slot
    released (a later transaction opens a fresh journal, not a leaked
    live one), and — when the probe runs nested inside an open
-   transaction — the outer journal and its savepoint LIFO untouched. *)
+   transaction — the outer journal and its nested scopes' LIFO
+   untouched. *)
 let test_probe_exception_branch () =
   let c = load counter_spec in
   let x = ident "COUNTER" "x" in
@@ -1243,15 +1325,15 @@ let test_probe_exception_branch () =
   (* nothing of the probe's journal lingers: a real step works *)
   check tbool "engine still works" true (accepted (fire c x "decr" []));
   ignore (fire c x "incr" []);
-  (* nested: a raising probe between two savepoints, with a dangling
+  (* nested: a raising probe between two nested scopes, with a dangling
      inner scope the probe must unwind itself *)
   let o = Community.object_exn c x in
   let outer_before = Persist.save c in
   let t = Txn.begin_ c in
   Txn.touch t o;
   Obj_state.set_attr o "n" (Value.Int 1);
-  let sp1 = Txn.savepoint t in
-  Txn.touch t o;
+  let t1 = Txn.begin_ c in
+  Txn.touch t1 o;
   Obj_state.set_attr o "n" (Value.Int 2);
   (match
      Txn.probe c (fun () ->
@@ -1266,14 +1348,14 @@ let test_probe_exception_branch () =
   | exception Boom -> ());
   check value "probe mutations unwound under open txn" (Value.Int 2)
     (Obj_state.attr o "n");
-  let sp2 = Txn.savepoint t in
-  Txn.touch t o;
+  let t2 = Txn.begin_ c in
+  Txn.touch t2 o;
   Obj_state.set_attr o "n" (Value.Int 3);
-  Txn.rollback_to t sp2;
-  check value "savepoint after the probe unwinds first" (Value.Int 2)
+  Txn.rollback t2;
+  check value "scope opened after the probe unwinds first" (Value.Int 2)
     (Obj_state.attr o "n");
-  Txn.rollback_to t sp1;
-  check value "savepoint before the probe unwinds second" (Value.Int 1)
+  Txn.rollback t1;
+  check value "scope opened before the probe unwinds second" (Value.Int 1)
     (Obj_state.attr o "n");
   Txn.rollback t;
   check Alcotest.string "outer rollback restores the pre-txn image"
@@ -1328,14 +1410,15 @@ let test_journal_touch_twice () =
 
 let test_journal_resnapshot_after_savepoint_rollback () =
   let c, o = counter_object () in
-  check tint "the touch after a savepoint rollback snapshots again" 2
+  check tint "the touch after a nested rollback snapshots again" 2
     (journal_entries (fun () ->
          let t = Txn.begin_ c in
-         let sp = Txn.savepoint t in
-         Txn.touch t o;
+         let inner = Txn.begin_ c in
+         Txn.touch inner o;
          Obj_state.set_attr o "n" (Value.Int 1);
-         Txn.rollback_to t sp;
-         check value "savepoint unwound" (Value.Int 0) (Obj_state.attr o "n");
+         Txn.rollback inner;
+         check value "nested scope unwound" (Value.Int 0)
+           (Obj_state.attr o "n");
          Txn.touch t o;
          Obj_state.set_attr o "n" (Value.Int 2);
          Txn.rollback t));
@@ -1701,6 +1784,8 @@ let () =
             test_rollback_restores_monitors;
           Alcotest.test_case "rollback removes created" `Quick
             test_rollback_removes_created;
+          Alcotest.test_case "dispatch hits once per member" `Quick
+            test_dispatch_hits_once_per_member;
         ] );
       ( "transactions",
         [
@@ -1779,6 +1864,8 @@ let () =
             test_fire_sync_shared_step;
           Alcotest.test_case "atomicity across objects" `Quick
             test_fire_sync_two_objects;
+          Alcotest.test_case "error precedence follows group order" `Quick
+            test_sync_error_precedence;
         ] );
       ( "naive-vs-monitor",
         Alcotest.test_case "hand case" `Quick test_naive_equals_monitor

@@ -245,8 +245,8 @@ let test_society_compile_and_run () =
   | Ok (community, views) ->
       (* the single clock was instantiated; tick it twice *)
       let clock = Ident.singleton "TheClock" in
-      ignore (Engine.fire community (Event.make clock "tick" []));
-      ignore (Engine.fire community (Event.make clock "tick" []));
+      ignore (Engine.step community (Step.Fire (Event.make clock "tick" [])));
+      ignore (Engine.step community (Step.Fire (Event.make clock "tick" [])));
       (* a worker hired now records the (cross-module) clock's date *)
       ignore
         (Engine.create community ~cls:"WORKER" ~key:(Value.String "w1") ());

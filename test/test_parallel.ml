@@ -39,7 +39,7 @@ end object class COUNTER;
 let ident s = Ident.make "COUNTER" (Value.String s)
 
 let fire c id name args =
-  match Engine.fire c (Event.make id name args) with
+  match Engine.step c (Step.Fire (Event.make id name args)) with
   | Ok _ -> ()
   | Error r -> Alcotest.failf "fire failed: %s" (Runtime_error.reason_to_string r)
 
@@ -106,7 +106,7 @@ let test_view_invalidation () =
   (* probes and rejected steps roll back and never invalidate *)
   ignore (Engine.enabled c (Event.make ids.(0) "incr" []));
   check tbool "probe keeps view valid" true (View.valid v1);
-  (match Engine.fire c (Event.make ids.(0) "decr" []) with
+  (match Engine.step c (Step.Fire (Event.make ids.(0) "decr" [])) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "decr at n=0 should be rejected");
   check tbool "rejected step keeps view valid" true (View.valid v1);

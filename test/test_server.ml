@@ -487,11 +487,11 @@ let test_step_equivalent_to_engine () =
   ignore
     (Engine.create c ~cls:"PERSON" ~key:(Value.String "ada") () : _ result);
   ignore
-    (Engine.fire_seq c
-       [
+    (Engine.step c
+       (Step.Seq [
          Event.make ada "promote" [ Value.Int 2 ];
          Event.make ada "promote" [ Value.Int 9 ];
-       ]
+       ])
       : _ result);
   Alcotest.(check string) "identical persisted state"
     (Persist.save (Troll.Session.community via_step))

@@ -205,7 +205,7 @@ let test_persist_roundtrip () =
   ignore (Engine.create c ~cls:"PERSON" ~key:(Value.String "bob") ());
   ignore
     (Engine.create c ~cls:"DEPT" ~key:(Value.String "d") ~args:[ Value.Date 7749 ] ());
-  ignore (Engine.fire c (Event.make d "hire" [ Ident.to_value alice ]));
+  ignore (Engine.step c (Step.Fire (Event.make d "hire" [ Ident.to_value alice ])));
   let dump = Persist.save c in
   (* restore into a fresh community from the same spec *)
   let c2 = load_spec Paper_specs.dept in
@@ -223,11 +223,11 @@ let test_persist_roundtrip () =
     (Ident.Set.cardinal (Community.extension c2 "PERSON"));
   (* and, crucially, monitor states: alice is fireable, bob is not *)
   check tbool "alice fireable after reload" true
-    (match Engine.fire c2 (Event.make d "fire" [ Ident.to_value alice ]) with
+    (match Engine.step c2 (Step.Fire (Event.make d "fire" [ Ident.to_value alice ])) with
     | Ok _ -> true
     | Error _ -> false);
   check tbool "bob still not fireable" true
-    (match Engine.fire c2 (Event.make d "fire" [ Ident.to_value bob ]) with
+    (match Engine.step c2 (Step.Fire (Event.make d "fire" [ Ident.to_value bob ])) with
     | Error (Runtime_error.Permission_denied _) -> true
     | _ -> false)
 
@@ -400,7 +400,7 @@ let prop_persist_preserves_decisions =
             | 1 -> Event.make d "fire" [ Ident.to_value alice ]
             | _ -> Event.make d "new_manager" [ Ident.to_value alice ]
           in
-          match Engine.fire c ev with Ok _ | Error _ -> ())
+          match Engine.step c (Step.Fire ev) with Ok _ | Error _ -> ())
         actions;
       (* snapshot, reload, compare decisions on all probe events *)
       let c2 = load_spec Paper_specs.dept in
@@ -415,12 +415,12 @@ let prop_persist_preserves_decisions =
           List.for_all
             (fun ev ->
               let r1 =
-                match Engine.fire (Community.clone c) ev with
+                match Engine.step (Community.clone c) (Step.Fire ev) with
                 | Ok _ -> true
                 | Error _ -> false
               in
               let r2 =
-                match Engine.fire (Community.clone c2) ev with
+                match Engine.step (Community.clone c2) (Step.Fire ev) with
                 | Ok _ -> true
                 | Error _ -> false
               in

@@ -46,10 +46,10 @@ let script =
       ignore
         (Engine.create c ~cls:"DEPT" ~key:(Value.String "d")
            ~args:[ Value.Date 7749 ] ()));
-    (fun c -> ignore (Engine.fire c (Event.make d "hire" [ Ident.to_value alice ])));
+    (fun c -> ignore (Engine.step c (Step.Fire (Event.make d "hire" [ Ident.to_value alice ]))));
     (fun c -> ignore (Engine.create c ~cls:"PERSON" ~key:(Value.String "bob") ()));
-    (fun c -> ignore (Engine.fire c (Event.make d "fire" [ Ident.to_value alice ])));
-    (fun c -> ignore (Engine.fire c (Event.make d "hire" [ Ident.to_value alice ])));
+    (fun c -> ignore (Engine.step c (Step.Fire (Event.make d "fire" [ Ident.to_value alice ]))));
+    (fun c -> ignore (Engine.step c (Step.Fire (Event.make d "hire" [ Ident.to_value alice ]))));
   |]
 
 let n_steps = Array.length script
@@ -112,7 +112,7 @@ let test_commit_hook_skips_rollbacks () =
       ignore (Engine.create c ~cls:"PERSON" ~key:(Value.String "ghost") ()));
   check tint "probe does not fire the hook" 1 !fired;
   (* a failing event rolls back: no hook *)
-  (match Engine.fire c (Event.make d "closure" []) with
+  (match Engine.step c (Step.Fire (Event.make d "closure" [])) with
   | Ok _ -> Alcotest.fail "closure on a non-existent DEPT should fail"
   | Error _ -> ());
   check tint "rollback does not fire the hook" 1 !fired
@@ -249,11 +249,11 @@ let test_compaction_preserves_monitors () =
          hired sometime-before, bob was not *)
       let bob = Ident.make "PERSON" (Value.String "bob") in
       check tbool "alice fireable after recovery" true
-        (match Engine.fire c2 (Event.make d "fire" [ Ident.to_value alice ]) with
+        (match Engine.step c2 (Step.Fire (Event.make d "fire" [ Ident.to_value alice ])) with
         | Ok _ -> true
         | Error _ -> false);
       check tbool "bob still not fireable" true
-        (match Engine.fire c2 (Event.make d "fire" [ Ident.to_value bob ]) with
+        (match Engine.step c2 (Step.Fire (Event.make d "fire" [ Ident.to_value bob ])) with
         | Error (Runtime_error.Permission_denied _) -> true
         | _ -> false))
 
@@ -408,7 +408,7 @@ let test_full_table_records_recover () =
       done;
       ignore (Engine.create c ~cls:"DEPT" ~key:(Value.String "d") ());
       List.iter
-        (fun e -> ignore (Engine.fire c e))
+        (fun e -> ignore (Engine.step c (Step.Fire e)))
         [ ev "hire" 0; ev "hire" 1; ev "fire" 0; ev "hire" 2; ev "hire" 0 ];
       c.Community.commit_hook <- None;
       check tbool "the run logged instance changes" true (!upserts > 0);
@@ -436,7 +436,7 @@ let test_full_table_records_recover () =
       (* the recovered tables go on stepping exactly like the live ones *)
       List.iter
         (fun e ->
-          let verdict com = Result.is_ok (Engine.fire com e) in
+          let verdict com = Result.is_ok (Engine.step com (Step.Fire e)) in
           check tbool "same verdict after recovery" (verdict c) (verdict c2);
           List.iter
             (fun i ->
@@ -472,11 +472,11 @@ let test_separators_in_strings_recover () =
         (fun k -> ok "born" (Engine.create c ~cls:"PERSON" ~key:(Value.String k) ()))
         [ "b|x"; "a\nb" ];
       ok "establishment" (Engine.create c ~cls:"DEPT" ~key:(Value.String "d|q") ());
-      ok "hire" (Engine.fire c (Event.make dept "hire" [ p "b|x" ]));
+      ok "hire" (Engine.step c (Step.Fire (Event.make dept "hire" [ p "b|x" ])));
       (* a snapshot with the separators in it, then records after it *)
       Wal.snapshot t;
-      ok "hire" (Engine.fire c (Event.make dept "hire" [ p "a\nb" ]));
-      ok "fire" (Engine.fire c (Event.make dept "fire" [ p "b|x" ]));
+      ok "hire" (Engine.step c (Step.Fire (Event.make dept "hire" [ p "a\nb" ])));
+      ok "fire" (Engine.step c (Step.Fire (Event.make dept "fire" [ p "b|x" ])));
       Wal.detach t;
       let c2 = load_spec recall_spec in
       (match Wal.recover ~dir ~spec_digest c2 with
