@@ -27,8 +27,6 @@ let depth_cap = 40
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
-let hostname () = try Unix.gethostname () with _ -> "unknown"
-
 (* self-looping alphabet: the memo's best case, the cold tree's worst *)
 let alphabet =
   [
@@ -117,11 +115,18 @@ let run_memoized ~budget =
    end);
   out
 
+(* seconds to the millisecond *)
+let ms_float s = Json.Float (Float.round (s *. 1000.) /. 1000.)
+
 let json_of_arm a =
-  Printf.sprintf
-    "    {\"arm\": \"%s\", \"max_depth\": %d, \"total_cases\": %d, \
-     \"total_wall_s\": %.3f, \"last_wall_s\": %.3f}"
-    a.arm a.max_depth a.total_cases a.total_wall_s a.last_wall_s
+  Json.Obj
+    [
+      ("arm", Json.String a.arm);
+      ("max_depth", Json.Int a.max_depth);
+      ("total_cases", Json.Int a.total_cases);
+      ("total_wall_s", ms_float a.total_wall_s);
+      ("last_wall_s", ms_float a.last_wall_s);
+    ]
 
 let () =
   let budget = ref default_budget and out = ref default_out in
@@ -147,20 +152,11 @@ let () =
       "E19: memoized max depth %d is not strictly greater than cold %d inside \
        a %.2fs budget"
       memo.max_depth cold.max_depth !budget;
-  let oc = open_out !out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"E19\",\n\
-    \  \"git_rev\": \"%s\",\n\
-    \  \"date\": \"%s\",\n\
-    \  \"host\": \"%s\",\n\
-    \  \"cores\": %d,\n\
-    \  \"budget_s\": %.2f,\n\
-    \  \"depth_cap\": %d,\n\
-    \  \"results\": [\n%s,\n%s\n  ]\n\
-     }\n"
-    (Workload.git_rev ()) (Workload.iso_date ()) (hostname ())
-    (Domain.recommended_domain_count ())
-    !budget depth_cap (json_of_arm cold) (json_of_arm memo);
-  close_out oc;
+  Workload.write_bench_json !out
+    ((("experiment", Json.String "E19") :: Workload.provenance ())
+    @ [
+        ("budget_s", Json.Float !budget);
+        ("depth_cap", Json.Int depth_cap);
+        ("results", Json.List [ json_of_arm cold; json_of_arm memo ]);
+      ]);
   Printf.printf "wrote %s\n" !out

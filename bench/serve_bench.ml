@@ -266,7 +266,7 @@ let () =
   let mean = us (Array.fold_left ( +. ) 0. rtts /. float_of_int n) in
   let doc =
     Json.Obj
-      [
+      ([
         ("experiment", Json.String "E11");
         ( "description",
           Json.String
@@ -274,10 +274,9 @@ let () =
              over a Unix-domain socket, driven synchronously (pipeline \
              depth 1; see E20 for the pipelined many-connection arms)" );
         ("pipeline_depth", Json.Int 1);
-        ("git_rev", Json.String (Workload.git_rev ()));
-        ("date", Json.String (Workload.iso_date ()));
-        ("host", Json.String (Unix.gethostname ()));
-        ("cores", Json.Int (Domain.recommended_domain_count ()));
+      ]
+      @ Workload.provenance ()
+      @ [
         ("spec", Json.String !spec);
         ("requests", Json.Int !sent);
         ("ok", Json.Int !ok);
@@ -295,7 +294,7 @@ let () =
               ("max", Json.Float (Float.round (us rtts.(n - 1))));
             ] );
         ("state_leak_check", Json.String "bit-identical");
-      ]
+      ])
   in
   let oc = open_out !out_path in
   output_string oc (Json.to_string doc);

@@ -432,7 +432,7 @@ let () =
 
   let doc =
     Json.Obj
-      [
+      ([
         ("experiment", Json.String "E20");
         ( "description",
           Json.String
@@ -441,10 +441,9 @@ let () =
              serve at fixed pipeline depths; per-connection FIFO and a \
              final state bit-identical to a sequential replay are \
              enforced" );
-        ("git_rev", Json.String (Workload.git_rev ()));
-        ("date", Json.String (Workload.iso_date ()));
-        ("host", Json.String (Unix.gethostname ()));
-        ("cores", Json.Int (Domain.recommended_domain_count ()));
+      ]
+      @ Workload.provenance ()
+      @ [
         ("spec", Json.String !spec);
         ("connections", Json.Int !conns);
         ( "requests_per_connection",
@@ -453,7 +452,7 @@ let () =
              Array.length setup + Array.length steady) );
         ("arms", Json.List (List.map (fun (_, j, _) -> j) arms));
         ("state_check", Json.String "bit-identical");
-      ]
+      ])
   in
   let oc = open_out !out_path in
   output_string oc (Json.to_string doc);

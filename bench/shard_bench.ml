@@ -29,13 +29,6 @@ let classes = Array.init 8 (fun i -> Printf.sprintf "CELL%d" i)
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let rec rm_rf path =
   match Unix.lstat path with
   | exception Unix.Unix_error _ -> ()
@@ -245,7 +238,7 @@ let () =
         parse rest
   in
   parse (List.tl (Array.to_list Sys.argv));
-  let src = read_file !spec in
+  let src = Persist.read_file !spec in
   let arms =
     List.map
       (fun (shards, by_hash) -> run_arm ~src ~steps:!steps ~shards ~by_hash)
@@ -264,17 +257,16 @@ let () =
   | [] -> ());
   let doc =
     Json.Obj
-      [
+      ([
         ("experiment", Json.String "E17");
         ( "description",
           Json.String
             "sharded step throughput: pipelined single-shard steps against \
              trollc-shard-style processes (per-shard WAL, per-batch fsync), \
              window 32, one enabled-probe per 16 steps" );
-        ("git_rev", Json.String (Workload.git_rev ()));
-        ("date", Json.String (Workload.iso_date ()));
-        ("host", Json.String (Unix.gethostname ()));
-        ("cores", Json.Int (Domain.recommended_domain_count ()));
+      ]
+      @ Workload.provenance ()
+      @ [
         ("spec", Json.String !spec);
         ("steps", Json.Int !steps);
         ("window", Json.Int window);
@@ -293,7 +285,7 @@ let () =
                    ])
                arms) );
         ("state_check", Json.String "bit-identical across shard counts and maps");
-      ]
+      ])
   in
   let oc = open_out !out_path in
   output_string oc (Json.to_string doc);

@@ -3,8 +3,8 @@
     The paper has no evaluation section, so these workloads are the
     substitutes documented in DESIGN.md: each produces a system of the
     shape the paper's examples describe (DEPT-style information-system
-    classes), scaled by a size parameter.  The provenance stamps every
-    BENCH_*.json emitter writes live here too. *)
+    classes), scaled by a size parameter.  The provenance stamps and the
+    writer of every BENCH_*.json document live here too. *)
 
 (* ------------------------------------------------------------------ *)
 (* Provenance stamps for the BENCH_*.json emitters                     *)
@@ -35,6 +35,70 @@ let iso_date () =
   Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (t.Unix.tm_year + 1900)
     (t.Unix.tm_mon + 1) t.Unix.tm_mday t.Unix.tm_hour t.Unix.tm_min
     t.Unix.tm_sec
+
+(** The provenance fields of every BENCH_*.json document: the commit
+    measured, when, on which host, with how many cores. *)
+let provenance () : (string * Json.t) list =
+  [
+    ("git_rev", Json.String (git_rev ()));
+    ("date", Json.String (iso_date ()));
+    ( "host",
+      Json.String (try Unix.gethostname () with Unix.Unix_error _ -> "unknown")
+    );
+    ("cores", Json.Int (Domain.recommended_domain_count ()));
+  ]
+
+(* one line of a document: compact JSON with a space after each ':' and
+   ',', floats to at most 12 significant digits (callers round) *)
+let rec add_json buf = function
+  | Json.Float f ->
+      Buffer.add_string buf
+        (Printf.sprintf (if Float.is_integer f then "%.1f" else "%.12g") f)
+  | Json.List items ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_string buf ", ";
+          add_json buf v)
+        items;
+      Buffer.add_char buf ']'
+  | Json.Obj fields ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_string buf ", ";
+          Json.add_to_buffer buf (Json.String k);
+          Buffer.add_string buf ": ";
+          add_json buf v)
+        fields;
+      Buffer.add_char buf '}'
+  | j -> Json.add_to_buffer buf j
+
+(** Write a BENCH_*.json document: one member per line, and a non-empty
+    array member one element per line, so two runs diff row by row. *)
+let write_bench_json path (fields : (string * Json.t) list) =
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf "{\n";
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_string buf ",\n";
+      Buffer.add_string buf "  ";
+      Json.add_to_buffer buf (Json.String k);
+      Buffer.add_string buf ": ";
+      match v with
+      | Json.List (_ :: _ as rows) ->
+          Buffer.add_string buf "[\n";
+          List.iteri
+            (fun j row ->
+              if j > 0 then Buffer.add_string buf ",\n";
+              Buffer.add_string buf "    ";
+              add_json buf row)
+            rows;
+          Buffer.add_string buf "\n  ]"
+      | v -> add_json buf v)
+    fields;
+  Buffer.add_string buf "\n}\n";
+  Out_channel.with_open_bin path (fun oc -> Buffer.output_buffer oc buf)
 
 (* ------------------------------------------------------------------ *)
 (* Loading                                                             *)

@@ -10,12 +10,7 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_file = Persist.read_file
 
 let spec_arg =
   Arg.(
@@ -869,7 +864,8 @@ let fuzz_cmd =
             List.iteri
               (fun i st ->
                 Printf.printf "%s\n"
-                  (Json.to_string (Oracle.request_of_step ~id:i st)))
+                  (Json.to_string
+                     (Protocol.request_of_step ~id:(Json.Int i) st)))
               trace;
             0)
     | None ->
@@ -898,7 +894,8 @@ let fuzz_cmd =
             List.iteri
               (fun i st ->
                 Printf.printf "  %s\n"
-                  (Json.to_string (Oracle.request_of_step ~id:i st)))
+                  (Json.to_string
+                     (Protocol.request_of_step ~id:(Json.Int i) st)))
               f.Fuzz.f_shrunk_trace;
             1)
   in

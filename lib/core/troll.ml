@@ -141,13 +141,7 @@ let load_system ?(config = Community.default_config) ?(singles = true)
                       Ok { spec; community; views; diagnostics }))))
 
 let read_file_res path : (string, Error.t) result =
-  match
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let source = really_input_string ic n in
-    close_in ic;
-    source
-  with
+  match Persist.read_file path with
   | source -> Ok source
   | exception Sys_error m -> Error (Error.Io m)
 
@@ -308,21 +302,18 @@ module Session = struct
   let save s =
     match s.backend with
     | Single -> Persist.save s.sys.community
-    | Sharded { cells; _ } ->
+    | Sharded { cells; _ } -> (
         (* per-shard extensions are disjoint, and {!Persist.save} orders
            objects by identity, so the merged dump is independent of the
            partition *)
         let facade = s.sys.community in
-        Community.reset_instance_state facade;
-        Array.iter
-          (fun cell ->
-            match
-              Persist.load ~reset:false facade (Persist.save cell.community)
-            with
-            | Ok () -> ()
-            | Error m -> invalid_arg ("Session.save: shard merge: " ^ m))
-          cells;
-        Persist.save facade
+        match
+          Persist.merge facade
+            (Array.to_list
+               (Array.map (fun cell -> Persist.save cell.community) cells))
+        with
+        | Ok () -> Persist.save facade
+        | Error m -> invalid_arg ("Session.save: shard merge: " ^ m))
 
   let view s name = List.assoc_opt name s.sys.views
   let views s = s.sys.views

@@ -15,17 +15,14 @@ let write ~path ~seed ~iter ~oracle ~detail ~src ~trace =
   Printf.fprintf oc "%s\n" trace_marker;
   List.iteri
     (fun i st ->
-      Printf.fprintf oc "%s\n" (Json.to_string (Oracle.request_of_step ~id:i st)))
+      Printf.fprintf oc "%s\n"
+        (Json.to_string (Protocol.request_of_step ~id:(Json.Int i) st)))
     trace;
   Printf.fprintf oc "%s\n" end_marker;
   close_out oc
 
 let read path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  let lines = String.split_on_char '\n' text in
+  let lines = String.split_on_char '\n' (Persist.read_file path) in
   let rec skip_header = function
     | l :: rest when l = spec_marker -> Ok rest
     | _ :: rest -> skip_header rest

@@ -53,37 +53,6 @@ let dispatch src trace =
 (* Oracle 2: in-process engine vs the society server over a pipe     *)
 (* ---------------------------------------------------------------- *)
 
-let request_of_step ~id step =
-  let evj = Protocol.event_to_json in
-  let fields =
-    match step with
-    | Step.Fire ev -> (
-        match evj ev with
-        | Json.Obj fields -> ("op", Json.String "fire") :: fields
-        | _ -> assert false)
-    | Step.Sync evs ->
-        [ ("op", Json.String "sync"); ("events", Json.List (List.map evj evs)) ]
-    | Step.Seq evs ->
-        [ ("op", Json.String "batch"); ("events", Json.List (List.map evj evs)) ]
-    | Step.Txn micro ->
-        [
-          ("op", Json.String "txn");
-          ( "steps",
-            Json.List (List.map (fun evs -> Json.List (List.map evj evs)) micro) );
-        ]
-    | Step.Create { cls; key; event; args } ->
-        [ ("op", Json.String "create"); ("cls", Json.String cls);
-          ("key", Protocol.value_to_json key) ]
-        @ (match event with Some e -> [ ("event", Json.String e) ] | None -> [])
-        @ [ ("args", Json.List (List.map Protocol.value_to_json args)) ]
-    | Step.Destroy { id = oid; event; args } ->
-        [ ("op", Json.String "destroy"); ("cls", Json.String oid.Ident.cls);
-          ("key", Protocol.value_to_json oid.Ident.key) ]
-        @ (match event with Some e -> [ ("event", Json.String e) ] | None -> [])
-        @ [ ("args", Json.List (List.map Protocol.value_to_json args)) ]
-  in
-  Json.Obj (("id", Json.Int id) :: fields)
-
 (* Drive [Server.serve_fds] in a forked child over two pipes; a second
    forked child writes the request lines, so the parent only reads and
    no pipe can deadlock regardless of payload sizes. *)
@@ -271,7 +240,9 @@ let server src trace =
     List.concat
       (List.mapi
          (fun i st ->
-           let step_req = request_of_step ~id:(fresh ()) st in
+           let step_req =
+             Protocol.request_of_step ~id:(Json.Int (fresh ())) st
+           in
            let answer =
              match Troll.Session.step local st with
              | Ok outcome -> Ok (Protocol.outcome_to_json outcome)

@@ -77,6 +77,3 @@ val run_oracle : string -> string -> Step.t list -> (unit, failure) result
 val check_all : string -> Step.t list -> (unit, failure) result
 (** Run all nine oracles in order, returning the first failure. *)
 
-val request_of_step : id:int -> Step.t -> Json.t
-(** The wire request frame executing the step, as the society server
-    decodes it ([op] = create / destroy / fire / batch / sync / txn). *)

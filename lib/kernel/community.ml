@@ -276,24 +276,29 @@ let phases_born_by t cls ev_name =
     divergent futures alive at once.  Object states are duplicated,
     templates and rules are shared (immutable); the copy starts with no
     open journal.  For speculative "try and roll back" questions use
-    {!Txn.probe} instead: it is O(touched state), not O(society). *)
-let clone t =
-  let objects = Ident.Tbl.create (Ident.Tbl.length t.objects) in
+    {!Txn.probe} instead: it is O(touched state), not O(society).
+    [~objects:false] copies no object: a scratch community sharing the
+    schema, which {!adopt} can install. *)
+let clone ?(objects = true) t =
+  let table =
+    Ident.Tbl.create (if objects then Ident.Tbl.length t.objects else 64)
+  in
   let index = ref Btree.empty in
-  Ident.Tbl.iter
-    (fun id (o : Obj_state.t) ->
-      let o' = Obj_state.create id o.Obj_state.template in
-      Obj_state.restore o' (Obj_state.snapshot o);
-      Ident.Tbl.replace objects id o';
-      index := Btree.add !index (Ident.to_value id) o')
-    t.objects;
+  if objects then
+    Ident.Tbl.iter
+      (fun id (o : Obj_state.t) ->
+        let o' = Obj_state.create id o.Obj_state.template in
+        Obj_state.restore o' (Obj_state.snapshot o);
+        Ident.Tbl.replace table id o';
+        index := Btree.add !index (Ident.to_value id) o')
+      t.objects;
   {
     templates = t.templates;
     enum_of_const = t.enum_of_const;
     enum_defs = t.enum_defs;
-    objects;
+    objects = table;
     index = !index;
-    extensions = t.extensions;
+    extensions = (if objects then t.extensions else Smap.empty);
     globals = t.globals;
     journal = None;
     config = t.config;
@@ -302,14 +307,19 @@ let clone t =
     commit_hook = None;
   }
 
-(** Drop every object, extension and index entry (templates, enums and
-    globals stay).  Used when reloading persisted state; must not be
-    called with an open journal. *)
-let reset_instance_state t =
+(** Replace every object, index entry and extension of [t] by those of
+    [src], a {!clone} of [t]; [t] stays the same record (commit hooks
+    and views hold it).  The table is refilled in identity order, as a
+    load in dump order always filled it.  The version counts [src]'s
+    mutations and the replacement itself. *)
+let adopt t src =
   Ident.Tbl.reset t.objects;
-  t.index <- Btree.empty;
-  t.extensions <- Smap.empty;
-  bump_version t
+  Btree.fold
+    (fun _ (o : Obj_state.t) () -> Ident.Tbl.replace t.objects o.Obj_state.id o)
+    src.index ();
+  t.index <- src.index;
+  t.extensions <- src.extensions;
+  t.version <- t.version + src.version + 1
 
 let iter_objects t f = Ident.Tbl.iter (fun _ o -> f o) t.objects
 

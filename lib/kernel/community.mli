@@ -147,17 +147,22 @@ val phases_born_by : t -> string -> string -> (Template.t * Template.event_def) 
 
 (** {1 Traversal} *)
 
-val clone : t -> t
+val clone : ?objects:bool -> t -> t
 (** Deep copy for genuine branching exploration — keeping several
     divergent futures alive at once (object states duplicated, templates
     shared, journal not carried over).  For speculative "try and roll
     back" questions use {!Txn.probe}: O(touched state), not
-    O(society). *)
+    O(society).  [~objects:false] copies no object: an empty scratch
+    community with the same schema. *)
 
-val reset_instance_state : t -> unit
-(** Drop all objects, extensions and index entries (schema stays).  For
-    reloading persisted state; must not be called with an open
-    journal. *)
+val adopt : t -> t -> unit
+(** [adopt t src] replaces all objects, index entries and extensions of
+    [t] by those of [src], a {!clone} of [t] that is not used again.
+    [t] stays the same record, so commit hooks and views holding it
+    see the new state.  Its version advances by [src]'s mutations and
+    one for the replacement (a load's count as it always was: one
+    reset, then the loaded objects' registrations).  Installs persisted state
+    ({!Persist.restore}); must not be called with an open journal. *)
 
 val iter_objects : t -> (Obj_state.t -> unit) -> unit
 

@@ -13,16 +13,20 @@
     was computed, so replay needs no rule evaluation and over-emission
     (an effect whose value happens to equal the old one) is harmless.
     Monitor states are serialised through their subformula truth vectors
-    ({!Monitor.state_to_bools}), exactly like {!Persist}.
+    ({!Monitor.state_to_bools}).
 
     The codec is line-based NDJSON-style text (one effect per line,
     [|]-separated, values via {!Value_codec}, read back by their length
     prefixes), grouped under [obj] context lines; see
-    [docs/PERSISTENCE.md]. *)
+    [docs/PERSISTENCE.md].  A {!Persist} dump is one such record after
+    its header line (see the interface). *)
 
 (** One committed, replayable mutation.  Identities carry their class,
     so a record is self-contained. *)
 type eff =
+  | E_object of Ident.t * bool * bool * int
+      (** a fresh object with this (alive, dead) stage and step count,
+          replacing any object of that identity: a dump's context line *)
   | E_register of Ident.t  (** object (re)entered the object table *)
   | E_unregister of Ident.t  (** object left the object table *)
   | E_life of Ident.t * bool * bool  (** new (alive, dead) — birth/death *)
@@ -136,8 +140,8 @@ let object_effects emit (o : Obj_state.t) (old : Obj_state.snapshot option) =
 
     Class extensions are intentionally *not* represented: membership is
     a function of [alive] (the paper's implicit standard class items),
-    so replay re-derives extension changes from [E_life], exactly as
-    {!Persist.load} re-derives them from the dumped life-cycle stage. *)
+    so replay re-derives extension changes from [E_life], as it derives
+    a dumped object's membership from its [E_object] stage. *)
 let iter_delta (c : Community.t) (j : Community.journal) (emit : eff -> unit) :
     unit =
   (* the oldest snapshot per touched object, as a small association
@@ -208,108 +212,132 @@ let delta (c : Community.t) (j : Community.journal) : eff list =
 (* ------------------------------------------------------------------ *)
 
 let ident_of = function
-  | E_register id | E_unregister id | E_life (id, _, _) | E_attr (id, _, _)
-  | E_perm_closed (id, _, _) | E_perm_indexed (id, _, _)
-  | E_perm_upsert (id, _, _) | E_constr (id, _, _) | E_steps (id, _) ->
+  | E_object (id, _, _, _) | E_register id | E_unregister id
+  | E_life (id, _, _) | E_attr (id, _, _) | E_perm_closed (id, _, _)
+  | E_perm_indexed (id, _, _) | E_perm_upsert (id, _, _) | E_constr (id, _, _)
+  | E_steps (id, _) ->
       id
 
-(** Serialise one effect into [buf], maintaining the [obj] context line
-    across calls through [current].  Direct buffer writes throughout —
-    this runs on every commit, and [Printf]'s format interpretation
-    dominated the WAL's append cost (E16). *)
-let add_int = Value_codec.add_int
+(* The line writers.  Each writes straight into the buffer, with no
+   [Printf] and no intermediate strings: a record is written on every
+   commit, where [Printf]'s format interpretation dominated the WAL's
+   append cost (E16), and {!Persist.save} writes its dumps with the same
+   writers — a state digest is an MD5 of a dump, taken for every state
+   pair a refinement check visits. *)
 
 let add_bits buf bits =
   Array.iter (fun b -> Buffer.add_char buf (if b then '1' else '0')) bits
 
+let add_head buf tag idx =
+  Buffer.add_string buf tag;
+  Value_codec.add_int buf idx
+
+(* [<tag><class>|<key>]: the head of a context line *)
+let add_ident buf tag (id : Ident.t) =
+  Buffer.add_string buf tag;
+  Buffer.add_string buf id.Ident.cls;
+  Buffer.add_char buf '|';
+  Value_codec.encode_buf buf id.Ident.key
+
+let add_stage buf alive dead =
+  Buffer.add_char buf '|';
+  Buffer.add_string buf (string_of_bool alive);
+  Buffer.add_char buf '|';
+  Buffer.add_string buf (string_of_bool dead)
+
+let add_object buf id ~alive ~dead ~steps =
+  add_ident buf "object|" id;
+  add_stage buf alive dead;
+  add_head buf "|" steps;
+  Buffer.add_char buf '\n'
+
+let add_attr buf name v =
+  Buffer.add_string buf "attr|";
+  Buffer.add_string buf name;
+  Buffer.add_char buf '|';
+  Value_codec.encode_buf buf v;
+  Buffer.add_char buf '\n'
+
+let add_perm_closed buf idx bits =
+  add_head buf "perm|" idx;
+  Buffer.add_string buf "|closed|";
+  add_bits buf bits;
+  Buffer.add_char buf '\n'
+
+let add_perm_table buf idx kind n =
+  add_head buf "perm|" idx;
+  add_head buf kind n;
+  Buffer.add_char buf '\n'
+
+let add_perm_indexed buf idx n = add_perm_table buf idx "|indexed|" n
+
+let add_inst buf add_key key bits =
+  Buffer.add_string buf "inst|";
+  add_key buf key;
+  Buffer.add_char buf '|';
+  add_bits buf bits;
+  Buffer.add_char buf '\n'
+
+let add_constr buf idx bits =
+  add_head buf "constr|" idx;
+  Buffer.add_char buf '|';
+  add_bits buf bits;
+  Buffer.add_char buf '\n'
+
+let add_key_values buf key = Value_codec.encode_buf buf (Value.List key)
+
+(* an effect's own line, after its object's context line *)
+let add_line buf = function
+  | E_object (id, alive, dead, steps) -> add_object buf id ~alive ~dead ~steps
+  | E_register _ -> Buffer.add_string buf "reg\n"
+  | E_unregister _ -> Buffer.add_string buf "unreg\n"
+  | E_life (_, alive, dead) ->
+      Buffer.add_string buf "life";
+      add_stage buf alive dead;
+      Buffer.add_char buf '\n'
+  | E_attr (_, name, v) -> add_attr buf name v
+  | E_perm_closed (_, idx, None) ->
+      add_head buf "perm|" idx;
+      Buffer.add_string buf "|none\n"
+  | E_perm_closed (_, idx, Some bits) -> add_perm_closed buf idx bits
+  | (E_perm_indexed (_, idx, insts) | E_perm_upsert (_, idx, insts)) as eff ->
+      add_perm_table buf idx
+        (match eff with E_perm_upsert _ -> "|upsert|" | _ -> "|indexed|")
+        (List.length insts);
+      List.iter (fun (key, bits) -> add_inst buf add_key_values key bits) insts
+  | E_constr (_, idx, None) ->
+      add_head buf "constr|" idx;
+      Buffer.add_string buf "|none\n"
+  | E_constr (_, idx, Some bits) -> add_constr buf idx bits
+  | E_steps (_, n) ->
+      add_head buf "steps|" n;
+      Buffer.add_char buf '\n'
+
+(** Serialise one effect into [buf], maintaining the object context
+    line across calls through [current]. *)
 let encode_eff buf (current : Ident.t option ref) eff =
-  let add s = Buffer.add_string buf s in
-  let addc ch = Buffer.add_char buf ch in
-  let add_int n = add_int buf n in
-  let add_bits bits = add_bits buf bits in
   let id = ident_of eff in
   (* pointer test only: all effects of one object carry the same
      identity record, and a false negative merely repeats a context
      line (the decoder is indifferent) *)
   let same = match !current with Some i -> i == id | None -> false in
+  if not same then current := Some id;
   match eff with
+  | E_object _ -> add_line buf eff (* a context line of its own *)
   | E_steps (_, n) when not same ->
       (* a steps effect opening an object's group rides on the context
          line itself — the commonest per-object line pair collapsed *)
-      add "obj|";
-      add id.Ident.cls;
-      addc '|';
-      Value_codec.encode_buf buf id.Ident.key;
-      addc '|';
-      add_int n;
-      addc '\n';
-      current := Some id
-  | _ -> (
-  if not same then begin
-    add "obj|";
-    add id.Ident.cls;
-    addc '|';
-    Value_codec.encode_buf buf id.Ident.key;
-    addc '\n';
-    current := Some id
-  end;
-  match eff with
-  | E_register _ -> add "reg\n"
-  | E_unregister _ -> add "unreg\n"
-  | E_life (_, alive, dead) ->
-      add "life|";
-      add (string_of_bool alive);
-      addc '|';
-      add (string_of_bool dead);
-      addc '\n'
-  | E_attr (_, name, v) ->
-      add "attr|";
-      add name;
-      addc '|';
-      Value_codec.encode_buf buf v;
-      addc '\n'
-  | E_perm_closed (_, idx, None) ->
-      add "perm|";
-      add_int idx;
-      add "|none\n"
-  | E_perm_closed (_, idx, Some bits) ->
-      add "perm|";
-      add_int idx;
-      add "|closed|";
-      add_bits bits;
-      addc '\n'
-  | E_perm_indexed (_, idx, insts) | E_perm_upsert (_, idx, insts) ->
-      add "perm|";
-      add_int idx;
-      add
-        (match eff with E_perm_upsert _ -> "|upsert|" | _ -> "|indexed|");
-      add_int (List.length insts);
-      addc '\n';
-      List.iter
-        (fun (key, bits) ->
-          add "inst|";
-          Value_codec.encode_buf buf (Value.List key);
-          addc '|';
-          add_bits bits;
-          addc '\n')
-        insts
-  | E_constr (_, idx, None) ->
-      add "constr|";
-      add_int idx;
-      add "|none\n"
-  | E_constr (_, idx, Some bits) ->
-      add "constr|";
-      add_int idx;
-      addc '|';
-      add_bits bits;
-      addc '\n'
-  | E_steps (_, n) ->
-      add "steps|";
-      add_int n;
-      addc '\n')
+      add_ident buf "obj|" id;
+      add_head buf "|" n;
+      Buffer.add_char buf '\n'
+  | _ ->
+      if not same then begin
+        add_ident buf "obj|" id;
+        Buffer.add_char buf '\n'
+      end;
+      add_line buf eff
 
-(** Serialise an effect list.  Effects are grouped under [obj] context
-    lines (class + key), mirroring the {!Persist} format. *)
+(** Serialise an effect list, grouped under object context lines. *)
 let encode (effs : eff list) : string =
   let buf = Buffer.create 256 in
   let current = ref None in
@@ -330,6 +358,74 @@ let encode_delta (c : Community.t) (j : Community.journal) (buf : Buffer.t) :
       encode_eff buf current e);
   !n
 
+(* A cursor over a payload's records: one record per line, its fields
+   separated by '|'.  A raw field (a tag, a name, a number, a bit
+   vector) holds neither '|' nor a newline.  A value field is a
+   {!Value_codec} encoding and is read by its length prefixes, so a
+   string value may hold both: the decoder asks for a record's fields in
+   order, and for a value field by its kind.  [Malformed]: the record
+   does not have the shape asked for. *)
+module Record = struct
+  type t = {
+    src : string;
+    mutable pos : int;
+    mutable start : int;  (** the current record's first byte *)
+  }
+
+  exception Malformed
+  exception Bad_value of string
+
+  let create ?(pos = 0) src = { src; pos; start = pos }
+  let at r c = r.pos < String.length r.src && r.src.[r.pos] = c
+
+  let next r =
+    while at r '\n' do
+      r.pos <- r.pos + 1
+    done;
+    r.start <- r.pos;
+    r.pos < String.length r.src
+
+  let line r =
+    let stop =
+      match String.index_from_opt r.src r.start '\n' with
+      | Some e -> e
+      | None -> String.length r.src
+    in
+    String.sub r.src r.start (stop - r.start)
+
+  let tag r =
+    let first = r.pos in
+    while r.pos < String.length r.src && not (at r '|' || at r '\n') do
+      r.pos <- r.pos + 1
+    done;
+    String.sub r.src first (r.pos - first)
+
+  let bar r = if at r '|' then r.pos <- r.pos + 1 else raise Malformed
+
+  let field r =
+    bar r;
+    tag r
+
+  let value r =
+    bar r;
+    match Value_codec.decode_at r.src r.pos with
+    | Ok (v, next) ->
+        r.pos <- next;
+        v
+    | Error m -> raise (Bad_value m)
+
+  let rec rest r =
+    if at r '|' then
+      let f = field r in
+      f :: rest r
+    else if at r '\n' then begin
+      r.pos <- r.pos + 1;
+      []
+    end
+    else if r.pos < String.length r.src then raise Malformed
+    else []
+end
+
 exception Bad of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
@@ -341,8 +437,16 @@ let bits_of_string s =
       | '0' -> false
       | c -> fail "bad bit %c" c)
 
-let decode (payload : string) : (eff list, string) result =
-  let r = Record.create payload in
+let bool_of_field = function
+  | "true" -> true
+  | "false" -> false
+  | s -> fail "bad boolean %S" s
+
+let int_field s =
+  match int_of_string_opt s with Some n -> n | None -> fail "bad number %S" s
+
+let decode ?pos (payload : string) : (eff list, string) result =
+  let r = Record.create ?pos payload in
   try
     let current = ref None in
     let id () =
@@ -360,9 +464,16 @@ let decode (payload : string) : (eff list, string) result =
       | None -> ()
     in
     let instance_block make idx n =
-      let idx = int_of_string idx and n = int_of_string n in
+      let idx = int_field idx and n = int_field n in
       if n = 0 then acc := make (id (), idx, []) :: !acc
       else pending_inst := Some (make, idx, n, [])
+    in
+    (* a context line: the class, then the key, a value *)
+    let context () =
+      let cls = Record.field r in
+      let id = Ident.make cls (Record.value r) in
+      current := Some id;
+      id
     in
     (* a value field is read by its length prefixes (it may hold '|' or
        a newline), the raw fields after it as a list *)
@@ -388,15 +499,25 @@ let decode (payload : string) : (eff list, string) result =
       | tag -> (
           flush_inst ();
           match tag with
+          | "object" -> (
+              let id = context () in
+              match Record.rest r with
+              | [ alive; dead; steps ] ->
+                  acc :=
+                    E_object
+                      ( id,
+                        bool_of_field alive,
+                        bool_of_field dead,
+                        int_field steps )
+                    :: !acc
+              | _ -> raise Record.Malformed)
           | "obj" -> (
-              let cls = Record.field r in
-              let id = Ident.make cls (Record.value r) in
-              current := Some id;
+              let id = context () in
               match Record.rest r with
               | [] -> ()
               | [ n ] ->
                   (* context line with the object's folded step counter *)
-                  acc := E_steps (id, int_of_string n) :: !acc
+                  acc := E_steps (id, int_field n) :: !acc
               | _ -> raise Record.Malformed)
           | "attr" ->
               let name = Record.field r in
@@ -409,14 +530,14 @@ let decode (payload : string) : (eff list, string) result =
             | [ "unreg" ] -> acc := E_unregister (id ()) :: !acc
             | [ "life"; alive; dead ] ->
                 acc :=
-                  E_life (id (), bool_of_string alive, bool_of_string dead)
+                  E_life (id (), bool_of_field alive, bool_of_field dead)
                   :: !acc
             | [ "perm"; idx; "none" ] ->
-                acc := E_perm_closed (id (), int_of_string idx, None) :: !acc
+                acc := E_perm_closed (id (), int_field idx, None) :: !acc
             | [ "perm"; idx; "closed"; bits ] ->
                 acc :=
                   E_perm_closed
-                    (id (), int_of_string idx, Some (bits_of_string bits))
+                    (id (), int_field idx, Some (bits_of_string bits))
                   :: !acc
             | [ "perm"; idx; "indexed"; n ] ->
                 instance_block
@@ -427,12 +548,12 @@ let decode (payload : string) : (eff list, string) result =
                   (fun (id, i, l) -> E_perm_upsert (id, i, l))
                   idx n
             | [ "constr"; idx; "none" ] ->
-                acc := E_constr (id (), int_of_string idx, None) :: !acc
+                acc := E_constr (id (), int_field idx, None) :: !acc
             | [ "constr"; idx; bits ] ->
                 acc :=
-                  E_constr (id (), int_of_string idx, Some (bits_of_string bits))
+                  E_constr (id (), int_field idx, Some (bits_of_string bits))
                   :: !acc
-            | [ "steps"; n ] -> acc := E_steps (id (), int_of_string n) :: !acc
+            | [ "steps"; n ] -> acc := E_steps (id (), int_field n) :: !acc
             | _ -> raise Record.Malformed))
     in
     while Record.next r do
@@ -443,35 +564,33 @@ let decode (payload : string) : (eff list, string) result =
   with
   | Bad m -> Error m
   | Record.Malformed ->
-      Error (Printf.sprintf "malformed effect line: %s" (Record.line r))
+      Error (Printf.sprintf "malformed line: %s" (Record.line r))
   | Record.Bad_value m -> Error (Printf.sprintf "bad value: %s" m)
-  | Failure m -> Error m
 
 (* ------------------------------------------------------------------ *)
 (* Replay                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let perm_compiled (o : Obj_state.t) idx =
-  match List.nth_opt o.Obj_state.template.Template.t_perms idx with
-  | Some pm -> (
-      match pm.Template.pm_guard with
-      | Template.PG_closed (_, compiled) -> `Closed compiled
-      | Template.PG_indexed { ix_compiled; _ } -> `Indexed ix_compiled
-      | Template.PG_quant { q_compiled; _ } -> `Indexed q_compiled
-      | Template.PG_state _ -> fail "monitor effect for a state guard")
-  | None -> fail "permission index out of range"
+  if idx < 0 || idx >= Array.length o.Obj_state.perm_states then
+    fail "permission index out of range";
+  let pm = List.nth o.Obj_state.template.Template.t_perms idx in
+  match pm.Template.pm_guard with
+  | Template.PG_closed (_, compiled) -> `Closed compiled
+  | Template.PG_indexed { ix_compiled; _ } -> `Indexed ix_compiled
+  | Template.PG_quant { q_compiled; _ } -> `Indexed q_compiled
+  | Template.PG_state _ -> fail "monitor effect for a state guard"
 
 let constr_compiled (o : Obj_state.t) idx =
-  let temporal =
-    List.filter_map
-      (function
-        | Template.K_temporal (_, compiled, _) -> Some compiled
-        | Template.K_static _ -> None)
-      o.Obj_state.template.Template.t_constraints
-  in
-  match List.nth_opt temporal idx with
-  | Some compiled -> compiled
-  | None -> fail "constraint index out of range"
+  if idx < 0 || idx >= Array.length o.Obj_state.constr_states then
+    fail "constraint index out of range";
+  List.nth
+    (List.filter_map
+       (function
+         | Template.K_temporal (_, compiled, _) -> Some compiled
+         | Template.K_static _ -> None)
+       o.Obj_state.template.Template.t_constraints)
+    idx
 
 let monitor_state_for compiled bits =
   match Monitor.state_of_bools compiled bits with
@@ -480,10 +599,11 @@ let monitor_state_for compiled bits =
 
 (** Replay a decoded effect list against a community compiled from the
     same specification.  Must be called without an open journal; class
-    extensions are re-derived from the [E_life] transitions.  Replay is
-    idempotent for state-image effects and tolerates re-registration, so
-    replaying a suffix that partially overlaps the current state (e.g.
-    WAL records at or before a snapshot) converges to the same result. *)
+    extensions are re-derived from the [E_object] and [E_life] stages.
+    Replay is idempotent for state-image effects and tolerates
+    re-registration, so replaying a suffix that partially overlaps the
+    current state (e.g. WAL records at or before a snapshot) converges
+    to the same result. *)
 let apply (c : Community.t) (effs : eff list) : (unit, string) result =
   try
     let obj id =
@@ -491,9 +611,26 @@ let apply (c : Community.t) (effs : eff list) : (unit, string) result =
       | Some o -> o
       | None -> fail "effect for unknown object %s" (Ident.to_string id)
     in
+    let set_stage id ~was_alive alive =
+      if alive && not was_alive then Community.extension_add c id
+      else if was_alive && not alive then Community.extension_remove c id
+    in
     List.iter
       (fun eff ->
         match eff with
+        | E_object (id, alive, dead, steps) ->
+            let tpl = Community.template_exn c id.Ident.cls in
+            let o = Obj_state.create id tpl in
+            o.Obj_state.alive <- alive;
+            o.Obj_state.dead <- dead;
+            o.Obj_state.steps <- steps;
+            let was_alive =
+              match Community.find_object c id with
+              | Some old -> old.Obj_state.alive
+              | None -> false
+            in
+            Community.register_object c o;
+            set_stage id ~was_alive alive
         | E_register id ->
             if Community.find_object c id = None then begin
               let tpl = Community.template_exn c id.Ident.cls in
@@ -509,13 +646,10 @@ let apply (c : Community.t) (effs : eff list) : (unit, string) result =
             let was_alive = o.Obj_state.alive in
             o.Obj_state.alive <- alive;
             o.Obj_state.dead <- dead;
-            if alive && not was_alive then Community.extension_add c id
-            else if was_alive && not alive then Community.extension_remove c id
+            set_stage id ~was_alive alive
         | E_attr (id, name, v) -> Obj_state.set_attr (obj id) name v
         | E_perm_closed (id, idx, bits) -> (
             let o = obj id in
-            if idx < 0 || idx >= Array.length o.Obj_state.perm_states then
-              fail "permission index out of range";
             match perm_compiled o idx with
             | `Closed compiled ->
                 o.Obj_state.perm_states.(idx) <-
@@ -524,10 +658,8 @@ let apply (c : Community.t) (effs : eff list) : (unit, string) result =
             | `Indexed _ -> fail "closed state for indexed guard")
         | E_perm_indexed (id, idx, insts) | E_perm_upsert (id, idx, insts) -> (
             let o = obj id in
-            if idx < 0 || idx >= Array.length o.Obj_state.perm_states then
-              fail "permission index out of range";
-            match (perm_compiled o idx, o.Obj_state.perm_states.(idx)) with
-            | `Indexed compiled, ps ->
+            match perm_compiled o idx with
+            | `Indexed compiled ->
                 let insts =
                   List.map
                     (fun (k, bits) -> (k, monitor_state_for compiled bits))
@@ -535,15 +667,13 @@ let apply (c : Community.t) (effs : eff list) : (unit, string) result =
                 in
                 o.Obj_state.perm_states.(idx) <-
                   Obj_state.PS_indexed
-                    (match (eff, ps) with
+                    (match (eff, o.Obj_state.perm_states.(idx)) with
                     | E_perm_upsert _, Obj_state.PS_indexed tbl ->
                         Param_table.upsert tbl insts
                     | _ -> Param_table.of_bindings insts)
-            | `Closed _, _ -> fail "instance table for closed guard")
+            | `Closed _ -> fail "instance table for closed guard")
         | E_constr (id, idx, bits) ->
             let o = obj id in
-            if idx < 0 || idx >= Array.length o.Obj_state.constr_states then
-              fail "constraint index out of range";
             o.Obj_state.constr_states.(idx) <-
               Option.map (monitor_state_for (constr_compiled o idx)) bits
         | E_steps (id, n) -> (obj id).Obj_state.steps <- n)

@@ -5,7 +5,7 @@
     communities persistent: {!save} dumps the complete dynamic state —
     attribute maps, life-cycle stage, permission- and constraint-monitor
     states — to a line-based text format, and {!load} restores it into a
-    fresh community compiled from the *same specification*.  Templates
+    community compiled from the *same specification*.  Templates
     (the static part) are not serialised: the specification text is the
     schema, the dump is the instance level.
 
@@ -13,9 +13,10 @@
     starts with an empty history) — all permission decisions survive
     regardless, because they live in the monitor states.
 
-    Format (one record per line, [|]-separated, values via
-    {!Value_codec}; {!load} reads a value by its length prefixes, so a
-    string in a key or an attribute may contain [|] or a newline):
+    Format: a header line, then one block per object in identity order
+    ([|]-separated fields, values via {!Value_codec}, read by their
+    length prefixes, so a string in a key or an attribute may contain
+    [|] or a newline):
 
     {v
       troll-state 1
@@ -27,6 +28,9 @@
       constr|<index>|<bits>
     v}
 
+    After the header a dump is an {!Effect_log} record, written with
+    its line writers and read back by its decoder (see the interface).
+
     The output bytes are part of the contract (state digests, snapshots
     and golden files compare them): [test_storage]'s "dump bytes pinned"
     case checks {!save} against a fixed text that has every record
@@ -36,60 +40,24 @@ let header = "troll-state 1"
 
 (* --- saving --------------------------------------------------------- *)
 
-(* Every field goes straight into the one buffer, with no [Printf] and
-   no intermediate strings: a state digest ({!View.state_digest}) is an
-   MD5 of this dump, taken for every state pair a refinement check
-   visits. *)
-
-let add_field buf s =
-  Buffer.add_char buf '|';
-  Buffer.add_string buf s
-
-let add_int_field buf n =
-  Buffer.add_char buf '|';
-  Value_codec.add_int buf n
-
-let add_value_field buf v =
-  Buffer.add_char buf '|';
-  Value_codec.encode_buf buf v
-
-let add_bits_field buf s =
-  Buffer.add_char buf '|';
-  Array.iter
-    (fun b -> Buffer.add_char buf (if b then '1' else '0'))
-    (Monitor.state_to_bools s)
+(* Every line goes straight into the one buffer: a state digest
+   ({!View.state_digest}) is an MD5 of this dump, taken for every state
+   pair a refinement check visits. *)
 
 let save_object buf (o : Obj_state.t) =
-  Buffer.add_string buf "object";
-  add_field buf o.Obj_state.id.Ident.cls;
-  add_value_field buf o.Obj_state.id.Ident.key;
-  add_field buf (string_of_bool o.Obj_state.alive);
-  add_field buf (string_of_bool o.Obj_state.dead);
-  add_int_field buf o.Obj_state.steps;
-  Buffer.add_char buf '\n';
+  Effect_log.add_object buf o.Obj_state.id ~alive:o.Obj_state.alive
+    ~dead:o.Obj_state.dead ~steps:o.Obj_state.steps;
   List.iter
-    (fun (name, v) ->
-      Buffer.add_string buf "attr";
-      add_field buf name;
-      add_value_field buf v;
-      Buffer.add_char buf '\n')
+    (fun (name, v) -> Effect_log.add_attr buf name v)
     (Obj_state.bindings o);
   Array.iteri
     (fun idx ps ->
       match ps with
       | Obj_state.PS_none | Obj_state.PS_closed None -> ()
       | Obj_state.PS_closed (Some s) ->
-          Buffer.add_string buf "perm";
-          add_int_field buf idx;
-          Buffer.add_string buf "|closed";
-          add_bits_field buf s;
-          Buffer.add_char buf '\n'
+          Effect_log.add_perm_closed buf idx (Monitor.state_to_bools s)
       | Obj_state.PS_indexed tbl ->
-          Buffer.add_string buf "perm";
-          add_int_field buf idx;
-          Buffer.add_string buf "|indexed";
-          add_int_field buf (Param_table.cardinal tbl);
-          Buffer.add_char buf '\n';
+          Effect_log.add_perm_indexed buf idx (Param_table.cardinal tbl);
           (* the dump orders instances by encoded key, as it always has,
              so dumps stay comparable byte for byte across versions *)
           let encoded =
@@ -99,21 +67,15 @@ let save_object buf (o : Obj_state.t) =
           in
           List.iter
             (fun (key, s) ->
-              Buffer.add_string buf "inst";
-              add_field buf key;
-              add_bits_field buf s;
-              Buffer.add_char buf '\n')
+              Effect_log.add_inst buf Buffer.add_string key
+                (Monitor.state_to_bools s))
             (List.sort (fun (a, _) (b, _) -> String.compare a b) encoded))
     o.Obj_state.perm_states;
   Array.iteri
     (fun idx cs ->
       match cs with
       | None -> ()
-      | Some s ->
-          Buffer.add_string buf "constr";
-          add_int_field buf idx;
-          add_bits_field buf s;
-          Buffer.add_char buf '\n')
+      | Some s -> Effect_log.add_constr buf idx (Monitor.state_to_bools s))
     o.Obj_state.constr_states
 
 (** Serialise the dynamic state of a community. *)
@@ -155,172 +117,70 @@ let write_file_atomic (path : string) (contents : string) =
       Unix.close fd
   | exception Unix.Unix_error _ -> ()
 
+(** A whole file.  The channel is closed on every path: a read that
+    raises (a directory, a file truncated under the reader) must not
+    leak its descriptor into a long-running daemon. *)
+let read_file (path : string) : string =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
 let save_file (c : Community.t) (path : string) =
   write_file_atomic path (save c)
 
-(* --- loading -------------------------------------------------------- *)
+(* --- installing ----------------------------------------------------- *)
 
-exception Bad of string
+(** A dump's effects: its header line, then an {!Effect_log} record. *)
+let decode (dump : string) : (Effect_log.eff list, string) result =
+  let stop =
+    Option.value (String.index_opt dump '\n') ~default:(String.length dump)
+  in
+  if stop = String.length header && String.starts_with ~prefix:header dump
+  then Effect_log.decode ~pos:stop dump
+  else Error (Printf.sprintf "unknown header %S" (String.sub dump 0 stop))
 
-let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
+let apply_dump scratch dump =
+  Result.bind (decode dump) (Effect_log.apply scratch)
 
-let bits_to_array s =
-  Array.init (String.length s) (fun i ->
-      match s.[i] with
-      | '1' -> true
-      | '0' -> false
-      | c -> fail "bad bit %c" c)
+(* All or nothing: [replay] installs into a scratch community with
+   [c]'s schema — empty when [fresh], else a copy of [c]'s objects —
+   and [c] adopts the scratch's objects only when the whole replay
+   succeeded.  So a refused input leaves [c] exactly as it was. *)
+let via_scratch c ~fresh replay =
+  let scratch = Community.clone ~objects:(not fresh) c in
+  Result.map (fun () -> Community.adopt c scratch) (replay scratch)
 
-let monitor_state_for compiled bits =
-  match Monitor.state_of_bools compiled (bits_to_array bits) with
-  | Some s -> s
-  | None -> fail "monitor state does not match the specification's formula"
+(** Replace every object of [c] by the union of the dumps' objects. *)
+let merge (c : Community.t) (dumps : string list) : (unit, string) result =
+  via_scratch c ~fresh:true (fun scratch ->
+      List.fold_left
+        (fun acc dump -> Result.bind acc (fun () -> apply_dump scratch dump))
+        (Ok ()) dumps)
 
-(** Restore a state dump into a community compiled from the same
-    specification.  Existing objects are discarded unless [reset] is
-    [false], which merges the dump's objects into the current state —
-    the shard layer unions disjoint per-shard dumps this way. *)
-let load ?(reset = true) (c : Community.t) (dump : string) :
-    (unit, string) result =
-  let r = Record.create dump in
-  if not (Record.next r) then Error "empty dump"
-  else if not (String.equal (Record.line r) header) then
-    Error (Printf.sprintf "unknown header %S" (Record.line r))
-  else (
-      try
-        ignore (Record.tag r);
-        ignore (Record.rest r);
-        if reset then Community.reset_instance_state c;
-        let current : Obj_state.t option ref = ref None in
-        let pending_indexed :
-            (int * int * (Value.t list * Monitor.state) list) option ref =
-          ref None
-        in
-        let flush_indexed () =
-          match (!pending_indexed, !current) with
-          | Some (idx, expected, insts), Some o ->
-              if List.length insts <> expected then
-                fail "indexed monitor count mismatch";
-              o.Obj_state.perm_states.(idx) <-
-                Obj_state.PS_indexed (Param_table.of_bindings (List.rev insts));
-              pending_indexed := None
-          | Some _, None -> fail "instance lines outside an object"
-          | None, _ -> ()
-        in
-        let perm_compiled (o : Obj_state.t) idx =
-          match List.nth_opt o.Obj_state.template.Template.t_perms idx with
-          | Some pm -> (
-              match pm.Template.pm_guard with
-              | Template.PG_closed (_, compiled) -> `Closed compiled
-              | Template.PG_indexed { ix_compiled; _ } -> `Indexed ix_compiled
-              | Template.PG_quant { q_compiled; _ } -> `Indexed q_compiled
-              | Template.PG_state _ -> fail "monitor for a state guard")
-          | None -> fail "permission index out of range"
-        in
-        (* a value field is read by its length prefixes (it may hold
-           '|' or a newline), the raw fields after it as a list *)
-        let record = function
-          | "object" -> (
-              let cls = Record.field r in
-              let key = Record.value r in
-              match Record.rest r with
-              | [ alive; dead; steps ] ->
-                  flush_indexed ();
-                  let tpl = Community.template_exn c cls in
-                  let id = Ident.make cls key in
-                  let o = Obj_state.create id tpl in
-                  o.Obj_state.alive <- bool_of_string alive;
-                  o.Obj_state.dead <- bool_of_string dead;
-                  o.Obj_state.steps <- int_of_string steps;
-                  Community.register_object c o;
-                  if o.Obj_state.alive then Community.extension_add c id;
-                  current := Some o
-              | _ -> raise Record.Malformed)
-          | "attr" -> (
-              let name = Record.field r in
-              let value = Record.value r in
-              if Record.rest r <> [] then raise Record.Malformed;
-              match !current with
-              | Some o -> Obj_state.set_attr o name value
-              | None -> fail "attr line outside an object")
-          | "inst" -> (
-              let key = Record.value r in
-              match Record.rest r with
-              | [ bits ] -> (
-                  match (!pending_indexed, !current) with
-                  | Some (idx, n, insts), Some o ->
-                      let compiled =
-                        match perm_compiled o idx with
-                        | `Indexed compiled -> compiled
-                        | `Closed _ -> fail "instance for closed guard"
-                      in
-                      let key =
-                        match key with
-                        | Value.List l -> l
-                        | _ -> fail "instance key is not a list"
-                      in
-                      pending_indexed :=
-                        Some
-                          (idx, n, (key, monitor_state_for compiled bits) :: insts)
-                  | _ -> fail "inst line outside an indexed block")
-              | _ -> raise Record.Malformed)
-          | tag -> (
-            match tag :: Record.rest r with
-            | [ "perm"; idx; "closed"; bits ] -> (
-                flush_indexed ();
-                match !current with
-                | Some o -> (
-                    let idx = int_of_string idx in
-                    match perm_compiled o idx with
-                    | `Closed compiled ->
-                        o.Obj_state.perm_states.(idx) <-
-                          Obj_state.PS_closed
-                            (Some (monitor_state_for compiled bits))
-                    | `Indexed _ -> fail "closed state for indexed guard")
-                | None -> fail "perm line outside an object")
-            | [ "perm"; idx; "indexed"; n ] ->
-                flush_indexed ();
-                pending_indexed :=
-                  Some (int_of_string idx, int_of_string n, [])
-            | [ "constr"; idx; bits ] -> (
-                flush_indexed ();
-                match !current with
-                | Some o ->
-                    let idx = int_of_string idx in
-                    let compiled =
-                      let temporal =
-                        List.filter_map
-                          (function
-                            | Template.K_temporal (_, compiled, _) ->
-                                Some compiled
-                            | Template.K_static _ -> None)
-                          o.Obj_state.template.Template.t_constraints
-                      in
-                      match List.nth_opt temporal idx with
-                      | Some compiled -> compiled
-                      | None -> fail "constraint index out of range"
-                    in
-                    o.Obj_state.constr_states.(idx) <-
-                      Some (monitor_state_for compiled bits)
-                | None -> fail "constr line outside an object")
-            | _ -> raise Record.Malformed)
-        in
-        while Record.next r do
-          record (Record.tag r)
-        done;
-        flush_indexed ();
-        Ok ()
-      with
-      | Bad m -> Error m
-      | Record.Malformed ->
-          Error (Printf.sprintf "malformed line: %s" (Record.line r))
-      | Record.Bad_value m -> Error (Printf.sprintf "bad value: %s" m)
-      | Failure m -> Error m
-      | Runtime_error.Error r -> Error (Runtime_error.reason_to_string r))
+let load (c : Community.t) (dump : string) : (unit, string) result =
+  merge c [ dump ]
+
+(** [base] (a dump), when given, replaces every object; the records
+    ({!Effect_log} payloads) are then replayed in order. *)
+let restore (c : Community.t) ?base (records : string list) :
+    (unit, [ `Base of string | `Record of int * string ]) result =
+  via_scratch c ~fresh:(Option.is_some base) (fun scratch ->
+      let rec replay i = function
+        | [] -> Ok ()
+        | r :: rest -> (
+            match
+              Result.bind (Effect_log.decode r) (Effect_log.apply scratch)
+            with
+            | Ok () -> replay (i + 1) rest
+            | Error m -> Error (`Record (i, m)))
+      in
+      match base with
+      | None -> replay 0 records
+      | Some dump -> (
+          match apply_dump scratch dump with
+          | Ok () -> replay 0 records
+          | Error m -> Error (`Base m)))
 
 let load_file (c : Community.t) (path : string) : (unit, string) result =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let dump = really_input_string ic n in
-  close_in ic;
-  load c dump
+  load c (read_file path)

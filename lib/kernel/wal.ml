@@ -32,7 +32,8 @@
     between the two steps is harmless.
 
     Recovery ({!recover}) = load snapshot, replay the WAL tail, verify
-    the spec digest, sequence contiguity and version-stamp monotony.
+    the spec digest, sequence contiguity and version-stamp monotony; it
+    installs both through {!Persist.restore}, all or nothing.
     The final in-flight transaction of a crashed [`Never]-policy process
     may be lost (redo-at-commit semantics); committed-and-synced state
     never is. *)
@@ -302,12 +303,6 @@ type recovery = {
   r_torn_dropped : bool;  (** an incomplete final record was discarded *)
 }
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let exists dir =
   Sys.file_exists (dir / snapshot_file) || Sys.file_exists (dir / log_file)
 
@@ -370,18 +365,19 @@ let parse_frames (contents : string) (start : int) :
 (** Restore the committed state from [dir] into [c]: load the snapshot,
     replay the WAL tail, verify the spec digest, sequence contiguity and
     version-stamp monotony.  [c] must be freshly compiled from the same
-    specification.  Read-only: never writes to [dir]. *)
+    specification; it is untouched when recovery fails.  Read-only:
+    never writes to [dir]. *)
 let recover ~dir ~spec_digest (c : Community.t) : (recovery, string) result =
   let ( let* ) = Result.bind in
   if not (exists dir) then Error (Printf.sprintf "no WAL state in %s" dir)
   else
-    let* snap_seq, snap_version =
+    let* snap_seq, snap_version, base =
       if not (Sys.file_exists (dir / snapshot_file)) then
         (* crash during initial attach, before the first snapshot landed:
            the freshly compiled community is the implicit snapshot 0 *)
-        Ok (0, -1)
+        Ok (0, -1, None)
       else
-        let contents = read_file (dir / snapshot_file) in
+        let contents = Persist.read_file (dir / snapshot_file) in
         match String.index_opt contents '\n' with
         | None -> Error "snapshot: truncated header"
         | Some nl -> (
@@ -392,18 +388,18 @@ let recover ~dir ~spec_digest (c : Community.t) : (recovery, string) result =
                 if not (String.equal digest spec_digest) then
                   Error "snapshot was written by a different specification"
                 else
-                  let* () =
-                    Persist.load c
-                      (String.sub contents (nl + 1)
-                         (String.length contents - nl - 1))
-                  in
-                  Ok (int_of_string seq, int_of_string version)
+                  Ok
+                    ( int_of_string seq,
+                      int_of_string version,
+                      Some
+                        (String.sub contents (nl + 1)
+                           (String.length contents - nl - 1)) )
             | _ -> Error (Printf.sprintf "snapshot: bad header %S" header))
     in
     let* frames, torn =
       if not (Sys.file_exists (dir / log_file)) then Ok ([], false)
       else
-        let contents = read_file (dir / log_file) in
+        let contents = Persist.read_file (dir / log_file) in
         match String.index_opt contents '\n' with
         | None ->
             (* header never completed — rotation crashed mid-write; the
@@ -419,13 +415,13 @@ let recover ~dir ~spec_digest (c : Community.t) : (recovery, string) result =
             | _ -> Error "WAL: bad header")
     in
     if torn then incr n_torn_dropped;
-    (* replay the tail: skip records already folded into the snapshot
+    (* the tail to replay: skip records already folded into the snapshot
        (stale pre-rotation log after a crash between snapshot and
        rotation), verify contiguity and version monotony beyond it *)
-    let rec replay prev_seq prev_version applied = function
-      | [] -> Ok applied
+    let rec tail prev_seq prev_version acc = function
+      | [] -> Ok (List.rev acc)
       | (seq, version, payload) :: rest ->
-          if seq <= snap_seq then replay prev_seq prev_version applied rest
+          if seq <= snap_seq then tail prev_seq prev_version acc rest
           else if prev_seq >= 0 && seq <> prev_seq + 1 then
             Error
               (Printf.sprintf "sequence gap: record %d follows %d" seq
@@ -435,18 +431,19 @@ let recover ~dir ~spec_digest (c : Community.t) : (recovery, string) result =
               (Printf.sprintf
                  "record %d: version stamp %d not past %d — mixed logs?" seq
                  version prev_version)
-          else
-            let* effs = Effect_log.decode payload in
-            let* () =
-              match Effect_log.apply c effs with
-              | Ok () -> Ok ()
-              | Error m -> Error (Printf.sprintf "record %d: %s" seq m)
-            in
-            incr n_replayed;
-            replay seq version (applied + 1) rest
+          else tail seq version ((seq, payload) :: acc) rest
     in
     let first_seq = if snap_seq > 0 then snap_seq else -1 in
-    let* applied = replay first_seq snap_version 0 frames in
+    let* records = tail first_seq snap_version [] frames in
+    let* () =
+      match Persist.restore c ?base (List.map snd records) with
+      | Ok () -> Ok ()
+      | Error (`Base m) -> Error m
+      | Error (`Record (i, m)) ->
+          Error (Printf.sprintf "record %d: %s" (fst (List.nth records i)) m)
+    in
+    let applied = List.length records in
+    n_replayed := !n_replayed + applied;
     let last_seq =
       match List.rev frames with
       | (seq, _, _) :: _ when seq > snap_seq -> seq

@@ -67,7 +67,8 @@ val recover :
 (** Restore the committed state from [dir] into a community freshly
     compiled from the same specification: load the snapshot, replay the
     WAL tail, verify digest, sequence contiguity and version-stamp
-    monotony.  Read-only — never writes to [dir]. *)
+    monotony.  All or nothing ({!Persist.restore}): on an error the
+    community is as compiled.  Read-only — never writes to [dir]. *)
 
 val exists : string -> bool
 (** Does the directory hold WAL state (snapshot or log)? *)
@@ -85,8 +86,8 @@ val set_shipper : t -> (int -> string -> unit) option -> unit
     [(seq, payload)] for every record as it is appended — before the
     batch fsync callback.  The society server streams these to the
     shard router, which mirrors them for WAL catch-up of a restarted
-    shard; {!Effect_log.decode}/{!Effect_log.apply} replay a shipped
-    payload on the receiving side. *)
+    shard; {!Persist.restore} replays shipped payloads on the receiving
+    side. *)
 
 val crc32 : string -> int
 (** CRC-32 (IEEE 802.3) of a string; exposed for tests. *)

@@ -559,11 +559,8 @@ let load_memo (b : builder) ~(dir : string) : (int, string) result =
   if not (Sys.file_exists path) then Ok 0
   else
     try
-      let ic = open_in_bin path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      let cur = { src = unframe memo_magic s; pos = 0 } in
+      let src = unframe memo_magic (Persist.read_file path) in
+      let cur = { src; pos = 0 } in
       if read_line cur <> key then Ok 0
       else begin
         let count = ref 0 in

@@ -592,27 +592,18 @@ let handle_client_doc t client doc =
       | Error e -> reply_err e
       | Ok results -> (
           let dumps =
-            List.map
+            List.filter_map
               (fun r -> Json.to_string_opt (Json.member "state" r))
               results
           in
-          if List.exists Option.is_none dumps then
+          if List.compare_lengths dumps results <> 0 then
             reply_err
               (Protocol.Wire_error.make ~code:"bad_frame"
                  "shard save reply without \"state\"")
           else begin
-            (* shard dumps are disjoint by construction: merge them in
-               shard order into the facade community *)
-            Community.reset_instance_state t.community;
-            let rec merge = function
-              | [] -> Ok ()
-              | Some d :: rest -> (
-                  match Persist.load ~reset:false t.community d with
-                  | Ok () -> merge rest
-                  | Error m -> Error m)
-              | None :: _ -> assert false
-            in
-            match merge dumps with
+            (* shard dumps are disjoint by construction: merge them
+               into the facade community *)
+            match Persist.merge t.community dumps with
             | Error m ->
                 reply_err
                   (Protocol.Wire_error.make ~code:"restore_error"

@@ -477,37 +477,19 @@ let execute t (req : Protocol.request) :
           Engine.rollback_prepared p;
           Ok (Json.Obj [ ("aborted", Json.Bool true) ]))
   | Protocol.Catchup { base; records } -> (
-      let restored =
-        match base with
-        | None -> Ok ()
-        | Some dump -> (
-            match Persist.load community dump with
-            | Ok () -> Ok ()
-            | Error m ->
-                Error (Protocol.Wire_error.make ~code:"restore_error" m))
-      in
-      match restored with
-      | Error e -> Error e
-      | Ok () -> (
-          let rec replay n = function
-            | [] -> Ok n
-            | payload :: rest -> (
-                match Effect_log.decode payload with
-                | Error m -> Error m
-                | Ok effs -> (
-                    match Effect_log.apply community effs with
-                    | Ok () -> replay (n + 1) rest
-                    | Error m -> Error m))
-          in
-          match replay 0 records with
-          | Error m ->
-              Error (Protocol.Wire_error.make ~code:"catchup_error" m)
-          | Ok n ->
-              (* the replay bypassed the journal; re-anchor the WAL on
-                 the caught-up state *)
-              t.view <- None;
-              Option.iter Wal.snapshot t.wal;
-              Ok (Json.Obj [ ("applied", Json.Int n) ])))
+      match Persist.restore community ?base records with
+      | Error (`Base m) ->
+          Error (Protocol.Wire_error.make ~code:"restore_error" m)
+      | Error (`Record (i, m)) ->
+          Error
+            (Protocol.Wire_error.make ~code:"catchup_error"
+               (Printf.sprintf "record %d: %s" i m))
+      | Ok () ->
+          (* the replay bypassed the journal; re-anchor the WAL on the
+             caught-up state *)
+          t.view <- None;
+          Option.iter Wal.snapshot t.wal;
+          Ok (Json.Obj [ ("applied", Json.Int (List.length records)) ]))
   | Protocol.Step step -> (
       match Troll.step s step with
       | Ok outcome -> Ok (Protocol.outcome_to_json outcome)
@@ -611,13 +593,7 @@ let execute t (req : Protocol.request) :
         match (state, path) with
         | Some s, _ -> Ok s
         | None, Some p -> (
-            match
-              let ic = open_in_bin p in
-              let n = in_channel_length ic in
-              let s = really_input_string ic n in
-              close_in ic;
-              s
-            with
+            match Persist.read_file p with
             | s -> Ok s
             | exception Sys_error m ->
                 Error (Protocol.Wire_error.make ~code:"io_error" m))

@@ -1590,6 +1590,91 @@ let test_serve_save_file () = with_socket_server save_file_cases
 let test_router_save_file () =
   with_socket_router (fun ~router:_ connect -> save_file_cases connect)
 
+(* [restore] and [catchup] are all or nothing: each refused request
+   answers its error and leaves the state saving to the same bytes.
+   The three dumps start with a good object and then hold a line that
+   does not parse, an unknown class, and a closed monitor for DEPT's
+   state guard [{ not(P in employees) } hire(P)]; each catch-up's
+   second record does not parse (a bad line, a stage that is not a
+   boolean). *)
+let test_serve_refused_restore_changes_nothing () =
+  let frame op fields id =
+    Json.to_string
+      (Json.Obj (("id", Json.Int id) :: ("op", Json.String op) :: fields))
+  in
+  let carol = "troll-state 1\nobject|PERSON|S5:carol|true|false|1\n" in
+  let restore dump = frame "restore" [ ("state", Json.String dump) ] in
+  let bob =
+    "obj|PERSON|S3:bob|1\nreg\nlife|true|false\nattr|pname|S3:bob\n"
+  in
+  let catchup base bad =
+    frame "catchup"
+      (("records", Json.List [ Json.String bob; Json.String bad ])
+      :: Option.to_list (Option.map (fun b -> ("base", Json.String b)) base))
+  in
+  let refused =
+    [
+      ( "restore with a line that does not parse",
+        "restore_error",
+        restore (carol ^ "bogus|x\n") );
+      ( "restore with an unknown class",
+        "restore_error",
+        restore (carol ^ "object|NOPE|S1:x|true|false|0\n") );
+      ( "restore with a monitor for a state guard",
+        "restore_error",
+        restore (carol ^ "object|DEPT|S1:d|true|false|1\nperm|0|closed|0\n") );
+      ( "catchup with a bad second record",
+        "catchup_error",
+        catchup None "bogus|1\n" );
+      ( "catchup on a base with a bad second record",
+        "catchup_error",
+        catchup (Some carol) "obj|PERSON|S3:bob\nlife|yes|no\n" );
+    ]
+  in
+  (* request 10i refused, 10i+1 a save *)
+  let lines =
+    {|{"id":1,"op":"create","cls":"PERSON","key":"alice"}|}
+    :: {|{"id":2,"op":"save"}|}
+    :: List.concat
+         (List.mapi
+            (fun i (_, _, line) ->
+              let id = 10 * (i + 1) in
+              [ line id; Printf.sprintf {|{"id":%d,"op":"save"}|} (id + 1) ])
+            refused)
+  in
+  let _, _, responses = serve_script lines in
+  check_ok "create" (by_id responses 1);
+  let before = state_of responses 2 in
+  List.iteri
+    (fun i (what, code, _) ->
+      let id = 10 * (i + 1) in
+      check_code what code (by_id responses id);
+      Alcotest.(check (option string)) (what ^ ": state untouched") before
+        (state_of responses (id + 1)))
+    refused
+
+(* A [restore] whose path cannot be read answers [io_error] and closes
+   what it opened: a directory opens, then fails to read. *)
+let test_serve_failed_restore_closes_file () =
+  let server = Server.create (load_session ()) in
+  let dir = Filename.temp_file "troll_restore" ".dir" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let self = Unix.getpid () in
+  let before = open_fds self in
+  for _ = 1 to 50 do
+    match
+      Server.execute server
+        (Protocol.Restore { path = Some dir; state = None })
+    with
+    | Error e ->
+        Alcotest.(check string) "code" "io_error" e.Protocol.Wire_error.code
+    | Ok _ -> Alcotest.fail "restored from a directory"
+  done;
+  let after = open_fds self in
+  Sys.rmdir dir;
+  Alcotest.(check int) "no descriptor leaked" before after
+
 (* A stand-in shard answers the router's [hello], then answers its
    [save] with a line the router cannot read and holds the connection
    open: the router must give up on the link at once, not after its
@@ -1720,6 +1805,10 @@ let () =
           Alcotest.test_case "stdio session ends when evicted" `Quick
             test_serve_stdio_evicted;
           Alcotest.test_case "save to a path" `Quick test_serve_save_file;
+          Alcotest.test_case "refused restore or catchup changes nothing"
+            `Quick test_serve_refused_restore_changes_nothing;
+          Alcotest.test_case "failed restore from a path closes the file"
+            `Quick test_serve_failed_restore_closes_file;
         ] );
       ( "framing",
         [

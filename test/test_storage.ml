@@ -245,15 +245,6 @@ let test_persist_dead_objects () =
   | Error (Runtime_error.Already_alive _) -> ()
   | _ -> Alcotest.fail "dead object forgot its death"
 
-let test_persist_rejects_garbage () =
-  let c = load_spec Paper_specs.dept in
-  (match Persist.load c "not a dump" with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "accepted garbage");
-  match Persist.load c "troll-state 1\nattr|x|I1;" with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "accepted attr outside object"
-
 (* The dump bytes, pinned.  The round-trip tests compare two outputs of
    the same code, so a drift in the format would pass them; this one
    compares [save] with a text written down once.  LOCKER makes every
@@ -318,6 +309,66 @@ perm|0|closed|00
 perm|1|indexed|0
 constr|0|0011
 |}
+
+(* Every dump below is refused, and a refused load changes nothing: the
+   community keeps the pinned LOCKER state byte for byte.  LOCKER's
+   permission 0 is closed (a 2-bit vector), permission 1 indexed, and
+   constraint 0 a 4-bit vector. *)
+let test_persist_rejects_garbage () =
+  let obj = "troll-state 1\nobject|LOCKER|S1:x|true|false|1\nattr|lid|S1:x\n" in
+  let bad =
+    [
+      ("empty input", "");
+      ("not a dump", "not a dump");
+      ("unknown header", "troll-state 2\nobject|LOCKER|S1:x|true|false|1\n");
+      ( "object line with a field short",
+        "troll-state 1\nobject|LOCKER|S1:x|true|false\n" );
+      ( "object line with a field extra",
+        "troll-state 1\nobject|LOCKER|S1:x|true|false|1|2\n" );
+      ( "object line with a bad stage",
+        "troll-state 1\nobject|LOCKER|S1:x|yes|false|1\n" );
+      ( "object line with a bad step count",
+        "troll-state 1\nobject|LOCKER|S1:x|true|false|x\n" );
+      ("attr before any object", "troll-state 1\nattr|n|I1;\n");
+      ("perm before any object", "troll-state 1\nperm|0|closed|00\n");
+      ("constr before any object", "troll-state 1\nconstr|0|0011\n");
+      ("inst before any object", "troll-state 1\ninst|L1[S1:t]|01\n");
+      ("inst outside a block", obj ^ "inst|L1[S1:t]|01\n");
+      ( "fewer inst lines than announced, at the end",
+        obj ^ "perm|1|indexed|2\ninst|L1[S1:t]|01\n" );
+      ( "fewer inst lines than announced, before a line",
+        obj ^ "perm|1|indexed|2\ninst|L1[S1:t]|01\nconstr|0|0011\n" );
+      ( "more inst lines than announced",
+        obj ^ "perm|1|indexed|1\ninst|L1[S1:t]|01\ninst|L1[S1:u]|01\n" );
+      ("inst key not a list", obj ^ "perm|1|indexed|1\ninst|S1:t|01\n");
+      ("permission index out of range", obj ^ "perm|2|closed|00\n");
+      ("constraint index out of range", obj ^ "constr|1|0011\n");
+      ("closed vector on an indexed guard", obj ^ "perm|1|closed|01\n");
+      ("permission vector too wide", obj ^ "perm|0|closed|000\n");
+      ("constraint vector too narrow", obj ^ "constr|0|001\n");
+      ( "instance vector of the wrong width",
+        obj ^ "perm|1|indexed|1\ninst|L1[S1:t]|0\n" );
+      ("a bit that is not 0 or 1", obj ^ "perm|0|closed|0x\n");
+      ("unknown attribute", obj ^ "attr|nope|I1;\n");
+      ("undecodable value", obj ^ "attr|n|Q1;\n");
+      ("unknown line", obj ^ "bogus|1\n");
+      ("unknown class", "troll-state 1\nobject|NOPE|S1:x|true|false|0\n");
+      ( "unknown class after a good object",
+        obj ^ "object|NOPE|S1:y|true|false|0\n" );
+    ]
+  in
+  let c = load_spec locker_spec in
+  (match Persist.load c locker_dump with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "load: %s" e);
+  List.iter
+    (fun (what, dump) ->
+      (match Persist.load c dump with
+      | Error _ -> ()
+      | Ok () -> Alcotest.failf "accepted: %s" what);
+      check Alcotest.string (what ^ ": state untouched") locker_dump
+        (Persist.save c))
+    bad
 
 let test_persist_golden_dump () =
   let c = load_spec locker_spec in
