@@ -93,7 +93,7 @@ let check = Typecheck.check
 let pretty = Pretty.spec_to_string
 
 (** Parse, check and compile a specification; single objects are
-    instantiated ([singles = false] defers that to the shard loaders),
+    instantiated ([singles = false] defers that to {!Session.load_shard_cell}),
     interface classes become ready-to-use views.  Checking errors abort;
     warnings are carried in the result. *)
 let load_system ?(config = Community.default_config) ?(singles = true)
@@ -150,173 +150,61 @@ let read_file_res path : (string, Error.t) result =
 (* ------------------------------------------------------------------ *)
 
 module Session = struct
-  (** A sharded session keeps one full engine cell per shard plus the
-      facade system ([sys]): the facade's community holds no live
-      instance state of its own — it is the schema the partition map is
-      validated against and the scratch space {!save} merges the
-      per-shard dumps into. *)
-  type backend =
-    | Single
-    | Sharded of {
-        map : Shard.map;
-        cells : system array;
-        parts : Shard.participant array;
-      }
+  type t = system
 
-  type t = { sys : system; backend : backend }
-
-  let of_system sys = { sys; backend = Single }
-
-  let load ?config source =
-    Result.map of_system (load_system ?config source)
+  let of_system sys = sys
+  let load ?config source = load_system ?config source
 
   let load_file ?config path =
     match read_file_res path with
     | Error e -> Error e
     | Ok source -> load ?config source
 
-  let partition_error m = Error.Link [ "partition: " ^ m ]
-
-  (** Instantiate exactly the single objects shard [k] owns. *)
-  let instantiate_owned map k community =
-    Compile.instantiate_singles community ~only:(fun name ->
-        Shard.owner_ident map (Ident.singleton name) = Ok k)
-
-  let load_sharded ?config ~shards ?map source =
-    match load_system ?config source with
-    | Error e -> Error e
-    | Ok facade -> (
-        let map_r =
-          match map with
-          | None -> Ok (Shard.auto facade.community ~shards)
-          | Some s -> Shard.of_string facade.community s
-        in
-        match map_r with
-        | Error m -> Error (partition_error m)
-        | Ok map -> (
-            let n = Shard.shards map in
-            let rec build k acc =
-              if k = n then Ok (List.rev acc)
-              else
-                match load_system ?config ~singles:false source with
-                | Error e -> Error e
-                | Ok cell -> (
-                    match instantiate_owned map k cell.community with
-                    | Error r -> Error (Error.Runtime r)
-                    | Ok () -> build (k + 1) (cell :: acc))
-            in
-            match build 0 [] with
-            | Error e -> Error e
-            | Ok cells ->
-                let cells = Array.of_list cells in
-                let parts =
-                  Array.map
-                    (fun cell -> Shard.local_participant cell.community)
-                    cells
-                in
-                Ok { sys = facade; backend = Sharded { map; cells; parts } }))
-
   let load_shard_cell ?config ~map:map_s ~shard source =
     match load_system ?config ~singles:false source with
     | Error e -> Error e
     | Ok sys -> (
         match Shard.of_string sys.community map_s with
-        | Error m -> Error (partition_error m)
+        | Error m -> Error (Error.Link [ "partition: " ^ m ])
         | Ok map ->
             if shard < 0 || shard >= Shard.shards map then
               Error (Error.Runtime (Runtime_error.Unknown_shard shard))
-            else (
-              match instantiate_owned map shard sys.community with
+            else
+              (* instantiate exactly the single objects this shard owns *)
+              match
+                Compile.instantiate_singles sys.community ~only:(fun name ->
+                    Shard.owner_ident map (Ident.singleton name) = Ok shard)
+              with
               | Error r -> Error (Error.Runtime r)
-              | Ok () -> Ok { sys; backend = Single }))
+              | Ok () -> Ok sys)
 
-  let system s = s.sys
-  let community s = s.sys.community
-  let spec s = s.sys.spec
-  let diagnostics s = s.sys.diagnostics
+  let system s = s
+  let community s = s.community
+  let spec s = s.spec
+  let diagnostics s = s.diagnostics
+  let step s req = Engine.step s.community req
 
-  let shard_map s =
-    match s.backend with Single -> None | Sharded { map; _ } -> Some map
-
-  let shard_count s =
-    match s.backend with
-    | Single -> 1
-    | Sharded { map; _ } -> Shard.shards map
-
-  let step s req =
-    match s.backend with
-    | Single -> Engine.step s.sys.community req
-    | Sharded { map; parts; _ } -> Shard.coordinate map parts req
-
-  let attr_in community target name : (Value.t, Error.t) result =
-    match Community.find_object community target with
+  let attr s target name : (Value.t, Error.t) result =
+    match Community.find_object s.community target with
     | None -> Error (Error.Runtime (Runtime_error.Unknown_object target))
     | Some o -> (
-        match Eval.read_attr community o name [] with
+        match Eval.read_attr s.community o name [] with
         | v -> Ok v
         | exception Runtime_error.Error r -> Error (Error.Runtime r))
 
-  let attr s target name : (Value.t, Error.t) result =
-    match s.backend with
-    | Single -> attr_in s.sys.community target name
-    | Sharded { map; cells; _ } -> (
-        match Shard.owner_ident map target with
-        | Error r -> Error (Error.Runtime r)
-        | Ok k when k < 0 || k >= Array.length cells ->
-            Error (Error.Runtime (Runtime_error.Unknown_shard k))
-        | Ok k -> attr_in cells.(k).community target name)
-
   let eval s (source : string) : (Value.t, Error.t) result =
-    match s.backend with
-    | Sharded _ ->
-        Error
-          (Error.Runtime
-             (Runtime_error.Unsupported
-                "global evaluation is not available on a sharded session"))
-    | Single -> (
-        match Parser.expr_of_string source with
-        | Error e -> Error (Error.Parse e)
-        | Ok e -> (
-            match Eval.expr s.sys.community ~env:Env.empty ~self:None e with
-            | v -> Ok v
-            | exception Runtime_error.Error r -> Error (Error.Runtime r)))
+    match Parser.expr_of_string source with
+    | Error e -> Error (Error.Parse e)
+    | Ok e -> (
+        match Eval.expr s.community ~env:Env.empty ~self:None e with
+        | v -> Ok v
+        | exception Runtime_error.Error r -> Error (Error.Runtime r))
 
-  let extension s cls =
-    match s.backend with
-    | Single -> Ident.Set.elements (Community.extension s.sys.community cls)
-    | Sharded { cells; _ } ->
-        Ident.Set.elements
-          (Array.fold_left
-             (fun acc cell ->
-               Ident.Set.union acc (Community.extension cell.community cls))
-             Ident.Set.empty cells)
-
-  let run_active ?(fuel = 1000) s =
-    match s.backend with
-    | Single -> Engine.run_active s.sys.community ~fuel
-    | Sharded { cells; _ } ->
-        Array.to_list cells
-        |> List.concat_map (fun cell ->
-               Engine.run_active cell.community ~fuel)
-
-  let save s =
-    match s.backend with
-    | Single -> Persist.save s.sys.community
-    | Sharded { cells; _ } -> (
-        (* per-shard extensions are disjoint, and {!Persist.save} orders
-           objects by identity, so the merged dump is independent of the
-           partition *)
-        let facade = s.sys.community in
-        match
-          Persist.merge facade
-            (Array.to_list
-               (Array.map (fun cell -> Persist.save cell.community) cells))
-        with
-        | Ok () -> Persist.save facade
-        | Error m -> invalid_arg ("Session.save: shard merge: " ^ m))
-
-  let view s name = List.assoc_opt name s.sys.views
-  let views s = s.sys.views
+  let extension s cls = Ident.Set.elements (Community.extension s.community cls)
+  let run_active ?(fuel = 1000) s = Engine.run_active s.community ~fuel
+  let save s = Persist.save s.community
+  let view s name = List.assoc_opt name s.views
+  let views s = s.views
 end
 
 let step = Session.step

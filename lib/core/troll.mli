@@ -9,10 +9,12 @@
 
     The primary API is {!Session}: a handle over a loaded system with
     structured errors ({!Error.t}) and the single animation entry point
-    {!step} (every firing shape is a {!Step.t}).  A session is either a
-    single engine or — following the paper's §6 modularization into
-    societies connected only by event import — a set of shard cells
-    routed through a partition map ({!Session.load_sharded}). *)
+    {!step} (every firing shape is a {!Step.t}).  A session is one
+    community; following the paper's §6 modularization into societies
+    connected only by event import, a shard of a partitioned society is
+    a session of its own ({!Session.load_shard_cell}), and
+    {!Shard.coordinate} or the shard router ([lib/server]) routes steps
+    over the cells. *)
 
 type system = {
   spec : Ast.spec;
@@ -73,20 +75,6 @@ module Session : sig
   (** Wrap an already-loaded system (e.g. one built by hand through
       [Compile]). *)
 
-  val load_sharded :
-    ?config:Community.config ->
-    shards:int ->
-    ?map:string ->
-    string ->
-    (t, Error.t) result
-  (** In-process sharded session: one full engine cell per shard, every
-      step routed through {!Shard.coordinate} (cross-shard steps commit
-      by two-phase protocol on open {!Txn} transactions).  [map] is a partition
-      map in {!Shard.to_string}'s wire form, validated against the
-      specification; by default {!Shard.auto} spreads the class groups
-      round-robin.  Each single object is instantiated only in its
-      owning cell.  Partition errors report as [Error.Link]. *)
-
   val load_shard_cell :
     ?config:Community.config ->
     map:string ->
@@ -95,22 +83,17 @@ module Session : sig
     (t, Error.t) result
   (** One shard's slice as a plain single-engine session: the full
       schema, but single objects instantiated only when shard [shard]
-      owns them under [map].  This is what each shard server process of
-      [trollc shard] runs behind the NDJSON protocol. *)
+      owns them under [map] (a partition map in {!Shard.to_string}'s
+      wire form, validated against the specification; errors report as
+      [Error.Link]).  Each shard server process of [trollc shard] runs
+      one behind the NDJSON protocol; {!Shard.coordinate} routes steps
+      over their communities in process. *)
 
   val system : t -> system
   val community : t -> Community.t
-  (** For a sharded session this is the facade community: the schema
-      without live instances (shard cells hold those). *)
 
   val spec : t -> Ast.spec
   val diagnostics : t -> Check_error.t list
-
-  val shard_map : t -> Shard.map option
-  (** [None] for a single-engine session. *)
-
-  val shard_count : t -> int
-  (** [1] for a single-engine session. *)
 
   (** {2 Animation} *)
 
@@ -125,22 +108,20 @@ module Session : sig
 
   val eval : t -> string -> (Value.t, Error.t) result
   (** Evaluate an expression in global scope, e.g.
-      [{|DEPT("d").manager|}].  Unsupported on a sharded session
-      (global scope spans shards). *)
+      [{|DEPT("d").manager|}]. *)
 
   val extension : t -> string -> Ident.t list
-  (** Living members of a class (union over the shards when sharded). *)
+  (** Living members of a class. *)
 
   val run_active : ?fuel:int -> t -> Event.t list
-  (** Fire enabled active events to quiescence; returns them in order
-      (shard order when sharded — active events never cross shards, by
-      the partition invariant). *)
+  (** Fire enabled active events to quiescence; returns them in
+      order. *)
 
   val save : t -> string
-  (** {!Persist.save} of the session's state.  For a sharded session
-      the disjoint per-shard dumps are merged; since dumps are ordered
-      by object identity, the result is bit-identical to the dump of an
-      equivalent single-engine session. *)
+  (** {!Persist.save} of the session's state.  The dumps of a
+      partitioned society's cells are disjoint and ordered by object
+      identity, so their {!Persist.merge} saves bit-identically to the
+      dump of one community run through the same steps. *)
 
   val view : t -> string -> Interface.t option
   val views : t -> (string * Interface.t) list

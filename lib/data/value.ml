@@ -137,6 +137,20 @@ and join_types vs =
 
 let is_undefined = function Undefined -> true | _ -> false
 
+let fits (ty : Vtype.t) v =
+  match (ty, v) with
+  | _, Undefined
+  | Vtype.Bool, Bool _
+  | (Vtype.Int | Vtype.Nat), Int _
+  | Vtype.String, String _
+  | Vtype.Date, Date _
+  | Vtype.Money, Money _ ->
+      true
+  | (Vtype.Bool | Vtype.Int | Vtype.Nat | Vtype.String | Vtype.Date
+    | Vtype.Money), _ ->
+      false
+  | _ -> true
+
 (** Truthiness for permission guards: only [Bool true] is true;
     [Undefined] counts as false (a guard over an unobservable state does
     not license the event). *)

@@ -44,6 +44,13 @@ val type_of : t -> Vtype.t
 
 val is_undefined : t -> bool
 
+val fits : Vtype.t -> t -> bool
+(** [fits ty v]: [v] may fill a slot of type [ty] as far as its
+    constructor shows.  [Undefined] fits every type; a base type
+    (bool, integer, nat, string, date, money) takes only its own
+    constructor (any integer for nat); compound, identity and
+    enumeration types are not checked. *)
+
 val to_bool_opt : t -> bool option
 
 val field : string -> t -> t

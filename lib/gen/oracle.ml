@@ -626,19 +626,21 @@ let recovery src trace =
   | Unix.WSTOPPED s -> failf "recovery" "child stopped on signal %d" s
 
 (* ---------------------------------------------------------------- *)
-(* Oracle 7: sharded session vs the single engine                    *)
+(* Oracle 7: shard cells vs the single engine                       *)
 (* ---------------------------------------------------------------- *)
 
 (* A pseudo-random 2-shard partition — each class-interaction group
    assigned by a hash of (src, group index), so the split is a pure
    function of the spec and failures replay exactly — routes the trace
-   through {!Shard.coordinate}: single-owner steps take the fast path,
-   cross-shard steps commit by two-phase protocol on open transactions.
-   A plain session animates the same trace.  Error codes must agree
-   step by step, and the merged sharded dump must be bit-identical to
-   the single-engine dump.  Outcome shapes are NOT compared: a
-   cross-shard sync step decomposes into per-shard micro-steps, so the
-   state images are the equality witness.
+   through {!Shard.coordinate} over two shard cells
+   ({!Troll.Session.load_shard_cell}): single-owner steps are plain
+   engine steps, cross-shard steps go through {!Shard.two_phase}, the
+   decision the shard router runs too.  A plain session animates the
+   same trace.  Error codes must agree step by step, and the merged
+   sharded dump must be bit-identical to the single-engine dump.
+   Outcome shapes are NOT compared: a cross-shard sync step decomposes
+   into per-shard micro-steps, so the state images are the equality
+   witness.
 
    When the spec admits identity-hash partitioning ({!Shard.by_hash}),
    a source-hash coin flip picks the [hash:2] map instead of the
@@ -683,14 +685,18 @@ let sharded src trace =
         match Shard.split m st with Ok (_ :: _ :: _) -> true | _ -> false)
     | _ -> false
   in
-  match Troll.Session.load_sharded ~shards:2 ~map src with
-  | Error e -> failf "sharded" "sharded load (map %s): %s" map (Troll.Error.to_string e)
-  | Ok sh ->
+  let cell k = Troll.Session.load_shard_cell ~map ~shard:k src in
+  match (cell 0, cell 1) with
+  | Error e, _ | _, Error e ->
+      failf "sharded" "shard cell load (map %s): %s" map
+        (Troll.Error.to_string e)
+  | Ok c0, Ok c1 ->
+      let cells = Array.map Troll.Session.community [| c0; c1 |] in
       with_session "sharded" src @@ fun sg ->
       let rec loop i = function
         | [] -> Ok ()
         | st :: rest ->
-            let rs = Troll.Session.step sh st in
+            let rs = Shard.coordinate m cells st in
             let r1 = Troll.Session.step sg st in
             if code_of rs <> code_of r1 && not (same_phase_cross_shard st rs r1)
             then
@@ -700,15 +706,21 @@ let sharded src trace =
       in
       (match loop 0 trace with
       | Error _ as e -> e
-      | Ok () ->
-          let img_s = Troll.Session.save sh in
-          let img_1 = Troll.Session.save sg in
-          if img_s <> img_1 then
-            failf "sharded"
-              "final save images differ under map %s (merged %d bytes, \
-               single %d bytes)"
-              map (String.length img_s) (String.length img_1)
-          else Ok ())
+      | Ok () -> (
+          (* the probe session is scratch by now: merge the cells'
+             disjoint dumps into it, as the router merges its shards' *)
+          let dumps = Array.to_list (Array.map Persist.save cells) in
+          match Persist.merge facade dumps with
+          | Error m -> failf "sharded" "merging the cells' dumps: %s" m
+          | Ok () ->
+              let img_s = Persist.save facade in
+              let img_1 = Troll.Session.save sg in
+              if img_s <> img_1 then
+                failf "sharded"
+                  "final save images differ under map %s (merged %d bytes, \
+                   single %d bytes)"
+                  map (String.length img_s) (String.length img_1)
+              else Ok ()))
 
 (* ---------------------------------------------------------------- *)
 (* Oracle 8: a [steps] batch is its members fired one at a time      *)

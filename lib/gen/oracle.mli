@@ -37,14 +37,16 @@
       replay exactly.
     - ["sharded"]: a pseudo-random 2-shard partition (class groups
       assigned by a hash of the source, so failures replay exactly)
-      routes the trace through {!Shard.coordinate} — cross-shard steps
-      commit by two-phase protocol — against a plain single-engine
-      session: identical error codes step by step, and the merged
-      {!Troll.Session.save} dump bit-identical to the single-engine
-      dump.  Outcome shapes are not compared (a cross-shard sync step
-      decomposes into per-shard micro-steps).  When the spec admits
-      identity-hash partitioning, a source-hash coin flip routes
-      through the [hash:2] map ({!Shard.by_hash}) instead.
+      routes the trace through {!Shard.coordinate} over two
+      {!Troll.Session.load_shard_cell} cells — cross-shard steps
+      commit by {!Shard.two_phase} — against a plain single-engine
+      session: identical error codes step by step, and the
+      {!Persist.merge} of the cells' dumps bit-identical to the
+      single-engine dump.  Outcome shapes are not compared (a
+      cross-shard sync step decomposes into per-shard micro-steps).
+      When the spec admits identity-hash partitioning, a source-hash
+      coin flip routes through the [hash:2] map ({!Shard.by_hash})
+      instead.
     - ["linearizable"]: the trace goes to a society server in chunks
       of 8 steps, each chunk one [steps] request through
       [Server.execute]; a reference community fires the members one at

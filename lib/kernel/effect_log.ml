@@ -611,6 +611,16 @@ let apply (c : Community.t) (effs : eff list) : (unit, string) result =
       | Some o -> o
       | None -> fail "effect for unknown object %s" (Ident.to_string id)
     in
+    (* values of base types must carry their type's constructor, keys
+       included: a dump of another specification could otherwise
+       install state the engine never produces *)
+    let template id =
+      let tpl = Community.template_exn c id.Ident.cls in
+      if not (Template.key_fits tpl id.Ident.key) then
+        fail "object %s: the key does not fit the identification of %s"
+          (Ident.to_string id) tpl.Template.t_name;
+      tpl
+    in
     let set_stage id ~was_alive alive =
       if alive && not was_alive then Community.extension_add c id
       else if was_alive && not alive then Community.extension_remove c id
@@ -619,8 +629,7 @@ let apply (c : Community.t) (effs : eff list) : (unit, string) result =
       (fun eff ->
         match eff with
         | E_object (id, alive, dead, steps) ->
-            let tpl = Community.template_exn c id.Ident.cls in
-            let o = Obj_state.create id tpl in
+            let o = Obj_state.create id (template id) in
             o.Obj_state.alive <- alive;
             o.Obj_state.dead <- dead;
             o.Obj_state.steps <- steps;
@@ -632,10 +641,8 @@ let apply (c : Community.t) (effs : eff list) : (unit, string) result =
             Community.register_object c o;
             set_stage id ~was_alive alive
         | E_register id ->
-            if Community.find_object c id = None then begin
-              let tpl = Community.template_exn c id.Ident.cls in
-              Community.register_object c (Obj_state.create id tpl)
-            end
+            if Community.find_object c id = None then
+              Community.register_object c (Obj_state.create id (template id))
         | E_unregister id ->
             (match Community.find_object c id with
             | Some o when o.Obj_state.alive -> Community.extension_remove c id
@@ -647,7 +654,16 @@ let apply (c : Community.t) (effs : eff list) : (unit, string) result =
             o.Obj_state.alive <- alive;
             o.Obj_state.dead <- dead;
             set_stage id ~was_alive alive
-        | E_attr (id, name, v) -> Obj_state.set_attr (obj id) name v
+        | E_attr (id, name, v) ->
+            let o = obj id in
+            let tpl = o.Obj_state.template in
+            (match Template.find_attr tpl name with
+            | Some a when not (Value.fits a.Template.at_type v) ->
+                fail "attribute %s.%s: %s does not fit %s" tpl.Template.t_name
+                  name (Value.to_string v)
+                  (Vtype.to_string a.Template.at_type)
+            | _ -> ());
+            Obj_state.set_attr o name v
         | E_perm_closed (id, idx, bits) -> (
             let o = obj id in
             match perm_compiled o idx with

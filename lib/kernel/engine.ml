@@ -906,6 +906,14 @@ let participant r (members : member list) : participant =
     | Some o -> o
     | None ->
         if not born then fail (Unknown_object id);
+        (* persisted state is refused when a key does not fit, so the
+           engine must not create such an object either *)
+        if not (Template.key_fits tpl id.Ident.key) then
+          fail
+            (Eval_error
+               (Printf.sprintf
+                  "%s: the key does not fit the identification of %s"
+                  (Ident.to_string id) tpl.Template.t_name));
         let o = Obj_state.create id tpl in
         Community.register_object r.c o;
         Txn.note_created r.txn id;

@@ -42,10 +42,10 @@ val code_rank : string -> int
 (** Which engine phase (run over the whole synchronous set) an error
     code belongs to: 0 routing/availability, 1 life cycles and name
     resolution, 2 execution rejections (permissions, valuations,
-    constraints, evaluation) and any code that is not a {!reason}'s.  A
-    coordinator merging sub-step failures from several shards reports
-    the minimum-rank error so the same class of error surfaces as in a
-    single engine; attribution within one rank stays
+    constraints, evaluation) and any code that is not a {!reason}'s.
+    {!Shard.two_phase}, merging sub-step failures from several shards,
+    reports the minimum-rank error so the same class of error surfaces
+    as in a single engine; attribution within one rank stays
     decomposition-dependent. *)
 
 val phase_rank : reason -> int

@@ -1,5 +1,5 @@
-(** Sharded object societies — partition maps and the two-phase commit
-    coordinator.  See the interface and [docs/SHARDING.md]. *)
+(** Sharded object societies — partition maps and the two-phase
+    decision.  See the interface and [docs/SHARDING.md]. *)
 
 open Runtime_error
 
@@ -506,106 +506,104 @@ let split m (s : Step.t) :
           Ok (List.map (fun k -> (k, Step.Txn (for_shard k))) ks))
 
 (* ------------------------------------------------------------------ *)
-(* The two-phase coordinator                                           *)
+(* The two-phase decision                                              *)
 (* ------------------------------------------------------------------ *)
 
-type participant = {
-  pt_step : Step.t -> Engine.step_result;
-  pt_prepare : Step.t -> (Engine.outcome, Runtime_error.reason) result;
-  pt_commit : unit -> unit;
-  pt_abort : unit -> unit;
+type 'e participant = {
+  prepare : Step.t -> unit -> (Engine.outcome, 'e) result;
+  commit : unit -> unit -> (unit, 'e) result;
+  abort : unit -> unit -> unit;
 }
 
-let local_participant (c : Community.t) : participant =
+let two_phase ~rank (parts : 'e participant array) subs :
+    (Engine.outcome, 'e) result =
+  (* abort is idempotent, so every owner is sent one, whether it
+     prepared, refused, fell silent or was never reached *)
+  let abort_all () =
+    let waits = List.map (fun (k, _) -> parts.(k).abort ()) subs in
+    List.iter (fun wait -> wait ()) waits
+  in
+  (* every prepare is started before the first is waited on, so remote
+     participants work concurrently *)
+  match
+    List.map (fun (k, sub) -> parts.(k).prepare sub) subs
+    |> List.map (fun wait -> wait ())
+  with
+  | exception e ->
+      abort_all ();
+      raise e
+  | votes -> (
+      (* the earliest-phase refusal surfaces, ties in sub-step order:
+         the single engine validates the life cycles of a whole
+         synchronous set before it checks any permission, so when
+         several sub-steps refuse independently only the lowest rank
+         matches its answer *)
+      let refusal =
+        List.fold_left
+          (fun acc (vote : (_, _) result) ->
+            match (acc, vote) with
+            | None, Error e -> Some e
+            | Some best, Error e when rank e < rank best -> Some e
+            | _ -> acc)
+          None votes
+      in
+      match refusal with
+      | Some e ->
+          abort_all ();
+          Error e
+      | None -> (
+          let commits = List.map (fun (k, _) -> parts.(k).commit ()) subs in
+          match
+            List.find_map
+              (fun (r : (_, _) result) ->
+                match r with Ok () -> None | Error e -> Some e)
+              (List.map (fun wait -> wait ()) commits)
+          with
+          | Some e -> Error e
+          | None ->
+              let outs = List.map Result.get_ok votes in
+              let all f = List.concat_map f outs in
+              Ok
+                {
+                  Engine.committed = all (fun o -> o.Engine.committed);
+                  created = all (fun o -> o.Engine.created);
+                  destroyed = all (fun o -> o.Engine.destroyed);
+                }))
+
+(** An in-process participant: {!Engine.prepare} opens the transaction
+    at once, so every waiter is already resolved. *)
+let local (c : Community.t) : Runtime_error.reason participant =
   let pending = ref None in
+  let finish f =
+    let p = !pending in
+    pending := None;
+    Option.iter f p
+  in
   {
-    pt_step = (fun s -> Engine.step c s);
-    pt_prepare =
+    prepare =
       (fun s ->
-        match Engine.prepare c s with
-        | Ok p ->
-            pending := Some p;
-            Ok (Engine.outcome_of_prepared p)
-        | Error _ as e -> e);
-    pt_commit =
+        let r = Engine.prepare c s in
+        pending := Result.to_option r;
+        fun () -> Result.map Engine.outcome_of_prepared r);
+    commit =
       (fun () ->
-        match !pending with
-        | Some p ->
-            pending := None;
-            Engine.commit_prepared p
-        | None -> ());
-    pt_abort =
-      (fun () ->
-        match !pending with
-        | Some p ->
-            pending := None;
-            Engine.rollback_prepared p
-        | None -> ());
+        finish Engine.commit_prepared;
+        fun () -> Ok ());
+    abort = (fun () -> finish Engine.rollback_prepared; ignore);
   }
 
-let coordinate m (parts : participant array) (s : Step.t) :
+let coordinate m (cells : Community.t array) (s : Step.t) :
     Engine.step_result =
   match split m s with
   | Error r -> Error r
   | Ok subs -> (
       match
-        List.find_opt (fun (k, _) -> k < 0 || k >= Array.length parts) subs
+        List.find_opt (fun (k, _) -> k < 0 || k >= Array.length cells) subs
       with
       | Some (k, _) -> Error (Unknown_shard k)
       | None -> (
           match subs with
-          | [ (k, sub) ] -> parts.(k).pt_step sub
-          | subs -> (
-              let abort_all prepared =
-                List.iter (fun (k, _) -> parts.(k).pt_abort ()) prepared
-              in
-              (* phase 1: prepare every owner in shard order.
-                 Preparation continues past a failure: when several
-                 independent sub-steps reject, the error of the
-                 earliest engine phase must surface (the single engine
-                 validates life cycles of the whole synchronous set
-                 before checking any permission), so the coordinator
-                 needs every shard's verdict before choosing. *)
-              let rec prep prepared errors = function
-                | [] -> (List.rev prepared, List.rev errors)
-                | (k, sub) :: rest -> (
-                    match parts.(k).pt_prepare sub with
-                    | Ok outcome -> prep ((k, outcome) :: prepared) errors rest
-                    | Error r -> prep prepared (r :: errors) rest
-                    | exception Runtime_error.Error r ->
-                        prep prepared (r :: errors) rest
-                    | exception e ->
-                        abort_all (List.rev prepared);
-                        raise e)
-              in
-              match prep [] [] subs with
-              | prepared, (e0 :: es) ->
-                  abort_all prepared;
-                  (* earliest phase wins, ties in shard order *)
-                  Error
-                    (List.fold_left
-                       (fun acc r ->
-                         if Runtime_error.phase_rank r
-                            < Runtime_error.phase_rank acc
-                         then r
-                         else acc)
-                       e0 es)
-              | prepared, [] ->
-                  (* phase 2: all prepared — commit everywhere *)
-                  List.iter (fun (k, _) -> parts.(k).pt_commit ()) prepared;
-                  let outs = List.map snd prepared in
-                  Ok
-                    {
-                      Engine.committed =
-                        List.concat_map
-                          (fun (o : Engine.outcome) -> o.Engine.committed)
-                          outs;
-                      created =
-                        List.concat_map
-                          (fun (o : Engine.outcome) -> o.Engine.created)
-                          outs;
-                      destroyed =
-                        List.concat_map
-                          (fun (o : Engine.outcome) -> o.Engine.destroyed)
-                          outs;
-                    })))
+          | [ (k, sub) ] -> Engine.step cells.(k) sub
+          | subs ->
+              two_phase ~rank:Runtime_error.phase_rank
+                (Array.map local cells) subs))

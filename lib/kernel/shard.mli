@@ -1,5 +1,5 @@
-(** Sharded object societies: partition maps and the two-phase commit
-    coordinator.
+(** Sharded object societies: partition maps and the two-phase
+    decision.
 
     The paper's §6 modularization connects independent object societies
     only through society-interface import — events, never shared state.
@@ -8,9 +8,10 @@
     event-calling targets, global interactions, cross-object
     expressions) are co-located; a step whose events span several shards
     therefore always decomposes into *independent* per-shard sub-steps,
-    which the coordinator makes atomic with a two-phase protocol built
-    on open {!Txn} transactions ({!Engine.prepare} = the step without
-    its commit, {!Engine.rollback_prepared} = abort).  See
+    which {!two_phase} makes atomic over open {!Txn} transactions
+    ({!Engine.prepare} = the step without its commit,
+    {!Engine.rollback_prepared} = abort), whether the owners are
+    in-process communities or shard servers behind the router.  See
     [docs/SHARDING.md]. *)
 
 (** {1 Class groups} *)
@@ -67,30 +68,44 @@ val split : map -> Step.t -> ((int * Step.t) list, Runtime_error.reason) result
     occurrence order, per-shard event order preserved.  A step with no
     events routes to shard 0. *)
 
-(** {1 The two-phase coordinator} *)
+(** {1 The two-phase decision} *)
 
-(** One shard as the coordinator sees it: either a local community
-    ({!local_participant}) or a proxy speaking the NDJSON protocol to a
-    shard server ([Router] in [lib/server]).  [pt_commit] must succeed;
-    a remote participant that cannot deliver a commit must fail stop
-    (the router respawns it and replays the shipped WAL). *)
-type participant = {
-  pt_step : Step.t -> Engine.step_result;  (** single-shard fast path *)
-  pt_prepare : Step.t -> (Engine.outcome, Runtime_error.reason) result;
-  pt_commit : unit -> unit;
-  pt_abort : unit -> unit;
+(** One owner of a cross-shard step as {!two_phase} sees it.  Each
+    function starts its work and returns a waiter for the answer, so
+    the prepares of remote participants overlap.  [abort] is
+    idempotent: it may reach a participant that refused its prepare
+    or never received it.  A participant that cannot deliver a commit
+    answers [Error] and must fail stop (the router respawns a dead
+    shard and catches it up from its shipped WAL records). *)
+type 'e participant = {
+  prepare : Step.t -> unit -> (Engine.outcome, 'e) result;
+  commit : unit -> unit -> (unit, 'e) result;
+  abort : unit -> unit -> unit;
 }
 
-val local_participant : Community.t -> participant
-(** In-process participant over {!Engine.prepare} /
-    {!Engine.commit_prepared} / {!Engine.rollback_prepared}. *)
+val two_phase :
+  rank:('e -> int) ->
+  'e participant array ->
+  (int * Step.t) list ->
+  (Engine.outcome, 'e) result
+(** [two_phase ~rank parts subs] makes the sub-steps of one step (from
+    {!split}) atomic.  Every owner [parts.(k)] is sent its prepare
+    before the first answer is awaited.  On any refusal every owner
+    is sent an abort and the refusal of lowest [rank] surfaces, ties
+    in sub-step order (the single engine checks every life cycle of a
+    synchronous set before any permission); an exception from a
+    participant aborts every owner too and is re-raised.  Otherwise
+    every owner commits — the first commit error, if any, is the
+    answer — and the outcome lists the owners' micro-steps, creations
+    and destructions in sub-step order.  Both the shard router
+    (participants over its shard links, ranked by
+    {!Runtime_error.code_rank}) and {!coordinate} decide here. *)
 
-val coordinate :
-  map -> participant array -> Step.t -> Engine.step_result
-(** Route one step: a single-owner step goes straight to its shard's
-    [pt_step]; a cross-shard step is prepared on every owner and only
-    then committed everywhere, any preparation failure aborting all
-    prepared participants (each shard rolled back bit-identically to
-    its pre-transaction state).  The merged outcome lists per-shard
-    micro-steps in shard order.  An owner outside the participant
-    array fails with [Unknown_shard]. *)
+val coordinate : map -> Community.t array -> Step.t -> Engine.step_result
+(** In-process routing over one community per shard (e.g. cells of
+    [Troll.Session.load_shard_cell]): a single-owner step is an
+    {!Engine.step} on its cell; a cross-shard step is a {!two_phase}
+    over {!Engine.prepare} transactions, ranked by
+    {!Runtime_error.phase_rank}, an aborted cell rolled back
+    bit-identically.  An owner outside the cell array fails with
+    [Unknown_shard]. *)

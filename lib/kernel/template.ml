@@ -190,6 +190,19 @@ let n_slots t = Array.length (slots t).slot_names
 let slot_of t name = Hashtbl.find_opt (slots t).slot_index name
 let slot_name t i = (slots t).slot_names.(i)
 
+let key_fits t key =
+  match (t.t_id_fields, key) with
+  | [], _ -> true
+  | [ (_, ty) ], _ -> Value.fits ty key
+  | fields, Value.Tuple kvs ->
+      List.for_all
+        (fun (name, ty) ->
+          match List.assoc_opt name kvs with
+          | Some v -> Value.fits ty v
+          | None -> true)
+        fields
+  | _ -> false
+
 let find_attr t name =
   List.find_opt (fun a -> String.equal a.at_name name) t.t_attrs
 

@@ -126,6 +126,13 @@ val n_slots : t -> int
 val slot_of : t -> string -> int option
 val slot_name : t -> int -> string
 
+val key_fits : t -> Value.t -> bool
+(** Whether an identity key fits the class's identification fields by
+    {!Value.fits}: the key itself against a single field; against
+    several, a tuple whose fields are checked by name (a field the
+    tuple lacks is not checked).  A class that declares no
+    identification fields takes any key. *)
+
 val find_attr : t -> string -> attr_def option
 val find_event : t -> string -> event_def option
 val birth_events : t -> event_def list

@@ -1,5 +1,14 @@
 (** Wire protocol codecs — see the interface and docs/PROTOCOL.md. *)
 
+(** Decode every item, stopping at the first error. *)
+let map_all f items =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest -> (
+        match f x with Ok v -> go (v :: acc) rest | Error e -> Error e)
+  in
+  go [] items
+
 (* ------------------------------------------------------------------ *)
 (* Value codec                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -46,12 +55,6 @@ let rec value_to_json (v : Value.t) : Json.t =
 
 let rec value_of_json (j : Json.t) : (Value.t, string) result =
   let ( let* ) = Result.bind in
-  let rec values acc = function
-    | [] -> Ok (List.rev acc)
-    | j :: rest ->
-        let* v = value_of_json j in
-        values (v :: acc) rest
-  in
   match j with
   | Json.Null -> Ok Value.Undefined
   | Json.Bool b -> Ok (Value.Bool b)
@@ -59,7 +62,7 @@ let rec value_of_json (j : Json.t) : (Value.t, string) result =
   | Json.Float _ -> Error "the value universe has no float type"
   | Json.String s -> Ok (Value.String s)
   | Json.List elems ->
-      let* vs = values [] elems in
+      let* vs = map_all value_of_json elems in
       Ok (Value.List vs)
   | Json.Obj [ ("$date", Json.String s) ] -> (
       match Date_adt.of_string s with
@@ -82,7 +85,7 @@ let rec value_of_json (j : Json.t) : (Value.t, string) result =
           Ok (Value.Id (cls, key))
       | _ -> Error "$id needs {\"cls\": string, \"key\": value}")
   | Json.Obj [ ("$set", Json.List elems) ] ->
-      let* vs = values [] elems in
+      let* vs = map_all value_of_json elems in
       Ok (Value.set vs)
   | Json.Obj [ ("$map", Json.List pairs) ] ->
       let rec bindings acc = function
@@ -131,14 +134,9 @@ let event_to_json (ev : Event.t) : Json.t =
     ]
 
 let args_of_json j : (Value.t list, string) result =
-  let rec loop acc = function
-    | [] -> Ok (List.rev acc)
-    | aj :: rest -> (
-        match value_of_json aj with
-        | Ok v -> loop (v :: acc) rest
-        | Error e -> Error (Printf.sprintf "bad argument: %s" e))
-  in
-  loop [] (Json.to_list (Json.member "args" j))
+  Result.map_error
+    (fun e -> Printf.sprintf "bad argument: %s" e)
+    (map_all value_of_json (Json.to_list (Json.member "args" j)))
 
 let event_of_json j : (Event.t, string) result =
   match ident_of_json j with
@@ -151,17 +149,11 @@ let event_of_json j : (Event.t, string) result =
           | Error e -> Error e)
       | _ -> Error "missing \"event\" field")
 
+let sync_of_json j = map_all event_of_json (Json.to_list j)
+
 let events_of_json j ~field : (Event.t list, string) result =
   match Json.member field j with
-  | Json.List items ->
-      let rec loop acc = function
-        | [] -> Ok (List.rev acc)
-        | ej :: rest -> (
-            match event_of_json ej with
-            | Ok ev -> loop (ev :: acc) rest
-            | Error e -> Error e)
-      in
-      loop [] items
+  | Json.List items -> map_all event_of_json items
   | _ -> Error (Printf.sprintf "missing %S list" field)
 
 (* ------------------------------------------------------------------ *)
@@ -346,21 +338,8 @@ let rec decode_request (j : Json.t) : (request, string) result =
   | Json.String "txn" -> (
       match Json.member "steps" j with
       | Json.List micro ->
-          let rec loop acc = function
-            | [] -> Ok (Step (Step.Txn (List.rev acc)))
-            | step_j :: rest -> (
-                let rec events acc = function
-                  | [] -> Ok (List.rev acc)
-                  | ej :: more -> (
-                      match event_of_json ej with
-                      | Ok ev -> events (ev :: acc) more
-                      | Error e -> Error e)
-                in
-                match events [] (Json.to_list step_j) with
-                | Ok evs -> loop (evs :: acc) rest
-                | Error e -> Error e)
-          in
-          loop [] micro
+          let* micro = map_all sync_of_json micro in
+          Ok (Step (Step.Txn micro))
       | _ -> Error "missing \"steps\" list")
   | Json.String "attr" ->
       let* target = ident_of_json j in
@@ -500,6 +479,14 @@ let outcome_to_json (o : Engine.outcome) : Json.t =
       ("created", Json.List (List.map ident_to_json o.Engine.created));
       ("destroyed", Json.List (List.map ident_to_json o.Engine.destroyed));
     ]
+
+let outcome_of_json j : (Engine.outcome, string) result =
+  let ( let* ) = Result.bind in
+  let field name f = map_all f (Json.to_list (Json.member name j)) in
+  let* committed = field "committed" sync_of_json in
+  let* created = field "created" ident_of_json in
+  let* destroyed = field "destroyed" ident_of_json in
+  Ok { Engine.committed; created; destroyed }
 
 let enabled_to_json names : Json.t =
   Json.Obj [ ("events", Json.List (List.map (fun n -> Json.String n) names)) ]

@@ -138,6 +138,10 @@ val error_frame : id:Json.t -> Wire_error.t -> Json.t
 val outcome_to_json : Engine.outcome -> Json.t
 (** [{"committed": [[event…]…], "created": […], "destroyed": […]}]. *)
 
+val outcome_of_json : Json.t -> (Engine.outcome, string) result
+(** Inverts {!outcome_to_json}: the shard router reads its shards'
+    prepared outcomes with it. *)
+
 val enabled_to_json : string list -> Json.t
 (** The [enabled] result: [{"events": [name…]}]. *)
 

@@ -2,8 +2,9 @@
     interface for the model.  One single-threaded {!Conn} loop fronts N
     shard servers: plain steps are forwarded asynchronously (several
     shards commit — and fsync — concurrently), cross-shard steps run
-    the two-phase protocol synchronously, and every shipped WAL record
-    is mirrored so a dead shard can be respawned and caught up. *)
+    {!Shard.two_phase} synchronously over link participants, and every
+    shipped WAL record is mirrored so a dead shard can be respawned and
+    caught up. *)
 
 (* what a connection of the router's loop is *)
 type peer = Client | Link of link
@@ -174,10 +175,10 @@ let send_op t link fields : (link * Json.t option ref) option =
 let sync_timeout = 60.
 
 (** Turn the involved links until every cell is filled, a link dies,
-    or the timeout passes.  Replies to *other* requests arriving on
-    those links are dispatched normally on the way. *)
-let await_cells t cells =
-  let deadline = Unix.gettimeofday () +. sync_timeout in
+    or the [deadline] (default: the timeout from now) passes.  Replies
+    to *other* requests arriving on those links are dispatched normally
+    on the way. *)
+let await_cells ?(deadline = Unix.gettimeofday () +. sync_timeout) t cells =
   let rec loop () =
     let waiting =
       List.filter_map
@@ -363,126 +364,47 @@ let forward t link client ~id doc =
       Conn.send c (with_id (Json.String iid) doc);
       t.stats.forwarded <- t.stats.forwarded + 1
 
-let merge_outcomes results =
-  let gather field =
-    Json.List
-      (List.concat_map (fun r -> Json.to_list (Json.member field r)) results)
+(** A shard link as a {!Shard.two_phase} participant: each phase sends
+    its frame at once and waits on the link only when its answer is
+    asked for, so the prepares of one step overlap. *)
+let link_participant t link : Protocol.Wire_error.t Shard.participant =
+  let call fields =
+    match send_op t link fields with
+    | None -> fun () -> Error (shard_unavailable link.lk_id)
+    | Some ((_, cell) as sent) ->
+        (* due [sync_timeout] after the send, however late it is
+           awaited: one silent shard does not extend the others' wait *)
+        let deadline = Unix.gettimeofday () +. sync_timeout in
+        fun () ->
+          await_cells ~deadline t [ sent ];
+          cell_result link cell
   in
-  Json.Obj
-    [
-      ("committed", gather "committed");
-      ("created", gather "created");
-      ("destroyed", gather "destroyed");
-    ]
-
-(** The two-phase protocol over prepared shard transactions.  Runs
-    synchronously: prepares go out together (their work overlaps), and
-    only when every involved shard voted yes are the open transactions
-    committed.  Any refusal — or a shard dying mid-protocol — aborts
-    every prepared transaction, restoring each shard bit-identically. *)
-let coordinate t client ~id subs =
-  t.stats.cross <- t.stats.cross + 1;
-  let prepare_fields sub =
-    Json.Obj
-      [
-        ("op", Json.String "prepare");
-        ("step", Protocol.request_of_step ~id:Json.Null sub);
-      ]
-  in
-  let sent =
-    List.map
-      (fun (k, sub) ->
-        let link = t.links.(k) in
-        (link, send_op t link (prepare_fields sub)))
-      subs
-  in
-  await_cells t (List.filter_map snd sent);
-  let votes =
-    List.map
-      (fun (link, s) ->
-        match s with
-        | None -> (link, false, Error (shard_unavailable link.lk_id))
-        | Some (_, cell) -> (
-            match cell_result link cell with
-            | Ok r -> (link, true, Ok r)
-            | Error e ->
-                (* [txn_pending]/refusal means nothing was prepared
-                   there; a dead link has no transaction left either *)
-                (link, false, Error e)))
-      sent
-  in
-  let all_yes = List.for_all (fun (_, yes, _) -> yes) votes in
-  if not all_yes then begin
-    (* phase 2: abort everything that did prepare *)
-    let aborts =
-      List.filter_map
-        (fun (link, yes, _) ->
-          if yes then send_op t link (Json.Obj [ ("op", Json.String "abort") ])
-          else None)
-        votes
-    in
-    await_cells t aborts;
-    (* the same phase ranking {!Shard.coordinate} applies: the engine
-       validates life cycles of the whole synchronous set before any
-       permission, so when several sub-steps refuse independently the
-       earliest-phase refusal must surface; ties keep shard order *)
-    let rank (e : Protocol.Wire_error.t) =
-      Runtime_error.code_rank e.Protocol.Wire_error.code
-    in
-    let best_error =
-      List.fold_left
-        (fun acc (_, _, r) ->
-          match (acc, r) with
-          | None, Error e -> Some e
-          | Some a, Error e when rank e < rank a -> Some e
-          | _ -> acc)
-        None votes
-    in
-    t.stats.failed <- t.stats.failed + 1;
-    Conn.send_error client ~id
-      (Option.value best_error
-         ~default:
-           (Protocol.Wire_error.make ~code:"internal" "prepare failed"))
-  end
-  else begin
-    let commits =
-      List.filter_map
-        (fun (link, _, _) ->
-          send_op t link (Json.Obj [ ("op", Json.String "commit") ]))
-        votes
-    in
-    await_cells t commits;
-    let commit_error =
-      if List.length commits <> List.length votes then
-        (* a participant died between its yes vote and the commit send *)
-        List.find_map
-          (fun (link, _, _) ->
-            if link.lk_conn = None then Some (shard_unavailable link.lk_id)
-            else None)
-          votes
-      else
-        List.find_map
-          (fun (link, cell) ->
-            match cell_result link cell with
-            | Ok _ -> None
-            | Error e -> Some e)
-          commits
-    in
-    match commit_error with
-    | Some e ->
-        (* in-doubt window: some shards committed before one failed;
-           the survivors keep their state, the dead shard is caught up
-           from its own last shipped record *)
-        t.stats.failed <- t.stats.failed + 1;
-        Conn.send_error client ~id e
-    | None ->
-        let outcomes =
-          List.filter_map
-            (fun (_, _, r) -> match r with Ok o -> Some o | Error _ -> None)
-            votes
+  let op name = Json.Obj [ ("op", Json.String name) ] in
+  {
+    Shard.prepare =
+      (fun sub ->
+        let wait =
+          call
+            (Json.Obj
+               [
+                 ("op", Json.String "prepare");
+                 ("step", Protocol.request_of_step ~id:Json.Null sub);
+               ])
         in
-        Conn.send client (Protocol.ok_frame ~id (merge_outcomes outcomes))
-  end
+        fun () ->
+          Result.bind (wait ()) (fun r ->
+              Result.map_error
+                (fun m -> Protocol.Wire_error.make ~code:"bad_frame" m)
+                (Protocol.outcome_of_json r)));
+    commit =
+      (fun () ->
+        let wait = call (op "commit") in
+        fun () -> Result.map ignore (wait ()));
+    abort =
+      (fun () ->
+        let wait = call (op "abort") in
+        fun () -> ignore (wait ()));
+  }
 
 let router_caps = [ "shards" ]
 
@@ -555,16 +477,22 @@ let handle_client_doc t client doc =
   | Ok (Protocol.Step step) -> (
       match Shard.split t.map step with
       | Error reason -> reply_err (Protocol.Wire_error.of_reason reason)
-      | Ok subs
-        when List.exists (fun (k, _) -> k < 0 || k >= links) subs ->
-          let k, _ = List.find (fun (k, _) -> k < 0 || k >= links) subs in
-          reply_err
-            (Protocol.Wire_error.of_reason (Runtime_error.Unknown_shard k))
       | Ok [ (k, sub) ] ->
           forward t t.links.(k) client ~id
             (Protocol.request_of_step ~id:Json.Null sub)
-      | Ok [] -> assert false (* split routes empty steps to shard 0 *)
-      | Ok subs -> coordinate t client ~id subs)
+      | Ok subs -> (
+          t.stats.cross <- t.stats.cross + 1;
+          match
+            Shard.two_phase
+              ~rank:(fun (e : Protocol.Wire_error.t) ->
+                Runtime_error.code_rank e.Protocol.Wire_error.code)
+              (Array.map (link_participant t) t.links)
+              subs
+          with
+          | Ok outcome -> reply_ok (Protocol.outcome_to_json outcome)
+          | Error e ->
+              t.stats.failed <- t.stats.failed + 1;
+              reply_err e))
   | Ok (Protocol.Attr { target; _ }) -> forward_owner target
   | Ok (Protocol.Enabled target) -> forward_owner target
   | Ok (Protocol.Candidates target) -> forward_owner target

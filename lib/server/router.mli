@@ -5,8 +5,9 @@
     client-visible step either lives wholly on one shard (forwarded
     as-is, several such steps are kept in flight concurrently across
     shards) or decomposes into independent per-shard sub-steps, made
-    atomic with the two-phase [prepare]/[commit]/[abort] protocol over
-    {!Engine.prepare} transactions.
+    atomic by {!Shard.two_phase} over the shard links: [prepare],
+    [commit] and [abort] frames drive {!Engine.prepare} transactions
+    on the shards.
 
     Towards its shards the router speaks the versioned protocol as a
     client that negotiated the [wal] capability: every shipped WAL

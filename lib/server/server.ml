@@ -724,7 +724,7 @@ let process_probe_batch t (jobs : job list) =
     one batch: deadlines are checked once, up front, then each member
     executes in order, one {!Engine.step} apiece — so the responses
     (and the community) equal per-job {!process}.  Callers guarantee no
-    prepared transaction is open and the session is unsharded. *)
+    prepared transaction is open. *)
 let process_step_batch t (jobs : job list) =
   match drop_expired t jobs with
   | [] -> ()
@@ -785,9 +785,9 @@ let gather_jobs t : job list =
 
 (** Execute one turn's jobs, coalescing maximal contiguous runs: probes
     answer at one quiescent point in one dispatch, single-event fires
-    run as one batch (only while no prepared transaction is open and the
-    session is unsharded — checked per run, because a [prepare]
-    executing mid-turn closes the window). *)
+    run as one batch (only while no prepared transaction is open —
+    checked per run, because a [prepare] executing mid-turn closes the
+    window). *)
 let run_jobs t (jobs : job list) =
   let span p l =
     let rec go acc = function
@@ -796,17 +796,13 @@ let run_jobs t (jobs : job list) =
     in
     go [] l
   in
-  let can_batch_steps () =
-    Option.is_none t.prepared
-    && Option.is_none (Troll.Session.shard_map t.session)
-  in
   let rec go = function
     | [] -> ()
     | job :: _ as l when is_probe job ->
         let run, rest = span is_probe l in
         process_probe_batch t run;
         go rest
-    | job :: _ as l when is_single_step job && can_batch_steps () ->
+    | job :: _ as l when is_single_step job && Option.is_none t.prepared ->
         let run, rest = span is_single_step l in
         process_step_batch t run;
         go rest

@@ -39,10 +39,9 @@
     point, for the domains to thaw.  {!execute} answers single probes
     through the same path.  Runs of single-event fires execute as one
     batch — deadlines checked once, then one {!Engine.step} per member
-    in order (only while no prepared transaction is open and the
-    session is unsharded).  The pool is created lazily on the first
-    probe batch, so a server that never needs it never spawns a domain
-    and stays fork-safe.
+    in order (only while no prepared transaction is open).  The pool is
+    created lazily on the first probe batch, so a server that never
+    needs it never spawns a domain and stays fork-safe.
 
     {b Durability.}  With a {!Wal.t} attached, every mutating request
     appends its committed effect delta through the community's commit

@@ -1,11 +1,12 @@
 #!/bin/sh
 # Sharded-society smoke test: launch two shard servers plus the router
 # with `trollc shard`, drive a mixed workload (single-shard steps,
-# cross-shard two-phase syncs, guaranteed rejections), kill -9 one
-# shard halfway through, keep driving while the router respawns it and
-# catches it up from the mirrored WAL records, then require the merged
-# final state to be bit-identical to a single-engine `trollc serve`
-# run of the very same trace.
+# cross-shard two-phase syncs, guaranteed rejections on one shard and
+# across shards), kill -9 one shard halfway through, keep driving while
+# the router respawns it and catches it up from the mirrored WAL
+# records, then require every answer's code and the merged final state
+# to equal those of a single-engine `trollc serve` run of the very
+# same trace.
 #
 # Usage: scripts/shard_smoke.sh          (from the repo root)
 
@@ -66,38 +67,52 @@ def rpc(f, obj, retries=30):
         return resp
     return resp
 
+def code(r):
+    return "ok" if r.get("ok") else r.get("error", {}).get("code")
+
+def add(cls, n, key="x"):
+    return {"cls": cls, "key": key, "event": "add", "args": [n]}
+
 def trace(f, killer=None):
-    """The deterministic mixed workload; returns the final save dump."""
-    r = rpc(f, {"id": 0, "op": "hello", "version": 1})
-    assert r["ok"], r
+    """The deterministic mixed workload; returns every answer's code
+    (or "ok") and the final save dump."""
+    codes = []
+    def expect(req, want):
+        r = rpc(f, req)
+        codes.append(code(r))
+        assert code(r) == want, r
+        return r
+    expect({"id": 0, "op": "hello", "version": 1}, "ok")
     for i in range(8):
-        r = rpc(f, {"id": 1, "op": "create",
-                    "cls": f"CELL{i}", "key": "x"})
-        assert r["ok"], r
+        expect({"id": 1, "op": "create", "cls": f"CELL{i}", "key": "x"}, "ok")
     for i in range(200):
         if i == 100 and killer:
             killer()
         if i % 25 == 24:
             # a guaranteed rejection: the permission guard Total+n >= 0
-            r = rpc(f, {"id": 2, "op": "fire", "cls": f"CELL{i % 8}",
-                        "key": "x", "event": "add", "args": [-1000000]})
-            code = r.get("error", {}).get("code")
-            assert not r.get("ok") and code == "permission_denied", r
+            expect({"id": 2, "op": "fire", **add(f"CELL{i % 8}", -1000000)},
+                   "permission_denied")
+        elif i % 50 == 19:
+            # a cross-shard refusal: the CELL1 half breaks the guard, so
+            # both shards abort
+            expect({"id": 3, "op": "sync", "events": [
+                add("CELL0", 1), add("CELL1", -1000000)]},
+                   "permission_denied")
+        elif i % 50 == 39:
+            # refusals of two phases: CELL0's guard and the unborn
+            # CELL1("ghost"); life cycles come first, as on one engine
+            expect({"id": 4, "op": "sync", "events": [
+                add("CELL0", -1000000), add("CELL1", 1, key="ghost")]},
+                   "unknown_object")
         elif i % 10 == 9:
             # cross-shard synchronous step (two-phase on the router)
-            r = rpc(f, {"id": 3, "op": "sync", "events": [
-                {"cls": "CELL0", "key": "x", "event": "add", "args": [2]},
-                {"cls": "CELL1", "key": "x", "event": "add", "args": [3]}]})
-            assert r["ok"], r
+            expect({"id": 5, "op": "sync", "events": [
+                add("CELL0", 2), add("CELL1", 3)]}, "ok")
         else:
-            r = rpc(f, {"id": 4, "op": "fire", "cls": f"CELL{i % 8}",
-                        "key": "x", "event": "add", "args": [1]})
-            assert r["ok"], r
-    r = rpc(f, {"id": 5, "op": "save"})
-    assert r["ok"], r
-    state = r["result"]["state"]
-    rpc(f, {"id": 6, "op": "shutdown"})
-    return state
+            expect({"id": 6, "op": "fire", **add(f"CELL{i % 8}", 1)}, "ok")
+    r = expect({"id": 7, "op": "save"}, "ok")
+    rpc(f, {"id": 8, "op": "shutdown"})
+    return codes, r["result"]["state"]
 
 def kill_shard_0():
     with open(shard_sock + ".0.pid") as fh:
@@ -105,8 +120,17 @@ def kill_shard_0():
     os.kill(pid, signal.SIGKILL)
     print(f"killed shard 0 (pid {pid}) mid-workload")
 
-sharded = trace(connect(shard_sock), killer=kill_shard_0)
-single = trace(connect(single_sock))
+sharded_codes, sharded = trace(connect(shard_sock), killer=kill_shard_0)
+single_codes, single = trace(connect(single_sock))
+
+if sharded_codes != single_codes:
+    diff = next(i for i, (a, b) in enumerate(zip(sharded_codes, single_codes))
+                if a != b) if len(sharded_codes) == len(single_codes) else None
+    print(f"FAIL: answer codes differ (first at request {diff}):",
+          sharded_codes[diff] if diff is not None else len(sharded_codes),
+          single_codes[diff] if diff is not None else len(single_codes))
+    sys.exit(1)
+print(f"all {len(single_codes)} answers match the single-engine run")
 
 if sharded != single:
     print("FAIL: sharded final state differs from the single-engine run")

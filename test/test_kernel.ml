@@ -808,6 +808,11 @@ let test_runtime_arg_validation () =
   | _ -> Alcotest.fail "type violation accepted");
   check tbool "well-typed accepted" true
     (accepted (fire c x "add" [ Value.Int 1 ]));
+  (* a key must fit the identification (id: string), or no dump of the
+     state would load again *)
+  (match Engine.create c ~cls:"COUNTER" ~key:(Value.Int 1) () with
+  | Error (Runtime_error.Eval_error _) -> ()
+  | _ -> Alcotest.fail "ill-typed key accepted");
   (* enum arguments are compatible by enumeration name *)
   let lib = load Paper_specs.library in
   check tbool "enum argument accepted" true

@@ -332,7 +332,7 @@ let value_round_trip v =
   | Error e -> Alcotest.failf "decode of %s failed: %s" (Value.to_string v) e
 
 let test_value_codec () =
-  List.iter value_round_trip
+  let values =
     [
       Value.Undefined;
       Value.Bool true;
@@ -348,6 +348,24 @@ let test_value_codec () =
       Value.Tuple [ ("a", Value.Int 1); ("b", Value.Bool false) ];
       Value.set [ Value.Id ("D", Value.String "d1"); Value.Undefined ];
     ]
+  in
+  List.iter value_round_trip values;
+  (* the router reads its shards' prepared outcomes back and answers
+     with their re-encoding, which must be the same bytes *)
+  let ev = Event.make ada "promote" values in
+  let outcome =
+    Protocol.outcome_to_json
+      {
+        Engine.committed = [ [ ev ]; [ ev; ev ] ];
+        created = [ ada ];
+        destroyed = [ ada ];
+      }
+  in
+  match Protocol.outcome_of_json outcome with
+  | Ok o ->
+      Alcotest.check json "outcome round trip" outcome
+        (Protocol.outcome_to_json o)
+  | Error m -> Alcotest.failf "outcome decode failed: %s" m
 
 let test_value_rejects_float () =
   match Protocol.value_of_json (Json.Float 1.5) with
@@ -839,11 +857,11 @@ let test_serve_default_deadline () =
 (* examples/specs/cells.trl: eight independent counter classes CELL0..7,
    each with a parameterless death event [drop] and a guarded
    [add(integer)] that refuses to take Total below zero *)
+let cells_src () =
+  In_channel.with_open_bin "../examples/specs/cells.trl" In_channel.input_all
+
 let cells_session () =
-  let src =
-    In_channel.with_open_bin "../examples/specs/cells.trl" In_channel.input_all
-  in
-  match Troll.Session.load src with
+  match Troll.Session.load (cells_src ()) with
   | Ok s -> s
   | Error e -> Alcotest.failf "cells.trl failed to load: %s" (Troll.Error.to_string e)
 
@@ -1155,16 +1173,21 @@ let rpc_fd buf fd line =
 (* Input framing over real connections: server and router            *)
 (* ---------------------------------------------------------------- *)
 
-(* Fork a one-shard society behind the router (the shard a plain
-   socket server of its cell), and hand the test a connector to the
-   router's socket and the router's process id. *)
-let with_socket_router k =
+(* Fork a society of [spec] (default: the test spec) over [shards]
+   shards (default 1) behind the router, the class groups spread by
+   {!Shard.auto}, each shard a plain socket server of its cell, and hand
+   the test a connector to the router's socket and the router's process
+   id. *)
+let with_socket_router ?(spec = spec_src) ?(shards = 1) k =
   let path = Filename.temp_file "troll_router" ".sock" in
   Unix.unlink path;
-  let shard_path = path ^ ".0" in
-  let facade = load_session () in
-  let community = Troll.Session.community facade in
-  let map = Shard.auto community ~shards:1 in
+  let shard_paths = Array.init shards (Printf.sprintf "%s.%d" path) in
+  let community =
+    match Troll.Session.load spec with
+    | Ok s -> Troll.Session.community s
+    | Error e -> Alcotest.failf "spec load failed: %s" (Troll.Error.to_string e)
+  in
+  let map = Shard.auto community ~shards in
   let spawn body =
     match Unix.fork () with
     | 0 ->
@@ -1172,20 +1195,22 @@ let with_socket_router k =
         Unix._exit 0
     | pid -> pid
   in
-  let shard =
-    spawn (fun () ->
-        match
-          Troll.Session.load_shard_cell ~map:(Shard.to_string map) ~shard:0
-            spec_src
-        with
-        | Ok session -> Server.listen_unix (Server.create session) ~path:shard_path
-        | Error _ -> ())
+  let shard_pids =
+    List.init shards (fun k ->
+        spawn (fun () ->
+            match
+              Troll.Session.load_shard_cell ~map:(Shard.to_string map) ~shard:k
+                spec
+            with
+            | Ok session ->
+                Server.listen_unix (Server.create session) ~path:shard_paths.(k)
+            | Error _ -> ()))
   in
   let router =
     spawn (fun () ->
         ignore
           (Router.listen_unix
-             (Router.create ~community ~map ~paths:[| shard_path |] ())
+             (Router.create ~community ~map ~paths:shard_paths ())
              ~path))
   in
   let connect = connector path in
@@ -1195,10 +1220,10 @@ let with_socket_router k =
         (fun pid ->
           (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
           ignore (Unix.waitpid [] pid))
-        [ router; shard ];
+        (router :: shard_pids);
       List.iter
         (fun p -> try Unix.unlink p with Unix.Unix_error _ | Sys_error _ -> ())
-        [ path; shard_path ])
+        (path :: Array.to_list shard_paths))
     (fun () -> k ~router connect)
 
 (* The peer closes: end of input, or a reset when it closed with input
@@ -1590,13 +1615,71 @@ let test_serve_save_file () = with_socket_server save_file_cases
 let test_router_save_file () =
   with_socket_router (fun ~router:_ connect -> save_file_cases connect)
 
+(* Two shards of cells.trl behind the router, CELL0 on shard 0 and
+   CELL1 on shard 1: a cross-shard sync commits on both, a refusal on
+   either side aborts both, the earliest engine phase's refusal
+   surfaces (life cycles before permissions), and every answer is the
+   one a single community gives the same request. *)
+let test_router_two_phase () =
+  with_socket_router ~spec:(cells_src ()) ~shards:2 (fun ~router:_ connect ->
+      let fd = connect () in
+      let buf = Buffer.create 256 in
+      let single = cells_session () in
+      let request line =
+        let resp = rpc_fd buf fd line in
+        (match (Protocol.decode (parse_ok line)).Protocol.request with
+        | Ok (Protocol.Step step) ->
+            Alcotest.(check (option string))
+              (line ^ ": the single community's answer")
+              (match Troll.Session.step single step with
+              | Ok _ -> None
+              | Error r -> Some (Runtime_error.code r))
+              (Json.to_string_opt
+                 (Json.member "code" (Json.member "error" resp)))
+        | _ -> ());
+        resp
+      in
+      let add (cls, key, n) =
+        Printf.sprintf {|{"cls":"%s","key":"%s","event":"add","args":[%d]}|}
+          cls key n
+      in
+      let sync id evs =
+        request
+          (Printf.sprintf {|{"id":%d,"op":"sync","events":[%s]}|} id
+             (String.concat "," (List.map add evs)))
+      in
+      let save id =
+        Json.to_string_opt
+          (Json.member "state"
+             (Json.member "result"
+                (request (Printf.sprintf {|{"id":%d,"op":"save"}|} id))))
+      in
+      check_ok "create CELL0" (request (cell_frame 1 "create" "CELL0" "x" ""));
+      check_ok "create CELL1" (request (cell_frame 2 "create" "CELL1" "x" ""));
+      let r = sync 3 [ ("CELL0", "x", 2); ("CELL1", "x", 3) ] in
+      check_ok "cross-shard sync" r;
+      Alcotest.(check int) "one committed micro-step per shard" 2
+        (List.length
+           (Json.to_list (Json.member "committed" (Json.member "result" r))));
+      let committed = save 4 in
+      check_code "a refusal on shard 1" "permission_denied"
+        (sync 5 [ ("CELL0", "x", 1); ("CELL1", "x", -100) ]);
+      check_code "the earliest phase's refusal" "unknown_object"
+        (sync 6 [ ("CELL0", "x", -100); ("CELL1", "ghost", 1) ]);
+      Alcotest.(check (option string)) "refusals leave both shards as committed"
+        committed (save 7);
+      Alcotest.(check (option string)) "the single community's state"
+        (Some (Troll.Session.save single)) committed;
+      Unix.close fd)
+
 (* [restore] and [catchup] are all or nothing: each refused request
    answers its error and leaves the state saving to the same bytes.
-   The three dumps start with a good object and then hold a line that
-   does not parse, an unknown class, and a closed monitor for DEPT's
-   state guard [{ not(P in employees) } hire(P)]; each catch-up's
-   second record does not parse (a bad line, a stage that is not a
-   boolean). *)
+   The first three dumps start with a good object and then hold a line
+   that does not parse, an unknown class, and a closed monitor for
+   DEPT's state guard [{ not(P in employees) } hire(P)]; the fourth
+   keys a PERSON ([pname: string]) by an integer and gives it a string
+   Grade ([Grade: integer]); each catch-up's second record does not
+   parse (a bad line, a stage that is not a boolean). *)
 let test_serve_refused_restore_changes_nothing () =
   let frame op fields id =
     Json.to_string
@@ -1623,6 +1706,11 @@ let test_serve_refused_restore_changes_nothing () =
       ( "restore with a monitor for a state guard",
         "restore_error",
         restore (carol ^ "object|DEPT|S1:d|true|false|1\nperm|0|closed|0\n") );
+      ( "restore of an integer key and a string Grade",
+        "restore_error",
+        restore
+          "troll-state 1\nobject|PERSON|I5;|true|false|0\nattr|Grade|S3:abc\n"
+      );
       ( "catchup with a bad second record",
         "catchup_error",
         catchup None "bogus|1\n" );
@@ -1826,5 +1914,7 @@ let () =
           Alcotest.test_case "client killed with backlogged output" `Quick
             test_router_killed_with_backlog;
           Alcotest.test_case "save to a path" `Quick test_router_save_file;
+          Alcotest.test_case "cross-shard two-phase over the links" `Quick
+            test_router_two_phase;
         ] );
     ]

@@ -1,11 +1,11 @@
-(** Sharded object societies: partition maps, the two-phase coordinator
-    and its failure paths, and the sharded-session differential.
+(** Sharded object societies: partition maps, the two-phase decision
+    and its failure paths, and shard cells against one session.
 
     The invariants under test: classes that can interact within one
     synchronous step are never split across shards; a cross-shard step
     either commits on every owner or leaves every owner bit-identical
-    (by [Persist.save]) to its pre-step state; and a sharded session
-    run of a trace agrees with a single-engine run on every error code
+    (by [Persist.save]) to its pre-step state; and a trace routed over
+    shard cells agrees with a single-engine run on every error code
     and on the final merged state dump. *)
 
 let check = Alcotest.check
@@ -170,7 +170,7 @@ let test_split () =
   | _ -> Alcotest.fail "unknown class should fail the split"
 
 (* ------------------------------------------------------------------ *)
-(* The two-phase coordinator                                           *)
+(* The two-phase decision                                              *)
 (* ------------------------------------------------------------------ *)
 
 (** Two live cells plus the partition map routing between them. *)
@@ -187,10 +187,32 @@ let total c id =
   | Value.Int n -> n
   | v -> Alcotest.failf "Total: %s" (Value.to_string v)
 
+(** An in-process participant over one cell's {!Engine.prepare}
+    transaction (what {!Shard.coordinate} builds for each cell),
+    counting the commits it is sent. *)
+let local ?(commits = ref 0) c : Runtime_error.reason Shard.participant =
+  let pending = ref None in
+  let finish f =
+    Option.iter f !pending;
+    pending := None
+  in
+  {
+    Shard.prepare =
+      (fun s ->
+        let r = Engine.prepare c s in
+        pending := Result.to_option r;
+        fun () -> Result.map Engine.outcome_of_prepared r);
+    commit =
+      (fun () ->
+        incr commits;
+        finish Engine.commit_prepared;
+        fun () -> Ok ());
+    abort = (fun () -> finish Engine.rollback_prepared; ignore);
+  }
+
 let test_coordinate_commit () =
   let map, c0, c1 = two_cells () in
-  let parts = [| Shard.local_participant c0; Shard.local_participant c1 |] in
-  (match Shard.coordinate map parts (Step.Sync [ add a 5; add b 7 ]) with
+  (match Shard.coordinate map [| c0; c1 |] (Step.Sync [ add a 5; add b 7 ]) with
   | Ok { Engine.committed; _ } ->
       check tint "one micro-step per shard" 2 (List.length committed)
   | Error r -> Alcotest.failf "coordinate: %s" (Runtime_error.reason_to_string r));
@@ -199,11 +221,12 @@ let test_coordinate_commit () =
 
 let test_coordinate_rejection_rolls_back_all () =
   let map, c0, c1 = two_cells () in
-  let parts = [| Shard.local_participant c0; Shard.local_participant c1 |] in
   let s0 = Persist.save c0 and s1 = Persist.save c1 in
   (* shard 0's half prepares fine; shard 1's violates the permission
      guard, so the coordinator must abort the prepared shard 0 *)
-  (match Shard.coordinate map parts (Step.Sync [ add a 5; add b (-100) ]) with
+  (match
+     Shard.coordinate map [| c0; c1 |] (Step.Sync [ add a 5; add b (-100) ])
+   with
   | Error (Runtime_error.Permission_denied _) -> ()
   | Error r ->
       Alcotest.failf "expected permission_denied, got %s"
@@ -213,23 +236,24 @@ let test_coordinate_rejection_rolls_back_all () =
   check tstr "shard 1 rolled back bit-identically" s1 (Persist.save c1)
 
 let test_coordinate_shard_death_mid_2pc () =
-  let map, c0, c1 = two_cells () in
+  let map, c0, _c1 = two_cells () in
   (* shard 1 dies between receiving the prepare and voting: its proxy
      reports Shard_unavailable.  Shard 0 has already acked its prepare;
      the coordinator must abort it and no commit may ever arrive. *)
-  let commits = ref 0 in
-  let p0 = Shard.local_participant c0 in
-  let p0 = { p0 with Shard.pt_commit = (fun () -> incr commits; p0.Shard.pt_commit ()) } in
+  let commits = ref 0 and dead_aborts = ref 0 in
   let dead =
     {
-      Shard.pt_step = (fun _ -> Error (Runtime_error.Shard_unavailable 1));
-      pt_prepare = (fun _ -> Error (Runtime_error.Shard_unavailable 1));
-      pt_commit = ignore;
-      pt_abort = ignore;
+      Shard.prepare = (fun _ () -> Error (Runtime_error.Shard_unavailable 1));
+      commit = (fun () () -> Ok ());
+      abort = (fun () -> incr dead_aborts; ignore);
     }
   in
   let s0 = Persist.save c0 in
-  (match Shard.coordinate map [| p0; dead |] (Step.Sync [ add a 5; add b 7 ]) with
+  (match
+     Shard.two_phase ~rank:Runtime_error.phase_rank
+       [| local ~commits c0; dead |]
+       (split_exn map (Step.Sync [ add a 5; add b 7 ]))
+   with
   | Error (Runtime_error.Shard_unavailable 1) -> ()
   | Error r ->
       Alcotest.failf "expected shard_unavailable, got %s"
@@ -237,25 +261,53 @@ let test_coordinate_shard_death_mid_2pc () =
   | Ok _ -> Alcotest.fail "step committed despite a dead participant");
   check tint "commit never arrived on the survivor" 0 !commits;
   check tstr "survivor rolled back bit-identically" s0 (Persist.save c0);
-  ignore c1
+  (* a vote that never arrived may still be a prepare in progress:
+     the silent shard is sent an abort too *)
+  check tint "the dead shard was sent an abort" 1 !dead_aborts
+
+let test_coordinate_participant_raises () =
+  let map, c0, _c1 = two_cells () in
+  (* shard 1's participant raises while starting its prepare, after
+     shard 0 prepared: shard 0 is aborted and the exception escapes *)
+  let raising =
+    {
+      Shard.prepare = (fun _ -> failwith "participant crashed");
+      commit = (fun () () -> Ok ());
+      abort = (fun () -> ignore);
+    }
+  in
+  let s0 = Persist.save c0 in
+  (match
+     Shard.two_phase ~rank:Runtime_error.phase_rank [| local c0; raising |]
+       (split_exn map (Step.Sync [ add a 5; add b 7 ]))
+   with
+  | exception Failure m ->
+      check tstr "the exception propagates" "participant crashed" m
+  | _ -> Alcotest.fail "the participant's exception was swallowed");
+  check tstr "shard 0 rolled back bit-identically" s0 (Persist.save c0);
+  (* no journal was left open on shard 0: its next step commits *)
+  (match Engine.step c0 (Step.Fire (add a 1)) with
+  | Ok _ -> ()
+  | Error r ->
+      Alcotest.failf "next step: %s" (Runtime_error.reason_to_string r));
+  check tint "the next step committed" 1 (total c0 a)
 
 let test_coordinate_unknown_shard () =
   let map, c0, _c1 = two_cells () in
-  (* the participant array is short one shard: routing CELLB's owner
-     (shard 1) must fail with Unknown_shard, and the known shard must
-     stay untouched even in a cross-shard step *)
-  let parts = [| Shard.local_participant c0 |] in
+  (* the cell array is short one shard: routing CELLB's owner (shard 1)
+     must fail with Unknown_shard, and the known shard must stay
+     untouched even in a cross-shard step *)
   let s0 = Persist.save c0 in
-  (match Shard.coordinate map parts (Step.Fire (add b 1)) with
+  (match Shard.coordinate map [| c0 |] (Step.Fire (add b 1)) with
   | Error (Runtime_error.Unknown_shard 1) -> ()
   | _ -> Alcotest.fail "expected unknown_shard on the single-owner path");
-  (match Shard.coordinate map parts (Step.Sync [ add a 1; add b 1 ]) with
+  (match Shard.coordinate map [| c0 |] (Step.Sync [ add a 1; add b 1 ]) with
   | Error (Runtime_error.Unknown_shard 1) -> ()
   | _ -> Alcotest.fail "expected unknown_shard on the cross-shard path");
   check tstr "known shard untouched" s0 (Persist.save c0)
 
 (* ------------------------------------------------------------------ *)
-(* The sharded session differential                                    *)
+(* Shard cells against one session                                     *)
 (* ------------------------------------------------------------------ *)
 
 (** A mixed deterministic trace: births, single-shard steps, cross-shard
@@ -281,17 +333,30 @@ let session_exn what = function
   | Ok s -> s
   | Error e -> Alcotest.failf "%s: %s" what (Troll.Error.to_string e)
 
+(** Both cells of a two-shard society under [map], each loaded as the
+    shard servers of [trollc shard] load theirs. *)
+let shard_cells map =
+  Array.init 2 (fun k ->
+      Troll.Session.community
+        (session_exn "load_shard_cell"
+           (Troll.Session.load_shard_cell ~map ~shard:k cells)))
+
+(** The cells' dumps merged into one community, as the router's [save]
+    merges its shards'. *)
+let merged_save shards =
+  let facade = load_spec cells in
+  let dumps = Array.to_list (Array.map Persist.save shards) in
+  match Persist.merge facade dumps with
+  | Ok () -> Persist.save facade
+  | Error m -> Alcotest.failf "merging the cells' dumps: %s" m
+
 let test_sharded_session_differential () =
-  let sharded = session_exn "load_sharded" (Troll.Session.load_sharded ~shards:2 cells) in
+  let map = Shard.auto (load_spec cells) ~shards:2 in
+  let shards = shard_cells (Shard.to_string map) in
   let single = session_exn "load" (Troll.Session.load cells) in
-  check tint "shard_count" 2 (Troll.Session.shard_count sharded);
-  check tbool "shard_map present" true
-    (Option.is_some (Troll.Session.shard_map sharded));
-  check tbool "single session has no map" true
-    (Option.is_none (Troll.Session.shard_map single));
   List.iteri
     (fun i step ->
-      let rs = Troll.Session.step sharded step in
+      let rs = Shard.coordinate map shards step in
       let r1 = Troll.Session.step single step in
       check tstr
         (Printf.sprintf "step %d: same error code" i)
@@ -299,30 +364,34 @@ let test_sharded_session_differential () =
     trace;
   check tstrs "same extension"
     (List.map Ident.to_string (Troll.Session.extension single "CELLA"))
-    (List.map Ident.to_string (Troll.Session.extension sharded "CELLA"));
+    (List.concat_map
+       (fun c ->
+         List.map Ident.to_string
+           (Ident.Set.elements (Community.extension c "CELLA")))
+       (Array.to_list shards));
   (* the merged dump must be bit-identical to the single-engine dump *)
   check tstr "merged save is bit-identical" (Troll.Session.save single)
-    (Troll.Session.save sharded)
+    (merged_save shards)
 
 let test_sharded_session_explicit_map () =
   (* same trace under the flipped explicit map — the partitioning must
      not show through in the final state either *)
-  let sharded =
-    session_exn "load_sharded"
-      (Troll.Session.load_sharded ~shards:2 ~map:"classes:2:CELLA=1,CELLB=0"
-         cells)
-  in
+  let map_s = "classes:2:CELLA=1,CELLB=0" in
+  let map = ok_map (Shard.of_string (load_spec cells) map_s) in
+  let shards = shard_cells map_s in
   let single = session_exn "load" (Troll.Session.load cells) in
   List.iter
     (fun step ->
-      ignore (Troll.Session.step sharded step);
+      ignore (Shard.coordinate map shards step);
       ignore (Troll.Session.step single step))
     trace;
   check tstr "flipped map, same merged save" (Troll.Session.save single)
-    (Troll.Session.save sharded)
+    (merged_save shards)
 
 let test_sharded_session_bad_map () =
-  match Troll.Session.load_sharded ~shards:2 ~map:"classes:2:CELLA=0" cells with
+  match
+    Troll.Session.load_shard_cell ~map:"classes:2:CELLA=0" ~shard:0 cells
+  with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "incomplete map unexpectedly accepted"
 
@@ -351,6 +420,8 @@ let () =
             test_coordinate_rejection_rolls_back_all;
           Alcotest.test_case "shard death mid-2PC aborts the survivor" `Quick
             test_coordinate_shard_death_mid_2pc;
+          Alcotest.test_case "a raising participant aborts the prepared" `Quick
+            test_coordinate_participant_raises;
           Alcotest.test_case "unknown shard id" `Quick
             test_coordinate_unknown_shard;
         ] );

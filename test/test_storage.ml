@@ -350,6 +350,9 @@ let test_persist_rejects_garbage () =
         obj ^ "perm|1|indexed|1\ninst|L1[S1:t]|0\n" );
       ("a bit that is not 0 or 1", obj ^ "perm|0|closed|0x\n");
       ("unknown attribute", obj ^ "attr|nope|I1;\n");
+      ( "key of the wrong type",
+        "troll-state 1\nobject|LOCKER|I1;|true|false|1\n" );
+      ("attribute of the wrong type", obj ^ "attr|n|S3:abc\n");
       ("undecodable value", obj ^ "attr|n|Q1;\n");
       ("unknown line", obj ^ "bogus|1\n");
       ("unknown class", "troll-state 1\nobject|NOPE|S1:x|true|false|0\n");
